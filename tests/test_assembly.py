@@ -151,23 +151,11 @@ def test_gather_scatter_roundtrip():
 
 def test_assembly_deterministic_bytes():
     mesh = generate("triangular", 3)
-    a = asm.assemble(mesh, 1, SINE.f, determinism=True)
-    b = asm.assemble(mesh, 1, SINE.f, determinism=True)
+    a = asm.assemble(mesh, 1, SINE.f)
+    b = asm.assemble(mesh, 1, SINE.f)
     assert np.array_equal(a.matrix.data, b.matrix.data)
     assert np.array_equal(a.matrix.indices, b.matrix.indices)
     assert np.array_equal(a.rhs, b.rhs)
-
-
-def test_threaded_assembly_matches_serial(monkeypatch):
-    mesh = generate("cartesian", 3)
-    serial = asm.assemble(mesh, 1, SINE.f, threads=1)
-    threaded = asm.assemble(mesh, 1, SINE.f, threads=4)
-    assert np.array_equal(serial.matrix.data, threaded.matrix.data)
-    assert np.array_equal(serial.rhs, threaded.rhs)
-    monkeypatch.setenv("HHO_THREADS", "2")
-    assert asm._default_threads() == 2
-    monkeypatch.setenv("HHO_THREADS", "0")
-    assert asm._default_threads() >= 1
 
 
 def test_static_condensation_counts_and_agreement():

@@ -44,6 +44,10 @@ def test_solve_command(capsys):
     assert code == 0
     assert "relative residual" in out
     assert "energy error" in out
+    args = ["solve", "--mesh", "cartesian:4", "--k", "1", "--determinism"]
+    outs = [(cli.main(args), capsys.readouterr().out) for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert "wall time = 0.000 s" in outs[0][1]
 
 
 def test_solve_with_matrix_dump(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hho2d import assembly as asm
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d.mesh import PolyMesh, generate
+from hho2d.verify import agglomerated_mesh, nonconforming_mesh, rectangle_mesh
 
 
 @pytest.fixture
@@ -125,13 +130,13 @@ def test_reconstruction_satisfies_its_variational_contract(k):
 
 
 def test_stabilization_vanishes_on_triangles(unit_triangle):
-    S = hl.build_stabilization(unit_triangle, 0, 0)
+    S = hl.local_operators(unit_triangle, 0, 0).stab
     assert np.linalg.norm(S) <= 1e-15
 
 
 def test_stabilization_rank_square(unit_square):
     # oracle: 4 face dofs, affine reconstructions form a 3-dim space
-    S = hl.build_stabilization(unit_square, 0, 0)
+    S = hl.local_operators(unit_square, 0, 0).stab
     assert np.linalg.norm(S) > 1e-3
     assert np.linalg.matrix_rank(S, tol=1e-12) == 1
 
@@ -264,15 +269,42 @@ def test_eta_bounds_reports_broken_pencils(unit_square):
         hl.eta_bounds(broken)
 
 
-def test_builder_wrappers_match_combined_build(unit_square):
-    ops = hl.local_operators(unit_square, 0, 1)
-    recon, basis = hl.build_reconstruction(unit_square, 0, 1)
-    assert np.array_equal(recon, ops.recon)
-    assert basis.degree == ops.recon_basis.degree
-    assert np.array_equal(hl.build_stabilization(unit_square, 0, 1), ops.stab)
-    stiff, norm_gram = hl.build_local_forms(unit_square, 0, 1)
-    assert np.array_equal(stiff, ops.stiff)
-    assert np.array_equal(norm_gram, ops.norm_gram)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_batched_build_matches_one_element_at_a_time(k):
+    # mixed (corners, faces) groups, and a 36-quad group that spans chunks
+    assert generate("cartesian", 6).n_elements > asm.OPS_CHUNK
+    meshes = [nonconforming_mesh(4), agglomerated_mesh(8), rectangle_mesh(4),
+              generate("cartesian", 6)]
+    fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
+    for mesh in meshes:
+        batched = asm.build_local_operators(mesh, k)
+        for e, op in enumerate(batched):
+            ref = hl.local_operators(mesh, e, k)
+            assert op.elem_id == e
+            assert len(op.face_bases) == mesh.elements[e].n_faces
+            scale = np.abs(ref.stiff).max()
+            for name in fields:
+                got, want = getattr(op, name), getattr(ref, name)
+                assert got.shape == want.shape
+                # floor for blocks that vanish up to roundoff
+                tol = 1e-12 * max(np.abs(want).max(), 1e-14 * scale)
+                assert np.abs(got - want).max() <= tol, (e, name)
+
+
+def test_singular_element_inside_a_batch_is_named():
+    mesh = generate("cartesian", 4)
+    # collapse element 5 onto the bottom side: every fan triangle is flat
+    broken = copy.copy(mesh)
+    broken.elements = list(mesh.elements)
+    broken.elements[5] = dataclasses.replace(
+        mesh.elements[5], vertex_loop=np.array([0, 1, 2, 3]),
+        centroid=np.array([0.375, 0.0]),
+    )
+    for k, error in ((1, hl.HhoError), (3, pb.BasisError)):
+        with pytest.raises(error, match=r"^element 5: singular"):
+            hl.local_operators(broken, range(mesh.n_elements), k)
+        with pytest.raises(error, match=r"^element 5: singular"):
+            asm.build_local_operators(broken, k)
 
 
 def test_local_vector_roundtrip():
