@@ -36,51 +36,44 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global offsets: interior-face blocks first, then cell blocks."""
+    """Element-to-global dof layout: interior-face blocks, then cell blocks.
+
+    ``table[e]`` is the read-only global index of every local dof of
+    element ``e`` (cell block, then one block per face in loop order), -1
+    where the dof is eliminated.
+    """
 
     k: int
-    face_offset: np.ndarray   # (n_faces,) offset or -1 for boundary faces
-    cell_offset: np.ndarray   # (n_elements,) offset, or -1 when k == 0
     n_face_dofs: int
     total: int
+    table: tuple
 
     def element_indices(self, element):
         """Global index per local dof of one element, -1 where eliminated."""
-        k = self.k
-        nc = hl.cell_block_dim(k)
-        idx = np.full(nc + element.n_faces * (k + 1), -1, dtype=int)
-        if k >= 1:
-            idx[:nc] = self.cell_offset[element.id] + np.arange(nc)
-        for i, fid in enumerate(element.face_ids):
-            off = self.face_offset[fid]
-            if off >= 0:
-                idx[nc + i * (k + 1):nc + (i + 1) * (k + 1)] = off + np.arange(k + 1)
-        return idx
+        return self.table[element.id]
 
 
 def build_dof_map(mesh, k):
     if not 0 <= k <= 3:
         raise AssemblyError("polynomial degree must be in {0, 1, 2, 3}")
+    interior = mesh.interior_face_ids()
     face_offset = np.full(mesh.n_faces, -1, dtype=int)
-    pos = 0
-    for fid in mesh.interior_face_ids():
-        face_offset[fid] = pos
-        pos += k + 1
-    n_face_dofs = pos
+    face_offset[interior] = (k + 1) * np.arange(len(interior))
+    n_face_dofs = (k + 1) * len(interior)
     nc = hl.cell_block_dim(k)
-    cell_offset = np.full(mesh.n_elements, -1, dtype=int)
-    if k >= 1:
-        for e in range(mesh.n_elements):
-            cell_offset[e] = pos
-            pos += nc
-    face_offset.setflags(write=False)
-    cell_offset.setflags(write=False)
+    table = []
+    for el in mesh.elements:
+        off = face_offset[el.face_ids][:, None]
+        faces = np.where(off >= 0, off + np.arange(k + 1), -1)
+        cell = n_face_dofs + el.id * nc + np.arange(nc)
+        idx = np.concatenate([cell, faces.ravel()])
+        idx.setflags(write=False)
+        table.append(idx)
     return DofMap(
         k=k,
-        face_offset=face_offset,
-        cell_offset=cell_offset,
         n_face_dofs=n_face_dofs,
-        total=pos,
+        total=n_face_dofs + nc * mesh.n_elements,
+        table=tuple(table),
     )
 
 
@@ -94,19 +87,17 @@ class GlobalHhoVector:
 
     def local(self, elem_id):
         """Element-local view; boundary-face blocks read as zero."""
-        el = self.mesh.elements[elem_id]
-        idx = self.dofmap.element_indices(el)
-        flat = np.where(idx >= 0, self.data[np.clip(idx, 0, None)], 0.0)
-        return hl.LocalHhoVector.from_flat(self.dofmap.k, el.n_faces, flat)
+        n_faces = self.mesh.elements[elem_id].n_faces
+        return hl.LocalHhoVector.from_flat(
+            self.dofmap.k, n_faces, self.local_flat(elem_id)
+        )
 
     def local_flat(self, elem_id):
-        el = self.mesh.elements[elem_id]
-        idx = self.dofmap.element_indices(el)
+        idx = self.dofmap.table[elem_id]
         return np.where(idx >= 0, self.data[np.clip(idx, 0, None)], 0.0)
 
     def scatter_add(self, elem_id, local_flat):
-        el = self.mesh.elements[elem_id]
-        idx = self.dofmap.element_indices(el)
+        idx = self.dofmap.table[elem_id]
         keep = idx >= 0
         np.add.at(self.data, idx[keep], np.asarray(local_flat)[keep])
 
@@ -171,30 +162,39 @@ def assemble(mesh, k, f, ops=None, rhs_order=None):
     order = rhs_order if rhs_order is not None else 2 * k + 4
     loads = _local_loads(mesh, k, f, ops, order)
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.total)
-    for el, op, b_loc in zip(mesh.elements, ops, loads):
-        idx = dofmap.element_indices(el)
-        keep = np.flatnonzero(idx >= 0)
-        A = op.stiff[np.ix_(keep, keep)]
-        gi = idx[keep]
-        rows.append(np.repeat(gi, len(gi)))
-        cols.append(np.tile(gi, len(gi)))
-        vals.append(A.ravel())
-        np.add.at(rhs, gi, b_loc[keep])
-
-    if dofmap.total:
-        matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dofmap.total, dofmap.total),
-        ).tocsr()
-    else:
-        matrix = sp.csr_matrix((0, 0))
+    rhs = GlobalHhoVector.zeros(mesh, dofmap)
+    for e, b_loc in enumerate(loads):
+        rhs.scatter_add(e, b_loc)
+    matrix = _scatter_blocks(
+        zip(dofmap.table, (op.stiff for op in ops)), dofmap.total
+    )
     system = SparseSpdSystem(
-        mesh=mesh, k=k, dofmap=dofmap, matrix=matrix, rhs=rhs, ops=ops
+        mesh=mesh, k=k, dofmap=dofmap, matrix=matrix, rhs=rhs.data, ops=ops
     )
     _check_diagonal(system)
     return system
+
+
+def _scatter_blocks(blocks, n):
+    """Sum ``(indices, local matrix)`` blocks into an n x n CSR matrix.
+
+    Rows and columns whose index is -1 (eliminated dofs) are dropped.  The
+    triplets follow the order of ``blocks``, so equal inputs sum to
+    identical bytes.
+    """
+    if n == 0:
+        return sp.csr_matrix((0, 0))
+    rows, cols, vals = [], [], []
+    for idx, local in blocks:
+        keep = np.flatnonzero(idx >= 0)
+        gi = idx[keep]
+        rows.append(np.repeat(gi, len(gi)))
+        cols.append(np.tile(gi, len(gi)))
+        vals.append(local[np.ix_(keep, keep)].ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
 
 
 def _local_loads(mesh, k, f, ops, order):
@@ -229,9 +229,9 @@ def _check_diagonal(system):
 
 
 def _owner_element(system, dof):
-    for el in system.mesh.elements:
-        if dof in system.dofmap.element_indices(el):
-            return el.id
+    for e, idx in enumerate(system.dofmap.table):
+        if dof in idx:
+            return e
     return -1
 
 
@@ -332,11 +332,9 @@ class CondensedSystem:
         data[:sys.dofmap.n_face_dofs] = face_solution
         vec = GlobalHhoVector(mesh=sys.mesh, dofmap=sys.dofmap, data=data)
         nc = hl.cell_block_dim(sys.k)
-        for el, (Acc_inv, Acf, b_cell) in zip(sys.mesh.elements, self.recovery):
-            idx = sys.dofmap.element_indices(el)
-            xf = np.where(idx[nc:] >= 0, data[np.clip(idx[nc:], 0, None)], 0.0)
-            xc = Acc_inv @ (b_cell - Acf @ xf)
-            data[idx[:nc]] = xc
+        for e, (Acc_inv, Acf, b_cell) in enumerate(self.recovery):
+            xf = vec.local_flat(e)[nc:]
+            data[sys.dofmap.table[e][:nc]] = Acc_inv @ (b_cell - Acf @ xf)
         return vec
 
 
@@ -347,11 +345,10 @@ def static_condense(system):
     nc = hl.cell_block_dim(system.k)
     nf_dofs = system.dofmap.n_face_dofs
 
-    rows, cols, vals = [], [], []
+    blocks = []
     rhs = np.zeros(nf_dofs)
     recovery = []
-    for el, op in zip(system.mesh.elements, system.ops):
-        idx = system.dofmap.element_indices(el)
+    for el, op, idx in zip(system.mesh.elements, system.ops, system.dofmap.table):
         Acc = op.stiff[:nc, :nc]
         Acf = op.stiff[:nc, nc:]
         Aff = op.stiff[nc:, nc:]
@@ -361,23 +358,17 @@ def static_condense(system):
             raise AssemblyError(
                 f"element {el.id}: singular cell block (coercivity violated)"
             ) from exc
-        b_cell = _local_rhs_cell(system, el, op)
+        b_cell = system.rhs[idx[:nc]]
         S_loc = Aff - Acf.T @ Acc_inv @ Acf
         b_loc = -Acf.T @ (Acc_inv @ b_cell)
         face_idx = idx[nc:]
-        keep = np.flatnonzero(face_idx >= 0)
-        gi = face_idx[keep]
-        rows.append(np.repeat(gi, len(gi)))
-        cols.append(np.tile(gi, len(gi)))
-        vals.append(S_loc[np.ix_(keep, keep)].ravel())
-        np.add.at(rhs, gi, b_loc[keep])
+        keep = face_idx >= 0
+        blocks.append((face_idx, S_loc))
+        np.add.at(rhs, face_idx[keep], b_loc[keep])
         recovery.append((Acc_inv, Acf, b_cell))
     rhs += system.rhs[:nf_dofs]  # face loads (zero for this scheme's RHS)
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nf_dofs, nf_dofs),
-    ).tocsr()
+    matrix = _scatter_blocks(blocks, nf_dofs)
     return CondensedSystem(
         full=system,
         matrix=matrix,
@@ -388,15 +379,7 @@ def static_condense(system):
     )
 
 
-def _local_rhs_cell(system, el, op):
-    """Cell-block part of the local load vector (recomputed for recovery)."""
-    nc = hl.cell_block_dim(system.k)
-    idx = system.dofmap.element_indices(el)
-    return system.rhs[idx[:nc]] if nc else np.zeros(0)
-
-
 def solve_condensed(condensed, tol=1e-12):
-    sys = condensed.full
     if condensed.n_reduced == 0:
         return condensed.expand(np.zeros(0)), SolveInfo("empty", 0.0)
     lu = spla.splu(condensed.matrix.tocsc())
@@ -423,29 +406,17 @@ class NormGram:
         if ops is None:
             ops = build_local_operators(mesh, k)
         self.ops = ops
-        rows, cols, vals = [], [], []
-        for el, op in zip(mesh.elements, ops):
-            idx = self.dofmap.element_indices(el)
-            keep = np.flatnonzero(idx >= 0)
-            gi = idx[keep]
-            rows.append(np.repeat(gi, len(gi)))
-            cols.append(np.tile(gi, len(gi)))
-            vals.append(op.norm_gram[np.ix_(keep, keep)].ravel())
-        n = self.dofmap.total
-        if n:
-            self.matrix = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n),
-            ).tocsr()
+        self.matrix = _scatter_blocks(
+            zip(self.dofmap.table, (op.norm_gram for op in ops)), self.dofmap.total
+        )
+        self._lu = None
+        if self.dofmap.total:
             try:
                 self._lu = spla.splu(self.matrix.tocsc())
             except RuntimeError as exc:
                 raise AssemblyError(
                     "energy-norm Gram singular on the zero-boundary space"
                 ) from exc
-        else:
-            self.matrix = sp.csr_matrix((0, 0))
-            self._lu = None
 
     def norm(self, data):
         data = np.asarray(data, dtype=float)
@@ -461,10 +432,6 @@ class NormGram:
             return 0.0
         x = self._lu.solve(moments)
         return float(np.sqrt(max(moments @ x, 0.0)))
-
-
-def riesz_dual_norm(mesh, k, moments, ops=None):
-    return NormGram(mesh, k, ops=ops).riesz_dual_norm(moments)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,9 @@ class PolyMesh:
         verts = np.array(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError("vertex array must have shape (n, 2)")
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]}: non-finite coordinate")
         if len(loops) == 0:
             raise MeshError("mesh has no elements")
         loops = [np.asarray(lp, dtype=int) for lp in loops]

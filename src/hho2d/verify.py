@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from hho2d import assembly as asm
 from hho2d import hho_local as hl
@@ -125,23 +124,25 @@ def rectangle_mesh(n):
 # error measures
 
 
-def interpolate_global(system, u):
+def local_interpolates(mesh, k, u):
+    """Flat local interpolate of ``u`` on every element, in element-id order."""
+    return [hl.interpolate(mesh, el.id, k, u).flat() for el in mesh.elements]
+
+
+def interpolate_global(system, interp):
     """Dof vector of the global interpolate (boundary faces read zero)."""
     data = np.zeros(system.dofmap.total)
-    for el, op in zip(system.mesh.elements, system.ops):
-        vec = hl.interpolate(system.mesh, el.id, system.k, u)
-        idx = system.dofmap.element_indices(el)
+    for idx, iu in zip(system.dofmap.table, interp):
         keep = idx >= 0
-        data[idx[keep]] = vec.flat()[keep]
+        data[idx[keep]] = iu[keep]
     return asm.GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=data)
 
 
-def energy_error(system, solution, case):
+def energy_error(ops, solution, interp):
     """Energy distance between the solution and the exact interpolate."""
     err2 = 0.0
-    for el, op in zip(system.mesh.elements, system.ops):
-        iu = hl.interpolate(system.mesh, el.id, system.k, case.u).flat()
-        e = iu - solution.local_flat(el.id)
+    for op, iu in zip(ops, interp):
+        e = iu - solution.local_flat(op.elem_id)
         err2 += e @ op.norm_gram @ e
     return float(np.sqrt(max(err2, 0.0)))
 
@@ -162,26 +163,21 @@ def l2_error_cell_value(system, solution, case, order=None):
     return float(np.sqrt(err2))
 
 
-def consistency_moments(system, case):
+def consistency_moments(system, interp):
     """Moments of the consistency functional against every basis dof."""
-    iu = interpolate_global(system, case.u)
+    iu = interpolate_global(system, interp)
     return asm.residual(system.matrix, iu.data, system.rhs)
 
 
-def consistency_dual_norm(system, case, norm_gram=None):
+def consistency_dual_norm(system, interp, norm_gram):
     """Dual energy norm of the consistency functional of the exact solution."""
-    if norm_gram is None:
-        norm_gram = asm.NormGram(
-            system.mesh, system.k, ops=system.ops, dofmap=system.dofmap
-        )
-    return norm_gram.riesz_dual_norm(consistency_moments(system, case))
+    return norm_gram.riesz_dual_norm(consistency_moments(system, interp))
 
 
-def stab_energy(system, case):
+def stab_energy(ops, interp):
     """Aggregate stabilization energy of the interpolated exact solution."""
     total = 0.0
-    for el, op in zip(system.mesh.elements, system.ops):
-        iu = hl.interpolate(system.mesh, el.id, system.k, case.u).flat()
+    for op, iu in zip(ops, interp):
         r = op.stab_factor @ iu
         total += r @ r
     return float(np.sqrt(total))
@@ -212,31 +208,17 @@ class PowerIterationError(Exception):
 
 def l2_mass_matrix(system):
     """Gram of the piecewise cell value on the zero-boundary dof space."""
-    rows, cols, vals = [], [], []
+    blocks = []
     nc = hl.cell_block_dim(system.k)
-    for el, op in zip(system.mesh.elements, system.ops):
-        idx = system.dofmap.element_indices(el)
+    for el, op, idx in zip(system.mesh.elements, system.ops, system.dofmap.table):
         if system.k >= 1:
             quad = pb.cell_quadrature(system.mesh, el.id, 2 * system.k)
             V = op.cell_basis.eval(quad.points)
-            M = V.T * quad.weights @ V
-            gi = idx[:nc]
-            rows.append(np.repeat(gi, nc))
-            cols.append(np.tile(gi, nc))
-            vals.append(M.ravel())
+            blocks.append((idx[:nc], V.T * quad.weights @ V))
         else:
             w = op.avg_weights * np.sqrt(el.area)
-            keep = np.flatnonzero(idx >= 0)
-            gi = idx[keep]
-            M = np.outer(w[keep], w[keep])
-            rows.append(np.repeat(gi, len(gi)))
-            cols.append(np.tile(gi, len(gi)))
-            vals.append(M.ravel())
-    n = system.dofmap.total
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+            blocks.append((idx, np.outer(w, w)))
+    return asm._scatter_blocks(blocks, system.dofmap.total)
 
 
 def poincare_constant(system, norm_gram=None, tol=1e-10, maxiter=5000):
@@ -382,7 +364,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def study(family, k, case, check_condensation=True, determinism=False):
+def study(family, k, case, determinism=False):
     """Solve on every mesh of the family and collect all row metrics."""
     if isinstance(case, str):
         case = CASES[case]
@@ -392,13 +374,14 @@ def study(family, k, case, check_condensation=True, determinism=False):
         system = asm.assemble(mesh, k, case.f)
         solution, info = asm.solve(system)
         norm_gram = asm.NormGram(mesh, k, ops=system.ops, dofmap=system.dofmap)
+        interp = local_interpolates(mesh, k, case.u)
         row = StudyRow(
             h=mesh.h,
             n_dofs=system.dofmap.total,
             n_face_dofs=system.dofmap.n_face_dofs,
-            energy_err=energy_error(system, solution, case),
-            consist_dual=consistency_dual_norm(system, case, norm_gram=norm_gram),
-            stab_consist=stab_energy(system, case),
+            energy_err=energy_error(system.ops, solution, interp),
+            consist_dual=consistency_dual_norm(system, interp, norm_gram),
+            stab_consist=stab_energy(system.ops, interp),
             l2_err=l2_error_cell_value(system, solution, case),
             eta=mesh_eta(system),
             cp=float("nan"),
@@ -408,7 +391,7 @@ def study(family, k, case, check_condensation=True, determinism=False):
             solver_residual=info.residual,
         )
         row.cp, row.poincare_iters = poincare_constant(system, norm_gram=norm_gram)
-        if check_condensation and k >= 1:
+        if k >= 1:
             condensed = asm.static_condense(system)
             recovered, _ = asm.solve_condensed(condensed)
             row.condensed_rel_diff = float(
@@ -423,20 +406,6 @@ def study(family, k, case, check_condensation=True, determinism=False):
     return report.finalize()
 
 
-@dataclass
-class _LocalOnlySystem:
-    """Mesh/degree/operators bundle for measures that need no global matrix."""
-
-    mesh: object
-    k: int
-    ops: list
-    dofmap: object
-
-
-def _bare_system(mesh, k, ops):
-    return _LocalOnlySystem(mesh=mesh, k=k, ops=ops, dofmap=asm.build_dof_map(mesh, k))
-
-
 def stab_consistency_rate(family, k, case):
     """EOC of the aggregate stabilization energy of the exact interpolate."""
     if isinstance(case, str):
@@ -444,7 +413,7 @@ def stab_consistency_rate(family, k, case):
     hs, values = [], []
     for mesh in family:
         ops = asm.build_local_operators(mesh, k)
-        values.append(stab_energy(_bare_system(mesh, k, ops), case))
+        values.append(stab_energy(ops, local_interpolates(mesh, k, case.u)))
         hs.append(mesh.h)
     return eoc_fit(hs, values), hs, values
 

@@ -110,6 +110,18 @@ def test_config_error_exit_code(capsys):
     assert err.startswith("FAILURE kind=config")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_mesh_file_is_a_config_error(tmp_path, capsys, token):
+    path = tmp_path / "mesh.txt"
+    path.write_text(
+        f"POLYMESH2D 1\nVERTICES 4\n0 0\n1 0\n1 {token}\n0 1\n"
+        "ELEMENTS 1\n4 0 1 2 3\n"
+    )
+    code = cli.main(["solve", "--mesh", str(path), "--k", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("FAILURE kind=config")
+
+
 def test_bad_degree_exit_code(capsys):
     code = cli.main(["solve", "--mesh", "cartesian:2", "--k", "7"])
     assert code == 2

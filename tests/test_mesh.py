@@ -188,6 +188,17 @@ def test_load_rejects_malformed_documents():
         load_mesh(bowtie)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_rejects_non_finite_coordinate(token):
+    # NaN slips past every "<= 0" area or length check, so it is refused
+    # before any geometry is derived
+    doc = UNIT_SQUARE_DOC.replace("1.0 1.0", f"1.0 {token}")
+    with pytest.raises(MeshError, match="vertex 2: non-finite"):
+        load_mesh(doc)
+    with pytest.raises(MeshError, match="non-finite"):
+        PolyMesh([(0, 0), (1, 0), (float(token), 1), (0, 1)], [[0, 1, 2, 3]])
+
+
 def test_rejects_non_star_shaped():
     # deep L-shaped hexagon: centroid lies past the reentrant side's line
     verts = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]

@@ -56,9 +56,10 @@ def test_family_builders():
 def test_energy_error_zero_for_interpolate():
     mesh = generate("cartesian", 2)
     system = asm.assemble(mesh, 1, vf.CASES["sine"].f)
-    interp = vf.interpolate_global(system, vf.CASES["sine"].u)
+    interp = vf.local_interpolates(mesh, 1, vf.CASES["sine"].u)
+    iu = vf.interpolate_global(system, interp)
     # sin(pi * 1.0) is ~1e-16, so boundary-face blocks differ by roundoff
-    assert vf.energy_error(system, interp, vf.CASES["sine"]) <= 1e-13
+    assert vf.energy_error(system.ops, iu, interp) <= 1e-13
 
 
 def test_consistency_vanishes_for_global_polynomial():
@@ -68,8 +69,9 @@ def test_consistency_vanishes_for_global_polynomial():
     mesh = generate("cartesian", 2)
     system = asm.assemble(mesh, 3, case.f, rhs_order=12)
     gram = asm.NormGram(mesh, 3, ops=system.ops, dofmap=system.dofmap)
-    moments = vf.consistency_moments(system, case)
-    iu = vf.interpolate_global(system, case.u)
+    interp = vf.local_interpolates(mesh, 3, case.u)
+    moments = vf.consistency_moments(system, interp)
+    iu = vf.interpolate_global(system, interp)
     scale = gram.norm(iu.data)
     assert gram.riesz_dual_norm(moments) <= 1e-9 * scale
 
@@ -78,8 +80,8 @@ def test_stab_energy_vanishes_for_global_polynomial():
     case = vf.CASES["bubble"]
     mesh = vf.nonconforming_mesh(2)
     ops = asm.build_local_operators(mesh, 3)
-    system = vf._bare_system(mesh, 3, ops)
-    assert vf.stab_energy(system, case) <= 1e-9
+    interp = vf.local_interpolates(mesh, 3, case.u)
+    assert vf.stab_energy(ops, interp) <= 1e-9
 
 
 
@@ -88,8 +90,8 @@ def test_sine_lies_in_k0_stab_kernel_on_squares_only():
     # (u_N + u_S) of the face means; sin(pi x) sin(pi y) cancels it by its
     # x<->y symmetry.  Another function or another cell shape does not.
     def energy(mesh, case):
-        system = vf._bare_system(mesh, 0, asm.build_local_operators(mesh, 0))
-        return vf.stab_energy(system, vf.CASES[case])
+        ops = asm.build_local_operators(mesh, 0)
+        return vf.stab_energy(ops, vf.local_interpolates(mesh, 0, vf.CASES[case].u))
 
     for n in (2, 4, 8):
         assert energy(generate("cartesian", n), "sine") <= 1e-13
@@ -171,6 +173,23 @@ def test_study_report_schema():
         assert row.solver_residual <= 1e-12
         assert row.n_dofs > 0
         assert row.seconds >= 0
+
+
+def test_study_interpolates_once_per_element_per_row(monkeypatch):
+    from hho2d import hho_local as hl
+
+    calls = []
+    interpolate = hl.interpolate
+
+    def counting(mesh, elem_id, k, v, order=None):
+        calls.append(elem_id)
+        return interpolate(mesh, elem_id, k, v, order=order)
+
+    monkeypatch.setattr(hl, "interpolate", counting)
+    fam = vf.build_family("nonconforming", [2, 4])
+    vf.study(fam, 1, "sine")
+    expected = [el.id for mesh in fam for el in mesh.elements]
+    assert sorted(calls) == sorted(expected)
 
 
 def test_study_rows_satisfy_apriori_and_sandwich():
