@@ -61,19 +61,19 @@ def build_dof_map(mesh, k):
     face_offset[interior] = (k + 1) * np.arange(len(interior))
     n_face_dofs = (k + 1) * len(interior)
     nc = hl.cell_block_dim(k)
-    table = []
-    for el in mesh.elements:
-        off = face_offset[el.face_ids][:, None]
-        faces = np.where(off >= 0, off + np.arange(k + 1), -1)
-        cell = n_face_dofs + el.id * nc + np.arange(nc)
-        idx = np.concatenate([cell, faces.ravel()])
-        idx.setflags(write=False)
-        table.append(idx)
+    els = mesh.elements
+    off = face_offset[els.face_ids][:, None]
+    faces = np.where(off >= 0, off + np.arange(k + 1), -1)
+    cells = n_face_dofs + np.arange(mesh.n_elements * nc)
+    # each element's cell block goes in front of its face blocks
+    flat = np.insert(faces.ravel(), np.repeat(els.face_ptr[:-1] * (k + 1), nc), cells)
+    flat.setflags(write=False)
+    ends = els.face_ptr[1:-1] * (k + 1) + nc * np.arange(1, mesh.n_elements)
     return DofMap(
         k=k,
         n_face_dofs=n_face_dofs,
         total=n_face_dofs + nc * mesh.n_elements,
-        table=tuple(table),
+        table=tuple(np.split(flat, ends)),
     )
 
 
@@ -94,7 +94,10 @@ class GlobalHhoVector:
 
     def local_flat(self, elem_id):
         idx = self.dofmap.table[elem_id]
-        return np.where(idx >= 0, self.data[np.clip(idx, 0, None)], 0.0)
+        keep = idx >= 0
+        out = np.zeros(len(idx))
+        out[keep] = self.data[idx[keep]]
+        return out
 
     def scatter_add(self, elem_id, local_flat):
         idx = self.dofmap.table[elem_id]
@@ -115,9 +118,11 @@ OPS_CHUNK = 32
 
 def _element_batches(mesh):
     """Element ids grouped by (corner count, face count), in chunks."""
+    els = mesh.elements
+    shapes = zip(np.diff(els.corner_ptr).tolist(), np.diff(els.face_ptr).tolist())
     groups = {}
-    for el in mesh.elements:
-        groups.setdefault((len(el.vertex_loop), el.n_faces), []).append(el.id)
+    for e, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(e)
     for ids in groups.values():
         for i in range(0, len(ids), OPS_CHUNK):
             yield ids[i:i + OPS_CHUNK]
@@ -348,7 +353,7 @@ def static_condense(system):
     blocks = []
     rhs = np.zeros(nf_dofs)
     recovery = []
-    for el, op, idx in zip(system.mesh.elements, system.ops, system.dofmap.table):
+    for e, (op, idx) in enumerate(zip(system.ops, system.dofmap.table)):
         Acc = op.stiff[:nc, :nc]
         Acf = op.stiff[:nc, nc:]
         Aff = op.stiff[nc:, nc:]
@@ -356,7 +361,7 @@ def static_condense(system):
             Acc_inv = np.linalg.inv(Acc)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(
-                f"element {el.id}: singular cell block (coercivity violated)"
+                f"element {e}: singular cell block (coercivity violated)"
             ) from exc
         b_cell = system.rhs[idx[:nc]]
         S_loc = Aff - Acf.T @ Acc_inv @ Acf

@@ -146,16 +146,16 @@ def local_operators(mesh, elem_id, k):
 
 
 def _build(mesh, ids, k):
-    els = [mesh.elements[e] for e in ids]
-    nb = len(els)
-    nf = els[0].n_faces
+    els = mesh.elements
+    rows = els.face_rows(ids)
+    nb, nf = rows.shape
     nc = cell_block_dim(k)
     kf = k + 1
     n_loc = nc + nf * kf
-    hT = np.array([el.diameter for el in els])[:, None, None]
-    area = np.array([el.area for el in els])[:, None]
-    normals = np.array([el.face_normals for el in els])
-    face_ids = np.array([el.face_ids for el in els])
+    hT = els.diameter[ids][:, None, None]
+    area = els.area[ids][:, None]
+    normals = els.face_normals[rows]
+    face_ids = els.face_ids[rows]
 
     rec = pb.cell_bases(mesh, ids, k + 1)
     dr = rec.dim
@@ -182,7 +182,7 @@ def _build(mesh, ids, k):
     nq = len(s)
     flat_fpts = fpts.reshape(nb, nf * nq, 2)
     Vf = s[:, None] ** np.arange(kf)
-    lengths = np.array([el.face_lengths for el in els])
+    lengths = els.face_lengths[rows]
     M_f = pb.face_mass(lengths, k)
     Vr_f = rec.eval(flat_fpts).reshape(nb, nf, nq, dr)
     Dr_f = rec.grad(flat_fpts).reshape(nb, nf, nq, dr, 2)
@@ -201,7 +201,7 @@ def _build(mesh, ids, k):
     r = np.zeros((nb, n_loc))
     avg = np.zeros((nb, n_loc))
     if k == 0:
-        dists = np.array([el.face_dists for el in els])
+        dists = els.face_dists[rows]
         r[:, nc:] = 0.5 * dists * lengths
         avg = r / area
     else:
@@ -269,7 +269,7 @@ def _build(mesh, ids, k):
             avg_weights=avg[b],
             recon_basis=rec[b],
             cell_basis=cellb[b] if k >= 1 else None,
-            face_bases=[pb.face_basis(mesh, int(fid), k) for fid in els[b].face_ids],
+            face_bases=[pb.face_basis(mesh, int(fid), k) for fid in face_ids[b]],
         )
         for b, e in enumerate(ids)
     ]

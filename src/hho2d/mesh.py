@@ -19,10 +19,20 @@ Text format (line oriented, ``#`` starts a comment)::
 Vertex loops must be simple polygons, star-shaped with respect to their
 centroid.  All meshes are immutable after construction and safe to share
 across threads.
+
+A mesh is stored as read-only arrays.  ``mesh.faces`` (a ``FaceTable``)
+has one row per face id; ``mesh.elements`` (an ``ElementTable``) has one
+row per element, with the corner loops and the face loops in CSR form.
+Indexing or iterating either table gives read-only ``Face``/``Element``
+views of single rows.  Construction costs time linear in the mesh size:
+the hanging vertices of each side come from a uniform bucket grid, and the
+loop checks and the geometry run per group of elements with one corner
+count.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +48,7 @@ class MeshError(Exception):
 
 @dataclass(frozen=True)
 class Face:
-    """One mesh face: a straight segment between two mesh vertices."""
+    """Read-only view of one row of a ``FaceTable``."""
 
     id: int
     v0: int
@@ -52,7 +62,7 @@ class Face:
 
 @dataclass(frozen=True)
 class Element:
-    """One mesh element with its face loop and geometry cache."""
+    """Read-only view of one row of an ``ElementTable``."""
 
     id: int
     vertex_loop: np.ndarray   # (p,) corner vertex ids, CCW
@@ -71,8 +81,103 @@ class Element:
         return len(self.face_ids)
 
 
+@dataclass(frozen=True, eq=False)
+class FaceTable:
+    """The faces as read-only arrays, one row per face id.
+
+    ``table[f]`` is a ``Face`` view of row f.
+    """
+
+    v0: np.ndarray        # (nF,) smaller end vertex id
+    v1: np.ndarray        # (nF,) larger end vertex id
+    elems: np.ndarray     # (nF, 2) adjacent elements; -1 second on the boundary
+    length: np.ndarray    # (nF,)
+    midpoint: np.ndarray  # (nF, 2)
+    tangent: np.ndarray   # (nF, 2) unit vector from v0 to v1
+
+    def __len__(self):
+        return len(self.v0)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, f):
+        f = range(len(self))[f]
+        elems = tuple(int(e) for e in self.elems[f] if e >= 0)
+        return Face(
+            id=f,
+            v0=int(self.v0[f]),
+            v1=int(self.v1[f]),
+            elems=elems,
+            boundary=len(elems) == 1,
+            length=float(self.length[f]),
+            midpoint=self.midpoint[f],
+            tangent=self.tangent[f],
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ElementTable:
+    """The elements as read-only arrays; ``table[e]`` is an ``Element`` view.
+
+    Corner loops and face loops are CSR: element e has the corners
+    ``corners[corner_ptr[e]:corner_ptr[e + 1]]`` and the face rows
+    ``face_ptr[e]:face_ptr[e + 1]`` of every ``face_*`` column.
+    """
+
+    corner_ptr: np.ndarray      # (n + 1,)
+    corners: np.ndarray         # corner vertex ids, CCW per element
+    face_ptr: np.ndarray        # (n + 1,)
+    face_ids: np.ndarray        # face ids in CCW boundary order
+    face_signs: np.ndarray      # +1 if traversal matches face v0->v1
+    face_normals: np.ndarray    # (., 2) outward unit normals
+    face_dists: np.ndarray      # distance centroid -> face line
+    face_lengths: np.ndarray
+    face_midpoints: np.ndarray  # (., 2)
+    area: np.ndarray            # (n,)
+    diameter: np.ndarray        # (n,)
+    centroid: np.ndarray        # (n, 2)
+
+    def __len__(self):
+        return len(self.area)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, e):
+        e = range(len(self))[e]
+        c = slice(self.corner_ptr[e], self.corner_ptr[e + 1])
+        f = slice(self.face_ptr[e], self.face_ptr[e + 1])
+        return Element(
+            id=e,
+            vertex_loop=self.corners[c],
+            face_ids=self.face_ids[f],
+            face_signs=self.face_signs[f],
+            area=float(self.area[e]),
+            diameter=float(self.diameter[e]),
+            centroid=self.centroid[e],
+            face_normals=self.face_normals[f],
+            face_dists=self.face_dists[f],
+            face_lengths=self.face_lengths[f],
+            face_midpoints=self.face_midpoints[f],
+        )
+
+    def corner_rows(self, ids):
+        """Positions (B, p) of the corners of ``ids``, which share a count p."""
+        return _rows(self.corner_ptr, ids)
+
+    def face_rows(self, ids):
+        """Positions (B, nf) of the face rows of ``ids``, which share a count nf."""
+        return _rows(self.face_ptr, ids)
+
+
+def _rows(ptr, ids):
+    start = ptr[np.asarray(ids, dtype=int)]
+    return start[:, None] + np.arange(ptr[ids[0] + 1] - start[0])
+
+
 class PolyMesh:
-    """Immutable polygonal mesh with derived faces and geometry caches.
+    """Immutable polygonal mesh: vertices, a face table and an element table.
 
     Parameters
     ----------
@@ -91,24 +196,15 @@ class PolyMesh:
             raise MeshError(f"vertex {bad[0]}: non-finite coordinate")
         if len(loops) == 0:
             raise MeshError("mesh has no elements")
-        loops = [np.asarray(lp, dtype=int) for lp in loops]
-        for e, lp in enumerate(loops):
-            if len(lp) < 3:
-                raise MeshError(f"element {e}: loop has fewer than 3 vertices")
-            if lp.min() < 0 or lp.max() >= len(verts):
-                raise MeshError(f"element {e}: vertex id out of range")
-            if len(np.unique(lp)) != len(lp):
-                raise MeshError(f"element {e}: repeated vertex in loop")
-
-        loops = [_ccw(verts, lp, e) for e, lp in enumerate(loops)]
-        for e, lp in enumerate(loops):
-            if not _is_simple(verts[lp]):
-                raise MeshError(f"element {e}: non-simple polygon")
-
         verts.setflags(write=False)
         self.vertices = verts
-        self.faces, self.elements = _derive_faces(verts, loops)
+        self.faces, self.elements = _build(verts, loops)
         self._validate()
+        self.h = float(self.elements.diameter.max())  # meshsize
+        self.total_area = sum(self.elements.area.tolist())
+        boundary = self.faces.elems[:, 1] < 0
+        self._interior = _frozen(np.flatnonzero(~boundary))
+        self._boundary = _frozen(np.flatnonzero(boundary))
 
     # -- basic queries ----------------------------------------------------
 
@@ -120,54 +216,40 @@ class PolyMesh:
     def n_faces(self):
         return len(self.faces)
 
-    @property
-    def h(self):
-        """Meshsize: largest element diameter."""
-        return max(el.diameter for el in self.elements)
-
-    @property
-    def total_area(self):
-        return sum(el.area for el in self.elements)
-
     def interior_face_ids(self):
-        return [f.id for f in self.faces if not f.boundary]
+        return self._interior
 
     def boundary_face_ids(self):
-        return [f.id for f in self.faces if f.boundary]
-
-    def polygon(self, elem_id):
-        """Corner coordinates of one element, CCW, shape (p, 2)."""
-        return self.vertices[self.elements[elem_id].vertex_loop]
-
-    def face_endpoints(self, face_id):
-        f = self.faces[face_id]
-        return self.vertices[f.v0], self.vertices[f.v1]
+        return self._boundary
 
     # -- consistency ------------------------------------------------------
 
     def _validate(self):
-        for f in self.faces:
-            if len(f.elems) not in (1, 2):
-                raise MeshError(f"face {f.id}: {len(f.elems)} adjacent elements")
-            if f.boundary != (len(f.elems) == 1):
-                raise MeshError(f"face {f.id}: inconsistent boundary flag")
-        for el in self.elements:
-            hT = el.diameter
-            if el.area <= 0.0:
-                raise MeshError(f"element {el.id}: non-positive area")
-            if np.any(el.face_dists <= 0.0):
-                raise MeshError(
-                    f"element {el.id}: not star-shaped w.r.t. centroid "
-                    f"(min face distance {el.face_dists.min():.3e})"
-                )
-            if el.face_lengths.max() > hT * (1.0 + GEOM_RTOL):
-                raise MeshError(f"element {el.id}: face longer than diameter")
-            closure = el.face_normals.T @ el.face_lengths
-            if np.linalg.norm(closure) > GEOM_RTOL * hT * el.n_faces:
-                raise MeshError(f"element {el.id}: face normals do not close up")
-            pyramid = 0.5 * np.dot(el.face_dists, el.face_lengths)
-            if abs(pyramid - el.area) > GEOM_RTOL * el.area * el.n_faces:
-                raise MeshError(f"element {el.id}: face decomposition misses area")
+        els = self.elements
+        start = els.face_ptr[:-1]
+        n_faces = np.diff(els.face_ptr)
+        hT, area, lengths = els.diameter, els.area, els.face_lengths
+        min_dist = np.minimum.reduceat(els.face_dists, start)
+        closure = np.add.reduceat(els.face_normals * lengths[:, None], start)
+        pyramid = 0.5 * np.add.reduceat(els.face_dists * lengths, start)
+        failed = _first_failure(
+            area <= 0.0,
+            min_dist <= 0.0,
+            np.maximum.reduceat(lengths, start) > hT * (1.0 + GEOM_RTOL),
+            np.sqrt(_dot(closure, closure)) > GEOM_RTOL * hT * n_faces,
+            np.abs(pyramid - area) > GEOM_RTOL * area * n_faces,
+        )
+        if failed is not None:
+            e, check = failed
+            message = (
+                "non-positive area",
+                "not star-shaped w.r.t. centroid "
+                f"(min face distance {min_dist[e]:.3e})",
+                "face longer than diameter",
+                "face normals do not close up",
+                "face decomposition misses area",
+            )[check]
+            raise MeshError(f"element {e}: {message}")
 
 
 @dataclass
@@ -193,167 +275,304 @@ class MeshFamily:
 
 
 # ---------------------------------------------------------------------------
-# construction helpers
+# construction
+#
+# Every step works on whole arrays: loop checks and polygon geometry per
+# group of elements with one corner count, the side splitting over all
+# sides at once.  Errors name the first offending element (or face) in id
+# order, and within it the first failed check.
 
 
-def _ccw(verts, loop, elem_id):
-    a = _shoelace(verts[loop])
-    if abs(a) < 1e-300:
-        raise MeshError(f"element {elem_id}: degenerate (zero-area) loop")
-    return loop[::-1].copy() if a < 0 else loop
-
-
-def _shoelace(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
-
-def _polygon_centroid(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return area, np.array([cx, cy])
-
-
-def _is_simple(poly):
-    """Check a corner loop for self-intersection (small loops only)."""
-    p = len(poly)
-    segs = [(poly[i], poly[(i + 1) % p]) for i in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            if j == i or (j + 1) % p == i or (i + 1) % p == j:
-                continue  # shared endpoint
-            if _segments_cross(*segs[i], *segs[j]):
-                return False
-    return True
-
-
-def _segments_cross(a, b, c, d):
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    return (
-        orient(a, b, c) * orient(a, b, d) < 0
-        and orient(c, d, a) * orient(c, d, b) < 0
+def _build(verts, loops):
+    """Checked CCW corner loops, then the face and element tables."""
+    counts = np.array([len(lp) for lp in loops], dtype=int)
+    corner_ptr = np.concatenate([[0], np.cumsum(counts)])
+    corners = np.fromiter(
+        itertools.chain.from_iterable(loops), dtype=int, count=corner_ptr[-1]
     )
+    _check_loops(verts, corner_ptr, corners)
+    area, centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
+    u, v, piece_ptr, lengths = _split_sides(verts, corner_ptr, corners, diameter)
+    elem = np.repeat(np.arange(len(counts)), np.diff(piece_ptr))
+    face_ids, faces = _number_faces(verts, u, v, elem)
 
-
-def _derive_faces(verts, loops):
-    """Split element sides at hanging vertices and match the sub-segments."""
-    n_verts = len(verts)
-    idx = np.arange(n_verts)
-
-    face_key = {}          # (min vid, max vid) -> face index
-    face_adj = []          # face index -> adjacent element ids
-    elem_chains = []       # per element: list of (va, vb) in traversal order
-
-    for e, loop in enumerate(loops):
-        poly = verts[loop]
-        hT = _diameter(poly)
-        tol = GEOM_RTOL * hT
-        chain_all = []
-        for s in range(len(loop)):
-            va, vb = loop[s], loop[(s + 1) % len(loop)]
-            a, b = verts[va], verts[vb]
-            d = b - a
-            L2 = d @ d
-            L = np.sqrt(L2)
-            if L <= tol:
-                raise MeshError(f"element {e}: zero-length side {va}-{vb}")
-            # vertices lying on the open segment (hanging nodes)
-            t = (verts - a) @ d / L2
-            off = verts - (a + t[:, None] * d)
-            on = (np.einsum("ij,ij->i", off, off) <= tol * tol) & (
-                t * L > -tol
-            ) & (t * L < L + tol)
-            on[va] = on[vb] = False
-            mids = idx[on]
-            order = np.argsort(t[mids])
-            chain = [va, *mids[order], vb]
-            for u, v in zip(chain, chain[1:]):
-                if np.linalg.norm(verts[v] - verts[u]) <= tol:
-                    raise MeshError(
-                        f"element {e}: zero-length face {u}-{v} after splitting"
-                    )
-                chain_all.append((u, v))
-        elem_chains.append(chain_all)
-        for u, v in chain_all:
-            key = (u, v) if u < v else (v, u)
-            if key not in face_key:
-                face_key[key] = len(face_adj)
-                face_adj.append([])
-            face_adj[face_key[key]].append(e)
-
-    faces = []
-    for key, fid in face_key.items():
-        adj = face_adj[fid]
-        if len(adj) > 2:
-            raise MeshError(f"face {key}: more than two adjacent elements")
-        v0, v1 = key
-        p0, p1 = verts[v0], verts[v1]
-        length = float(np.linalg.norm(p1 - p0))
-        faces.append(
-            Face(
-                id=fid,
-                v0=v0,
-                v1=v1,
-                elems=tuple(adj),
-                boundary=len(adj) == 1,
-                length=length,
-                midpoint=0.5 * (p0 + p1),
-                tangent=(p1 - p0) / length,
-            )
-        )
-
-    elements = []
-    for e, loop in enumerate(loops):
-        poly = verts[loop]
-        area, centroid = _polygon_centroid(poly)
-        chain = elem_chains[e]
-        nf = len(chain)
-        fids = np.empty(nf, dtype=int)
-        signs = np.empty(nf, dtype=int)
-        normals = np.empty((nf, 2))
-        dists = np.empty(nf)
-        lengths = np.empty(nf)
-        mids = np.empty((nf, 2))
-        for i, (u, v) in enumerate(chain):
-            key = (u, v) if u < v else (v, u)
-            f = faces[face_key[key]]
-            fids[i] = f.id
-            signs[i] = 1 if (u, v) == (f.v0, f.v1) else -1
-            d = verts[v] - verts[u]
-            lengths[i] = np.linalg.norm(d)
-            normals[i] = np.array([d[1], -d[0]]) / lengths[i]
-            mids[i] = 0.5 * (verts[u] + verts[v])
-            dists[i] = (mids[i] - centroid) @ normals[i]
-        elements.append(
-            Element(
-                id=e,
-                vertex_loop=loop,
-                face_ids=fids,
-                face_signs=signs,
-                area=float(area),
-                diameter=_diameter(poly),
-                centroid=centroid,
-                face_normals=normals,
-                face_dists=dists,
-                face_lengths=lengths,
-                face_midpoints=mids,
-            )
-        )
-        for arr in (loop, fids, signs, normals, dists, lengths, mids, centroid):
+    # element-side geometry, in traversal order
+    d = verts[v] - verts[u]
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    mids = 0.5 * (verts[u] + verts[v])
+    elements = ElementTable(
+        corner_ptr=corner_ptr,
+        corners=corners,
+        face_ptr=piece_ptr,
+        face_ids=face_ids,
+        face_signs=np.where(u < v, 1, -1),
+        face_normals=normals,
+        face_dists=_dot(mids - centroid[elem], normals),
+        face_lengths=lengths,
+        face_midpoints=mids,
+        area=area,
+        diameter=diameter,
+        centroid=centroid,
+    )
+    for table in (faces, elements):
+        for arr in vars(table).values():
             arr.setflags(write=False)
-
     return faces, elements
 
 
-def _diameter(poly):
-    diff = poly[:, None, :] - poly[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+def _check_loops(verts, ptr, corners):
+    """Reject malformed loops and turn clockwise ones CCW (in place)."""
+    n = len(ptr) - 1
+    short, out_of_range, repeated = np.zeros((3, n), dtype=bool)
+    for ids, rows in _corner_groups(ptr):
+        lp = corners[rows]
+        if lp.shape[1] < 3:
+            short[ids] = True
+            continue
+        out_of_range[ids] = ((lp < 0) | (lp >= len(verts))).any(axis=1)
+        lp = np.sort(lp, axis=1)
+        repeated[ids] = (lp[:, 1:] == lp[:, :-1]).any(axis=1)
+    failed = _first_failure(short, out_of_range, repeated)
+    if failed is not None:
+        e, check = failed
+        message = (
+            "loop has fewer than 3 vertices",
+            "vertex id out of range",
+            "repeated vertex in loop",
+        )[check]
+        raise MeshError(f"element {e}: {message}")
+
+    zero_area = np.zeros(n, dtype=bool)
+    for ids, rows in _corner_groups(ptr):
+        x, y = np.moveaxis(verts[corners[rows]], -1, 0)
+        area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+        zero_area[ids] = np.abs(area) < 1e-300
+        cw = rows[area < 0]
+        corners[cw] = corners[cw[:, ::-1]]
+    if zero_area.any():
+        raise MeshError(
+            f"element {np.argmax(zero_area)}: degenerate (zero-area) loop"
+        )
+
+    crossed = np.zeros(n, dtype=bool)
+    for ids, rows in _corner_groups(ptr):
+        poly = verts[corners[rows]]
+        p = rows.shape[1]
+        i, j = np.triu_indices(p, 1)
+        apart = (j != i + 1) & ((j + 1) % p != i)  # sides without a shared end
+        a, b = poly[:, i[apart]], poly[:, (i[apart] + 1) % p]
+        c, d = poly[:, j[apart]], poly[:, (j[apart] + 1) % p]
+        crossed[ids] = (
+            (_orient(a, b, c) * _orient(a, b, d) < 0)
+            & (_orient(c, d, a) * _orient(c, d, b) < 0)
+        ).any(axis=1)
+    if crossed.any():
+        raise MeshError(f"element {np.argmax(crossed)}: non-simple polygon")
+
+
+def _corner_groups(ptr):
+    """(element ids, (B, p) corner positions) for each corner count p."""
+    counts = np.diff(ptr)
+    for p in np.unique(counts):
+        ids = np.flatnonzero(counts == p)
+        yield ids, ptr[ids][:, None] + np.arange(p)
+
+
+def _first_failure(*flags):
+    """(element, check) of the first element failing any check, or None."""
+    flags = np.column_stack(flags)
+    bad = np.flatnonzero(flags.any(axis=1))
+    if len(bad) == 0:
+        return None
+    return int(bad[0]), int(np.argmax(flags[bad[0]]))
+
+
+def _orient(p, q, r):
+    return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
+        q[..., 1] - p[..., 1]
+    ) * (r[..., 0] - p[..., 0])
+
+
+def _polygon_geometry(verts, ptr, corners):
+    """Area, centroid and diameter of every CCW corner loop."""
+    n = len(ptr) - 1
+    area, diameter = np.empty(n), np.empty(n)
+    centroid = np.empty((n, 2))
+    for ids, rows in _corner_groups(ptr):
+        poly = verts[corners[rows]]
+        x, y = poly[..., 0], poly[..., 1]
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * yn - xn * y
+        a = 0.5 * cross.sum(axis=1)
+        area[ids] = a
+        centroid[ids, 0] = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
+        centroid[ids, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
+        diff = poly[:, :, None, :] - poly[:, None, :, :]
+        diameter[ids] = np.sqrt(np.einsum("bijk,bijk->bij", diff, diff).max(axis=(1, 2)))
+    return area, centroid, diameter
+
+
+def _split_sides(verts, ptr, corners, diameter):
+    """Split every element side at the mesh vertices inside it.
+
+    Returns the pieces ``(u, v)`` in element, side and chain order, the CSR
+    offsets of each element's pieces, and the piece lengths.
+    """
+    counts = np.diff(ptr)
+    va = corners
+    nxt = np.arange(1, len(corners) + 1)
+    nxt[ptr[1:] - 1] = ptr[:-1]
+    vb = corners[nxt]
+    elem = np.repeat(np.arange(len(counts)), counts)
+    tol = GEOM_RTOL * diameter[elem]
+    d = verts[vb] - verts[va]
+    length = np.sqrt(_dot(d, d))
+    short = length <= tol
+
+    side, mid = _hanging_vertices(verts, va, vb, tol, ~short)
+    u = np.insert(va, side + 1, mid)  # each side: va, then its hanging vertices
+    v = np.insert(vb, side, mid)      # each side: its hanging vertices, then vb
+    per_side = np.bincount(side, minlength=len(va)) + 1
+    piece_side = np.repeat(np.arange(len(va)), per_side)
+    d = verts[v] - verts[u]
+    lengths = np.sqrt(_dot(d, d))
+
+    zero = (lengths <= tol[piece_side]) & ~short[piece_side]
+    bad = short | (np.bincount(piece_side[zero], minlength=len(va)) > 0)
+    if bad.any():
+        s = np.argmax(bad)
+        if short[s]:
+            raise MeshError(f"element {elem[s]}: zero-length side {va[s]}-{vb[s]}")
+        p = np.flatnonzero(zero & (piece_side == s))[0]
+        raise MeshError(
+            f"element {elem[s]}: zero-length face {u[p]}-{v[p]} after splitting"
+        )
+    side_ptr = np.concatenate([[0], np.cumsum(per_side)])
+    return u, v, side_ptr[ptr], lengths
+
+
+def _hanging_vertices(verts, va, vb, tol, live):
+    """(side, vertex) of every vertex inside a live side, by side, then along it.
+
+    A vertex w lies inside side a-b when its offset from the line is at
+    most ``tol`` and its position along the side is within ``tol`` of the
+    closed segment; a and b themselves are excluded.  The vertices sit in
+    the buckets of a uniform grid whose cell is the median side length
+    (spatial hashing, Teschner et al., VMV 2003), and each side tests only
+    the vertices of the buckets its tol-widened segment crosses, taking in
+    every bucket row just the columns the segment covers.
+    """
+    sides = np.flatnonzero(live)
+    if len(sides) == 0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    a, b = verts[va], verts[vb]
+    d = b - a
+    L2 = _dot(d, d)
+    L = np.sqrt(L2)
+
+    # buckets in CSR form: vertex ids sorted by bucket key
+    origin = verts.min(axis=0)
+    extent = (verts.max(axis=0) - origin).max()
+    cell = max(np.median(L[sides]), extent / 2**20)  # at most 2^20 columns
+    grid = (verts - origin) / cell
+    col, row = np.floor(grid).astype(np.int64).T
+    n_cols, n_rows = col.max() + 1, row.max() + 1
+    key = row * n_cols + col
+    by_key = np.argsort(key, kind="stable")
+    keys = key[by_key]
+
+    # (side, bucket row) pairs, then the columns the side covers in each row
+    ga, gb = grid[va[sides]], grid[vb[sides]]
+    pad = 2.0 * tol[sides] / cell + 1e-8  # rounding of grid coordinates
+    y0 = np.floor(np.minimum(ga[:, 1], gb[:, 1]) - pad).clip(0, n_rows - 1)
+    y1 = np.floor(np.maximum(ga[:, 1], gb[:, 1]) + pad).clip(0, n_rows - 1)
+    rows_per_side = (y1 - y0).astype(np.int64) + 1
+    k = np.repeat(np.arange(len(sides)), rows_per_side)
+    r = _ranges(y0.astype(np.int64), rows_per_side)
+    gak, dg, padk = ga[k], (gb - ga)[k], pad[k]
+    with np.errstate(all="ignore"):  # level sides: masked below
+        s0 = (r - padk - gak[:, 1]) / dg[:, 1]
+        s1 = (r + 1 + padk - gak[:, 1]) / dg[:, 1]
+    level = dg[:, 1] == 0
+    s_lo = np.where(level, 0.0, np.minimum(s0, s1).clip(0.0, 1.0))
+    s_hi = np.where(level, 1.0, np.maximum(s0, s1).clip(0.0, 1.0))
+    x_lo = gak[:, 0] + s_lo * dg[:, 0]
+    x_hi = gak[:, 0] + s_hi * dg[:, 0]
+    c0 = np.floor(np.minimum(x_lo, x_hi) - padk).clip(0, n_cols - 1).astype(np.int64)
+    c1 = np.floor(np.maximum(x_lo, x_hi) + padk).clip(0, n_cols - 1).astype(np.int64)
+    first = np.searchsorted(keys, r * n_cols + c0, side="left")
+    stop = np.searchsorted(keys, r * n_cols + c1, side="right")
+    s = sides[np.repeat(k, stop - first)]
+    w = by_key[_ranges(first, stop - first)]
+
+    # the on-segment test on every (side, candidate) pair
+    t = _dot(verts[w] - a[s], d[s]) / L2[s]
+    off = verts[w] - (a[s] + t[:, None] * d[s])
+    along = t * L[s]
+    on = (
+        (np.einsum("ij,ij->i", off, off) <= tol[s] * tol[s])
+        & (along > -tol[s])
+        & (along < L[s] + tol[s])
+        & (w != va[s])
+        & (w != vb[s])
+    )
+    order = np.lexsort((t[on], s[on]))
+    return s[on][order], w[on][order]
+
+
+def _ranges(start, count):
+    """Concatenation of ``arange(start[i], start[i] + count[i])``."""
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(count.sum())
+
+
+def _number_faces(verts, u, v, elem):
+    """Face id of every piece, numbered by first appearance, and the faces."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    _, first, inverse = np.unique(
+        lo * len(verts) + hi, return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    face_ids = rank[inverse]
+    first = np.sort(first)  # first piece of each face, by face id
+
+    count = np.bincount(face_ids)
+    crowded = np.flatnonzero(count > 2)
+    if len(crowded):
+        p = first[crowded[0]]
+        raise MeshError(f"face {(int(lo[p]), int(hi[p]))}: more than two adjacent elements")
+    by_face = elem[np.argsort(face_ids, kind="stable")]
+    start = np.cumsum(count) - count
+    second = np.where(count == 2, by_face[np.minimum(start + 1, len(by_face) - 1)], -1)
+
+    v0, v1 = lo[first], hi[first]
+    p0, p1 = verts[v0], verts[v1]
+    d = p1 - p0
+    length = np.sqrt(_dot(d, d))
+    return face_ids, FaceTable(
+        v0=v0,
+        v1=v1,
+        elems=np.column_stack([by_face[start], second]),
+        length=length,
+        midpoint=0.5 * (p0 + p1),
+        tangent=d / length[:, None],
+    )
+
+
+def _dot(a, b):
+    """Row-wise dot products of (m, 2) arrays.
+
+    The stacked matmul computes each row like ``a[i] @ b[i]`` (and
+    ``np.linalg.norm``), so results match the one-row forms bit for bit; a
+    plain ``x*x + y*y`` differs from them in the last bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +646,9 @@ def dump_mesh(mesh):
     out = ["POLYMESH2D 1", f"VERTICES {len(mesh.vertices)}"]
     out.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices)
     out.append(f"ELEMENTS {mesh.n_elements}")
-    for el in mesh.elements:
-        out.append(" ".join([str(len(el.vertex_loop)), *map(str, el.vertex_loop)]))
+    els = mesh.elements
+    for loop in np.split(els.corners, els.corner_ptr[1:-1]):
+        out.append(" ".join(map(str, [len(loop), *loop.tolist()])))
     return "\n".join(out) + "\n"
 
 
@@ -579,15 +799,15 @@ def _compact(verts, loops):
 def regularity_report(mesh):
     """Shape-regularity proxies: h/rho per element, worst face-distance
     ratio, and the face-count histogram."""
-    h_over_rho = np.array(
-        [el.diameter / (2.0 * el.face_dists.min()) for el in mesh.elements]
+    els = mesh.elements
+    min_dist = np.minimum.reduceat(els.face_dists, els.face_ptr[:-1])
+    counts, first, number = np.unique(
+        np.diff(els.face_ptr), return_index=True, return_counts=True
     )
-    dist_ratio = min(el.face_dists.min() / el.diameter for el in mesh.elements)
-    hist = {}
-    for el in mesh.elements:
-        hist[el.n_faces] = hist.get(el.n_faces, 0) + 1
     return {
-        "h_over_rho": h_over_rho,
-        "min_dist_ratio": float(dist_ratio),
-        "face_count_hist": hist,
+        "h_over_rho": els.diameter / (2.0 * min_dist),
+        "min_dist_ratio": float((min_dist / els.diameter).min()),
+        "face_count_hist": {
+            int(counts[i]): int(number[i]) for i in np.argsort(first)
+        },
     }

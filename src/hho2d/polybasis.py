@@ -87,17 +87,17 @@ def cell_quadratures(mesh, elem_ids, order):
     """
     if order < 0:
         raise BasisError("quadrature order must be >= 0")
-    els = [mesh.elements[e] for e in elem_ids]
-    c = np.array([el.centroid for el in els])[:, None, None, :]
-    corners = mesh.vertices[np.array([el.vertex_loop for el in els])]
+    els = mesh.elements
+    c = els.centroid[elem_ids][:, None, None, :]
+    corners = mesh.vertices[els.corners[els.corner_rows(elem_ids)]]
     a = corners[:, :, None, :] - c                  # (B, p, 1, 2)
     b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
     det = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
     ref_pts, ref_w = _triangle_rule(order)
     points = c + (ref_pts[:, :1] * a + ref_pts[:, 1:] * b)
     weights = ref_w * det
-    points = points.reshape(len(els), -1, 2)
-    weights = weights.reshape(len(els), -1)
+    points = points.reshape(len(a), -1, 2)
+    weights = weights.reshape(len(a), -1)
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
@@ -117,10 +117,9 @@ def face_quadratures(mesh, face_ids, order):
     """
     s, w = face_rule(order)
     ids = np.asarray(face_ids, dtype=int)
-    faces = [mesh.faces[f] for f in ids.ravel()]
-    mid = np.array([f.midpoint for f in faces]).reshape(ids.shape + (1, 2))
-    tangent = np.array([f.tangent for f in faces]).reshape(ids.shape + (1, 2))
-    length = np.array([f.length for f in faces]).reshape(ids.shape + (1,))
+    mid = mesh.faces.midpoint[ids][..., None, :]
+    tangent = mesh.faces.tangent[ids][..., None, :]
+    length = mesh.faces.length[ids][..., None]
     points = mid + (0.5 * length)[..., None] * (s[:, None] * tangent)
     weights = w * 0.5 * length
     points.setflags(write=False)
@@ -219,9 +218,8 @@ def cell_basis(mesh, elem_id, degree, orthonormalize=None):
 
 def cell_bases(mesh, elem_ids, degree, orthonormalize=None):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
-    els = [mesh.elements[e] for e in elem_ids]
-    center = np.array([el.centroid for el in els])
-    scale = np.array([el.diameter for el in els])
+    center = mesh.elements.centroid[elem_ids]
+    scale = mesh.elements.diameter[elem_ids]
     basis = CellBasis(center, scale, degree)
     if orthonormalize is None:
         orthonormalize = degree >= ORTHONORMALIZE_FROM
@@ -248,24 +246,26 @@ def _elements(elem_ids):
 class FaceBasis:
     """Monomials s^q in the arc-length coordinate of one face."""
 
-    def __init__(self, face, degree):
+    def __init__(self, midpoint, tangent, length, degree):
         if degree < 0:
             raise BasisError("face basis degree must be >= 0")
-        self.face = face
+        self.midpoint = midpoint
+        self.tangent = tangent
+        self.length = length
         self.degree = degree
         self.dim = degree + 1
 
     def param(self, points):
         """Map 2D points on the face to s in [-1, 1]."""
-        rel = np.atleast_2d(points) - self.face.midpoint
-        return rel @ self.face.tangent * (2.0 / self.face.length)
+        rel = np.atleast_2d(points) - self.midpoint
+        return rel @ self.tangent * (2.0 / self.length)
 
     def eval(self, points):
         s = self.param(points)
         return s[:, None] ** np.arange(self.dim)
 
     def mass(self):
-        return face_mass(self.face.length, self.degree)
+        return face_mass(self.length, self.degree)
 
 
 def face_mass(length, degree):
@@ -280,7 +280,11 @@ def face_mass(length, degree):
 
 
 def face_basis(mesh, face_id, degree):
-    return FaceBasis(mesh.faces[face_id], degree)
+    faces = mesh.faces
+    return FaceBasis(
+        faces.midpoint[face_id], faces.tangent[face_id],
+        float(faces.length[face_id]), degree,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def rectangle_mesh(n):
 
 def local_interpolates(mesh, k, u):
     """Flat local interpolate of ``u`` on every element, in element-id order."""
-    return [hl.interpolate(mesh, el.id, k, u).flat() for el in mesh.elements]
+    return [hl.interpolate(mesh, e, k, u).flat() for e in range(mesh.n_elements)]
 
 
 def interpolate_global(system, interp):
@@ -151,9 +151,9 @@ def l2_error_cell_value(system, solution, case, order=None):
     """L2 distance between the exact solution and the piecewise cell value."""
     order = order if order is not None else 2 * system.k + 6
     err2 = 0.0
-    for el, op in zip(system.mesh.elements, system.ops):
-        quad = pb.cell_quadrature(system.mesh, el.id, order)
-        loc = solution.local_flat(el.id)
+    for e, op in enumerate(system.ops):
+        quad = pb.cell_quadrature(system.mesh, e, order)
+        loc = solution.local_flat(e)
         if system.k >= 1:
             vals = op.cell_basis.eval(quad.points) @ loc[: hl.cell_block_dim(system.k)]
         else:
@@ -185,8 +185,8 @@ def stab_energy(ops, interp):
 
 def source_l2_norm(mesh, case, order=10):
     total = 0.0
-    for el in mesh.elements:
-        quad = pb.cell_quadrature(mesh, el.id, order)
+    for e in range(mesh.n_elements):
+        quad = pb.cell_quadrature(mesh, e, order)
         total += quad.weights @ case.f(quad.points) ** 2
     return float(np.sqrt(total))
 
@@ -210,13 +210,14 @@ def l2_mass_matrix(system):
     """Gram of the piecewise cell value on the zero-boundary dof space."""
     blocks = []
     nc = hl.cell_block_dim(system.k)
-    for el, op, idx in zip(system.mesh.elements, system.ops, system.dofmap.table):
+    area = system.mesh.elements.area
+    for e, (op, idx) in enumerate(zip(system.ops, system.dofmap.table)):
         if system.k >= 1:
-            quad = pb.cell_quadrature(system.mesh, el.id, 2 * system.k)
+            quad = pb.cell_quadrature(system.mesh, e, 2 * system.k)
             V = op.cell_basis.eval(quad.points)
             blocks.append((idx[:nc], V.T * quad.weights @ V))
         else:
-            w = op.avg_weights * np.sqrt(el.area)
+            w = op.avg_weights * np.sqrt(area[e])
             blocks.append((idx, np.outer(w, w)))
     return asm._scatter_blocks(blocks, system.dofmap.total)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def test_solve_command(capsys):
     outs = [(cli.main(args), capsys.readouterr().out) for _ in range(2)]
     assert outs[0] == outs[1]
     assert "wall time = 0.000 s" in outs[0][1]
+
+
+def test_solve_without_unknowns(capsys):
+    # one cell at k = 0: every face is on the boundary, the system is empty
+    code = cli.main(["solve", "--mesh", "cartesian:1", "--k", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "unknowns = 0" in out
+    assert "solver = empty" in out
+    error = re.search(r"energy error vs exact interpolate = (\S+)", out)
+    assert float(error.group(1)) <= 1e-15
 
 
 def test_solve_with_matrix_dump(tmp_path, capsys):

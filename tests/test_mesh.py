@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hho2d.mesh import (
+    GEOM_RTOL,
     MeshError,
     MeshFamily,
     PolyMesh,
@@ -241,3 +246,216 @@ def test_vertices_are_read_only():
     mesh = generate("cartesian", 2)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 42.0
+
+
+# ---------------------------------------------------------------------------
+# construction errors
+
+
+def _with_second_element(extra_verts, loop):
+    """A unit square (element 0), then one more element from ``loop``."""
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1), *extra_verts]
+    return verts, [[0, 1, 2, 3], loop]
+
+
+# the tip of a flat triangle's longest side, nudged 0.9 tol along and off it
+_NUDGE = 0.9 * GEOM_RTOL * 2.0
+
+CONSTRUCTION_ERRORS = {
+    "loop has fewer than 3 vertices": (
+        _with_second_element([(2, 0)], [1, 4]), 1),
+    "vertex id out of range": (
+        _with_second_element([(2, 0)], [1, 4, 99]), 1),
+    "repeated vertex in loop": (
+        _with_second_element([(2, 0), (2, 1)], [1, 4, 4, 5]), 1),
+    "degenerate \\(zero-area\\) loop": (
+        _with_second_element([(2, 0), (3, 0)], [1, 4, 5]), 1),
+    "non-simple polygon": (
+        _with_second_element([(3, 2), (3, 0), (1, 1)], [1, 4, 5, 6]), 1),
+    # three elements emit the face between vertices 0 and 1
+    "more than two adjacent elements": (
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, -1), (0.5, -0.5)],
+         [[0, 1, 2, 3], [0, 4, 1], [0, 5, 1]]), (0, 1)),
+    # two unused vertices just outside both ends of the side 4-5, whose
+    # length is the diameter: the middle piece is longer than the diameter
+    "face longer than diameter": (
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (3, 0), (5, 0), (4, 0.6),
+          (3 - _NUDGE, -_NUDGE), (5 + _NUDGE, -_NUDGE)],
+         [[0, 1, 2, 3], [4, 5, 6]]), 1),
+}
+
+
+@pytest.mark.parametrize("message", list(CONSTRUCTION_ERRORS))
+def test_construction_error_names_the_offender(message):
+    (verts, loops), culprit = CONSTRUCTION_ERRORS[message]
+    with pytest.raises(MeshError) as info:
+        PolyMesh(verts, loops)
+    # integer scalars print as np.int64(i) under some numpy versions
+    text = re.sub(r"np\.int64\((-?\d+)\)", r"\1", str(info.value))
+    if isinstance(culprit, tuple):
+        assert re.fullmatch(rf"face \({culprit[0]}, {culprit[1]}\): {message}", text)
+    else:
+        assert re.fullmatch(rf"element {culprit}: {message}", text)
+
+
+# ---------------------------------------------------------------------------
+# the bucketed hanging-vertex search against a brute-force scan
+
+
+def scan_faces(verts, loops):
+    """Face topology by testing every vertex against every element side.
+
+    The quadratic reference for ``PolyMesh``: returns the face keys in id
+    order, the adjacent elements of each face, and each element's face ids
+    and signs.
+    """
+    idx = np.arange(len(verts))
+    face_key = {}          # (min vid, max vid) -> face index
+    face_adj = []          # face index -> adjacent element ids
+    elem_chains = []       # per element: list of (va, vb) in traversal order
+    for e, loop in enumerate(loops):
+        poly = verts[loop]
+        diff = poly[:, None, :] - poly[None, :, :]
+        tol = GEOM_RTOL * float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+        chain_all = []
+        for s in range(len(loop)):
+            va, vb = loop[s], loop[(s + 1) % len(loop)]
+            a, b = verts[va], verts[vb]
+            d = b - a
+            L2 = d @ d
+            L = np.sqrt(L2)
+            t = (verts - a) @ d / L2
+            off = verts - (a + t[:, None] * d)
+            on = (np.einsum("ij,ij->i", off, off) <= tol * tol) & (
+                t * L > -tol
+            ) & (t * L < L + tol)
+            on[va] = on[vb] = False
+            mids = idx[on]
+            chain = [va, *mids[np.argsort(t[mids])], vb]
+            chain_all.extend(zip(chain, chain[1:]))
+        elem_chains.append(chain_all)
+        for u, v in chain_all:
+            key = (int(min(u, v)), int(max(u, v)))
+            if key not in face_key:
+                face_key[key] = len(face_adj)
+                face_adj.append([])
+            face_adj[face_key[key]].append(e)
+    keys = list(face_key)
+    elems = [
+        ([face_key[(int(min(u, v)), int(max(u, v)))] for u, v in chain],
+         [1 if u < v else -1 for u, v in chain])
+        for chain in elem_chains
+    ]
+    return keys, [tuple(adj) for adj in face_adj], elems
+
+
+def assert_faces_match_scan(mesh):
+    keys, adj, elems = scan_faces(
+        mesh.vertices, [el.vertex_loop for el in mesh.elements]
+    )
+    faces = mesh.faces
+    assert list(zip(faces.v0.tolist(), faces.v1.tolist())) == keys
+    assert [f.elems for f in faces] == adj
+    assert [
+        (el.face_ids.tolist(), el.face_signs.tolist()) for el in mesh.elements
+    ] == elems
+
+
+SEARCH = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def split_quad_meshes(draw):
+    """Lattice quads after seeded rounds of 1-to-4 splits: hanging vertices
+    lie exactly on the sides of unsplit neighbours."""
+    n = draw(st.integers(1, 4))
+    rounds = draw(st.integers(0, 3))
+    quads = [(i << rounds, j << rounds, 1 << rounds) for j in range(n) for i in range(n)]
+    for _ in range(rounds):
+        marked = draw(st.sets(st.integers(0, len(quads) - 1)))
+        quads = [
+            child
+            for q, (x, y, s) in enumerate(quads)
+            for child in (
+                [(x, y, s // 2), (x + s // 2, y, s // 2),
+                 (x, y + s // 2, s // 2), (x + s // 2, y + s // 2, s // 2)]
+                if q in marked else [(x, y, s)]
+            )
+        ]
+    vid = {}
+    loops = [
+        [vid.setdefault(p, len(vid))
+         for p in ((x, y), (x + s, y), (x + s, y + s), (x, y + s))]
+        for x, y, s in quads
+    ]
+    scale = n << rounds
+    return PolyMesh([(x / scale, y / scale) for x, y in vid], loops)
+
+
+@st.composite
+def block_meshes(draw):
+    """Random tilings of an n x n grid by rectangular blocks."""
+    n = draw(st.integers(2, 6))
+    covered = np.zeros((n, n), dtype=bool)
+    blocks = []
+    for j in range(n):
+        for i in range(n):
+            if covered[j, i]:
+                continue
+            w = 1
+            while i + w < n and not covered[j, i + w]:
+                w += 1
+            w = draw(st.integers(1, w))
+            h = 1
+            while j + h < n and not covered[j + h, i:i + w].any():
+                h += 1
+            h = draw(st.integers(1, h))
+            covered[j:j + h, i:i + w] = True
+            blocks.append((i, j, w, h))
+    return agglomerate(generate("cartesian", n), blocks)
+
+
+@SEARCH
+@given(split_quad_meshes())
+def test_bucketed_search_matches_scan_on_split_quads(mesh):
+    assert_faces_match_scan(mesh)
+
+
+@SEARCH
+@given(block_meshes())
+def test_bucketed_search_matches_scan_on_blocks(mesh):
+    assert_faces_match_scan(mesh)
+
+
+@SEARCH
+@given(st.integers(1, 24), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+def test_bucketed_search_matches_scan_on_a_long_diagonal(m, sx, sy):
+    # one triangle below the diagonal of a stretched square; above it an
+    # m x m staircase of small squares and half squares whose corners hang
+    # on the diagonal, so the search meets one long side among short ones
+    vid = {}
+    loops = [[vid.setdefault(p, len(vid)) for p in ((0, 0), (m, 0), (m, m))]]
+    for j in range(m):
+        for i in range(j + 1):
+            cell = [(i, j), (i + 1, j + 1), (i, j + 1)] if i == j else [
+                (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            loops.append([vid.setdefault(p, len(vid)) for p in cell])
+    verts = [(sx * x / m, sy * y / m) for x, y in vid]
+    mesh = PolyMesh(verts, loops)
+    assert mesh.elements[0].n_faces == m + 2
+    assert_faces_match_scan(mesh)
+
+
+@SEARCH
+@given(st.sampled_from([0.5, 2.0]), st.sampled_from([1.0, -1.0]),
+       st.floats(0.0, 2 * np.pi), st.floats(1e-3, 1e3))
+def test_bucketed_search_matches_scan_near_the_tolerance(factor, side, angle, scale):
+    # a square next to two quads whose shared corner sits factor * tol off
+    # the square's right side: found at 0.5 tol, missed at 2 tol
+    off = side * factor * GEOM_RTOL * np.sqrt(2.0)
+    verts = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 0.5), (2, 1),
+                      (1 + off, 0.5)])
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    mesh = PolyMesh(scale * verts @ rot.T, [[0, 1, 2, 3], [1, 4, 5, 7], [7, 5, 6, 2]])
+    assert mesh.elements[0].n_faces == (5 if factor < 1 else 4)
+    assert_faces_match_scan(mesh)
