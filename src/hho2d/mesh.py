@@ -345,7 +345,8 @@ def _check_loops(verts, ptr, corners):
     zero_area = np.zeros(n, dtype=bool)
     for ids, rows in _corner_groups(ptr):
         x, y = np.moveaxis(verts[corners[rows]], -1, 0)
-        area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        area = 0.5 * np.sum(x * yn - xn * y, axis=1)
         zero_area[ids] = np.abs(area) < 1e-300
         cw = rows[area < 0]
         corners[cw] = corners[cw[:, ::-1]]
@@ -408,7 +409,8 @@ def _polygon_geometry(verts, ptr, corners):
         centroid[ids, 0] = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
         centroid[ids, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
         diff = poly[:, :, None, :] - poly[:, None, :, :]
-        diameter[ids] = np.sqrt(np.einsum("bijk,bijk->bij", diff, diff).max(axis=(1, 2)))
+        dist2 = np.einsum("bijk,bijk->bij", diff, diff)
+        diameter[ids] = np.sqrt(dist2.max(axis=(1, 2)))
     return area, centroid, diameter
 
 
@@ -541,7 +543,8 @@ def _number_faces(verts, u, v, elem):
     crowded = np.flatnonzero(count > 2)
     if len(crowded):
         p = first[crowded[0]]
-        raise MeshError(f"face {(int(lo[p]), int(hi[p]))}: more than two adjacent elements")
+        key = (int(lo[p]), int(hi[p]))
+        raise MeshError(f"face {key}: more than two adjacent elements")
     by_face = elem[np.argsort(face_ids, kind="stable")]
     start = np.cumsum(count) - count
     second = np.where(count == 2, by_face[np.minimum(start + 1, len(by_face) - 1)], -1)

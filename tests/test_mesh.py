@@ -370,7 +370,8 @@ def split_quad_meshes(draw):
     lie exactly on the sides of unsplit neighbours."""
     n = draw(st.integers(1, 4))
     rounds = draw(st.integers(0, 3))
-    quads = [(i << rounds, j << rounds, 1 << rounds) for j in range(n) for i in range(n)]
+    size = 1 << rounds
+    quads = [(i * size, j * size, size) for j in range(n) for i in range(n)]
     for _ in range(rounds):
         marked = draw(st.sets(st.integers(0, len(quads) - 1)))
         quads = [
@@ -388,8 +389,7 @@ def split_quad_meshes(draw):
          for p in ((x, y), (x + s, y), (x + s, y + s), (x, y + s))]
         for x, y, s in quads
     ]
-    scale = n << rounds
-    return PolyMesh([(x / scale, y / scale) for x, y in vid], loops)
+    return PolyMesh([(x / (n * size), y / (n * size)) for x, y in vid], loops)
 
 
 @st.composite
