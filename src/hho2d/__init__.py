@@ -21,7 +21,6 @@ from hho2d.assembly import (
     static_condense,
 )
 from hho2d.hho_local import (
-    LocalHhoVector,
     LocalOperators,
     elliptic_project,
     eta_bounds,
@@ -34,7 +33,6 @@ __all__ = [
     "CASES",
     "ConvergenceReport",
     "GlobalHhoVector",
-    "LocalHhoVector",
     "LocalOperators",
     "MeshError",
     "MeshFamily",

@@ -85,14 +85,8 @@ class GlobalHhoVector:
     dofmap: DofMap
     data: np.ndarray
 
-    def local(self, elem_id):
-        """Element-local view; boundary-face blocks read as zero."""
-        n_faces = self.mesh.elements[elem_id].n_faces
-        return hl.LocalHhoVector.from_flat(
-            self.dofmap.k, n_faces, self.local_flat(elem_id)
-        )
-
     def local_flat(self, elem_id):
+        """Element-local flat vector; boundary-face blocks read as zero."""
         idx = self.dofmap.table[elem_id]
         keep = idx >= 0
         out = np.zeros(len(idx))
@@ -116,7 +110,7 @@ class GlobalHhoVector:
 OPS_CHUNK = 32
 
 
-def _element_batches(mesh):
+def element_batches(mesh):
     """Element ids grouped by (corner count, face count), in chunks."""
     els = mesh.elements
     shapes = zip(np.diff(els.corner_ptr).tolist(), np.diff(els.face_ptr).tolist())
@@ -128,13 +122,18 @@ def _element_batches(mesh):
             yield ids[i:i + OPS_CHUNK]
 
 
+def _per_element(mesh, run):
+    """``run(ids)`` on every element batch; its rows in element-id order."""
+    out = [None] * mesh.n_elements
+    for ids in element_batches(mesh):
+        for e, row in zip(ids, run(ids)):
+            out[e] = row
+    return out
+
+
 def build_local_operators(mesh, k):
     """Local operators of every element, in element-id order."""
-    ops = [None] * mesh.n_elements
-    for ids in _element_batches(mesh):
-        for e, op in zip(ids, hl.local_operators(mesh, ids, k)):
-            ops[e] = op
-    return ops
+    return _per_element(mesh, lambda ids: hl.local_operators(mesh, ids, k))
 
 
 @dataclass
@@ -204,21 +203,18 @@ def _scatter_blocks(blocks, n):
 
 def _local_loads(mesh, k, f, ops, order):
     """Per-element load vectors, one source evaluation per batch."""
-    nc = hl.cell_block_dim(k)
-    loads = [None] * mesh.n_elements
-    for ids in _element_batches(mesh):
+
+    def run(ids):
         points, weights = pb.cell_quadratures(mesh, ids, order)
         fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
-        if k >= 1:
-            Vc = pb.cell_bases(mesh, ids, k - 1).eval(points)
-            cell = (fw[:, None, :] @ Vc)[:, 0]
-        for b, e in enumerate(ids):
-            if k >= 1:
-                loads[e] = np.zeros(ops[e].n_local)
-                loads[e][:nc] = cell[b]
-            else:
-                loads[e] = fw[b].sum() * ops[e].avg_weights
-    return loads
+        if k == 0:
+            return [fw[b].sum() * ops[e].avg_weights for b, e in enumerate(ids)]
+        Vc = pb.cell_bases(mesh, ids, k - 1).eval(points)
+        loads = np.zeros((len(ids), ops[ids[0]].n_local))
+        loads[:, :hl.cell_block_dim(k)] = (fw[:, None, :] @ Vc)[:, 0]
+        return loads
+
+    return _per_element(mesh, run)
 
 
 def _check_diagonal(system):
@@ -240,6 +236,9 @@ def _owner_element(system, dof):
     return -1
 
 
+RESIDUAL_TOL = 1e-12  # relative residual every solve must reach
+
+
 @dataclass
 class SolveInfo:
     method: str
@@ -247,7 +246,7 @@ class SolveInfo:
     iterations: int = 0
 
 
-def solve(system, method="direct", tol=1e-12):
+def solve(system, method="direct"):
     """Solve to relative residual <= 1e-12; CG fallback if requested/needed."""
     A, b = system.matrix, system.rhs
     x = np.zeros(system.dofmap.total)
@@ -268,12 +267,12 @@ def solve(system, method="direct", tol=1e-12):
             # the interpolate, from which it differs by 1e-3 of |x| or less
             x += lu.solve(residual(A, x, b))
             res = np.linalg.norm(A @ x - b) / bnorm
-            if np.isfinite(res) and res <= tol:
+            if np.isfinite(res) and res <= RESIDUAL_TOL:
                 info = SolveInfo(method="direct", residual=float(res))
         except RuntimeError:
             x = None
     if info is None:
-        x, info = _cg_solve(A, b, tol)
+        x, info = _cg_solve(A, b)
     vec = GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=x)
     return vec, info
 
@@ -290,7 +289,7 @@ def residual(A, x, b):
     return np.asarray(b.astype(ext) - A.astype(ext) @ x.astype(ext), dtype=float)
 
 
-def _cg_solve(A, b, tol):
+def _cg_solve(A, b):
     n = A.shape[0]
     diag = A.diagonal()
     M = sp.diags(1.0 / diag)
@@ -299,9 +298,9 @@ def _cg_solve(A, b, tol):
     def cb(_):
         count[0] += 1
 
-    x, flag = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=10 * n, M=M, callback=cb)
+    x, flag = spla.cg(A, b, rtol=RESIDUAL_TOL, atol=0, maxiter=10 * n, M=M, callback=cb)
     res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
-    if flag != 0 or res > 10 * tol:
+    if flag != 0 or res > 10 * RESIDUAL_TOL:
         raise SolverError(
             f"conjugate gradients failed after {count[0]} iterations "
             f"(relative residual {res:.3e})",
@@ -384,7 +383,7 @@ def static_condense(system):
     )
 
 
-def solve_condensed(condensed, tol=1e-12):
+def solve_condensed(condensed):
     if condensed.n_reduced == 0:
         return condensed.expand(np.zeros(0)), SolveInfo("empty", 0.0)
     lu = spla.splu(condensed.matrix.tocsc())
@@ -392,7 +391,7 @@ def solve_condensed(condensed, tol=1e-12):
     res = np.linalg.norm(condensed.matrix @ xf - condensed.rhs) / max(
         np.linalg.norm(condensed.rhs), 1e-300
     )
-    if not np.isfinite(res) or res > tol * 10:
+    if not np.isfinite(res) or res > RESIDUAL_TOL * 10:
         raise SolverError("condensed solve lost accuracy", residual=float(res))
     return condensed.expand(xf), SolveInfo("direct", float(res))
 

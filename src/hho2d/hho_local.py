@@ -19,8 +19,11 @@ k-1, one face polynomial of degree k per face).  From it we build:
   |grad v_T|^2 + h^-1 sum_F |v_F - v_T|^2_F.
 
 Cell unknowns are absent for k = 0; where a cell value is needed it is
-recovered on the fly as the distance-weighted face average.  The builder
-works on a stack of elements with equal corner and face counts at once.
+recovered on the fly as the distance-weighted face average.  A local
+vector is flat: the cell block, then one block per face in loop order.
+``local_operators``, ``interpolate`` and ``eta_bounds`` work on a stack of
+elements with equal corner and face counts at once; one element is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
 from hho2d import polybasis as pb
 
@@ -46,28 +48,6 @@ def cell_block_dim(k):
 
 
 @dataclass
-class LocalHhoVector:
-    """Coefficients of one element-local unknown."""
-
-    k: int
-    cell: np.ndarray          # (k(k+1)/2,), empty when k == 0
-    faces: list               # one (k+1,) array per face, in face-loop order
-
-    def flat(self):
-        return np.concatenate([self.cell, *self.faces])
-
-    @classmethod
-    def from_flat(cls, k, n_faces, data):
-        nc = cell_block_dim(k)
-        cell = np.asarray(data[:nc], dtype=float)
-        faces = [
-            np.asarray(data[nc + i * (k + 1):nc + (i + 1) * (k + 1)], dtype=float)
-            for i in range(n_faces)
-        ]
-        return cls(k=k, cell=cell, faces=faces)
-
-
-@dataclass
 class LocalOperators:
     """Dense element matrices shared by assembly and verification."""
 
@@ -81,7 +61,6 @@ class LocalOperators:
     avg_weights: np.ndarray  # row giving the element-mean cell value
     recon_basis: pb.CellBasis
     cell_basis: pb.CellBasis | None
-    face_bases: list
 
     @property
     def n_local(self):
@@ -91,34 +70,43 @@ class LocalOperators:
         """Local interpolate of the constant function 1 (shared kernel)."""
         z = np.zeros(self.n_local)
         nc = cell_block_dim(self.k)
+        z[nc::self.k + 1] = 1.0
         if self.k >= 1:
-            z[:nc] = _constant_coeffs(self.cell_basis)
-        for i in range(len(self.face_bases)):
-            z[nc + i * (self.k + 1)] = 1.0
+            z[0] = 1.0
+            if self.cell_basis.transform is not None:
+                z[:nc] = np.linalg.solve(self.cell_basis.transform.T, z[:nc])
         return z
 
 
-def _constant_coeffs(basis):
-    c = np.zeros(basis.dim)
-    c[0] = 1.0
-    if basis.transform is not None:
-        c = np.linalg.solve(basis.transform.T, c)
-    return c
+def _stacked(run, items, single):
+    """``run`` on the stack ``items`` (one item when ``single``); a failed stack
+    is re-run item by item, so the error names the element that fails alone."""
+    stack = [items] if single else list(items)
+    try:
+        out = run(stack)
+    except (HhoError, pb.BasisError):
+        for item in stack if len(stack) > 1 else []:
+            run([item])
+        raise
+    return out[0] if single else out
 
 
 def interpolate(mesh, elem_id, k, v, order=None):
-    """Project ``v`` onto the local unknown space (cell and face blocks)."""
-    el = mesh.elements[elem_id]
+    """Project ``v`` onto the local unknown space (cell and face blocks).
+
+    ``elem_id`` is one element id, giving a flat (n_local,) vector, or a
+    sequence of ids of elements that share a corner count and a face
+    count, giving (B, n_local).
+    """
     order = order if order is not None else 2 * k + 4
-    if k >= 1:
-        cell = pb.l2_project_cell(mesh, elem_id, k - 1, v, order=order)
-    else:
-        cell = np.zeros(0)
-    faces = [
-        pb.l2_project_face(mesh, int(fid), k, v, order=order)
-        for fid in el.face_ids
-    ]
-    return LocalHhoVector(k=k, cell=cell, faces=faces)
+    els = mesh.elements
+
+    def run(ids):
+        faces = pb.l2_project_face(mesh, els.face_ids[els.face_rows(ids)], k, v, order)
+        cell = pb.l2_project_cell(mesh, ids, k - 1, v, order) if k else np.zeros((len(ids), 0))
+        return np.concatenate([cell, faces.reshape(len(ids), -1)], axis=1)
+
+    return _stacked(run, elem_id, np.ndim(elem_id) == 0)
 
 
 def local_operators(mesh, elem_id, k):
@@ -132,20 +120,11 @@ def local_operators(mesh, elem_id, k):
     """
     if k < 0:
         raise HhoError("polynomial degree must be >= 0")
-    single = np.ndim(elem_id) == 0
-    ids = [int(elem_id)] if single else [int(e) for e in elem_id]
-    try:
-        ops = _build(mesh, ids, k)
-    except (HhoError, pb.BasisError):
-        if len(ids) == 1:
-            raise
-        for e in ids:  # find the element that fails on its own
-            _build(mesh, [e], k)
-        raise
-    return ops[0] if single else ops
+    return _stacked(lambda ids: _build(mesh, ids, k), elem_id, np.ndim(elem_id) == 0)
 
 
 def _build(mesh, ids, k):
+    ids = [int(e) for e in ids]
     els = mesh.elements
     rows = els.face_rows(ids)
     nb, nf = rows.shape
@@ -269,7 +248,6 @@ def _build(mesh, ids, k):
             avg_weights=avg[b],
             recon_basis=rec[b],
             cell_basis=cellb[b] if k >= 1 else None,
-            face_bases=[pb.face_basis(mesh, int(fid), k) for fid in face_ids[b]],
         )
         for b, e in enumerate(ids)
     ]
@@ -298,44 +276,56 @@ def elliptic_project(mesh, elem_id, k, v, ops=None, order=None):
     onto polynomials of degree k+1 with fixed mean."""
     if ops is None:
         ops = local_operators(mesh, elem_id, k)
-    vec = interpolate(mesh, elem_id, k, v, order=order)
-    return ops.recon @ vec.flat(), ops.recon_basis
+    return ops.recon @ interpolate(mesh, elem_id, k, v, order=order), ops.recon_basis
 
 
-def eta_bounds(ops, tol=1e-8):
+KERNEL_TOL = 1e-8  # |A z| <= tol |A| and |N z| <= tol |N|: z spans the kernel
+
+
+def eta_bounds(ops):
     """Extreme generalized eigenvalues of (stiffness, norm Gram) off-kernel.
 
     Both forms share the one-dimensional kernel spanned by the interpolate
     of constants; the pencil restricted to its complement measures how far
-    the local form is from the energy norm.  Returns (lam_min, lam_max);
-    the per-element equivalence constant is max(1/lam_min, lam_max).
+    the local form is from the energy norm.  ``ops`` is one
+    ``LocalOperators``, giving [lam_min, lam_max], or a sequence of them
+    with equal local sizes, giving an array (B, 2); the per-element
+    equivalence constant is max(1/lam_min, lam_max).
     """
-    z = ops.constant_vector()
-    z = z / np.linalg.norm(z)
-    scale_a = np.linalg.norm(ops.stiff, 2)
-    scale_n = np.linalg.norm(ops.norm_gram, 2)
-    if np.linalg.norm(ops.stiff @ z) > tol * scale_a or np.linalg.norm(
-        ops.norm_gram @ z
-    ) > tol * scale_n:
-        raise CoercivityViolationError(
-            f"element {ops.elem_id}: constants are not in the shared kernel"
-        )
-    Q = null_space(z[None, :])
-    Aq = Q.T @ ops.stiff @ Q
-    Nq = Q.T @ ops.norm_gram @ Q
+    return _stacked(_eta_bounds, ops, isinstance(ops, LocalOperators))
+
+
+def _eta_bounds(ops):
+    where = pb._elements([op.elem_id for op in ops])
+    A = np.stack([op.stiff for op in ops])
+    N = np.stack([op.norm_gram for op in ops])
+    z = np.stack([op.constant_vector() for op in ops])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    for X in (A, N):
+        if np.any(np.linalg.norm(X @ z[..., None], axis=(1, 2))
+                  > KERNEL_TOL * np.linalg.norm(X, 2, axis=(1, 2))):
+            raise CoercivityViolationError(f"{where}: constants are not in the shared kernel")
+    # Householder reflection mapping z to -+e_0: its other columns are an
+    # orthonormal basis of the complement of z
+    u = z.copy()
+    u[:, 0] += np.where(z[:, 0] >= 0, 1.0, -1.0)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    Q = np.eye(z.shape[1])[:, 1:] - 2 * u[:, :, None] * u[:, None, 1:]
     try:
-        lam = eigh(Aq, Nq, eigvals_only=True)
+        L = np.linalg.cholesky(_mT(Q) @ N @ Q)
     except np.linalg.LinAlgError as exc:
+        raise CoercivityViolationError(f"{where}: norm Gram singular off the kernel") from exc
+    # eigenvalues of L^-1 Aq L^-T are those of the pencil (Aq, Nq)
+    X = np.linalg.solve(L, _mT(Q) @ A @ Q)
+    lam = np.linalg.eigvalsh(_sym(np.linalg.solve(L, _mT(X))))
+    if np.any(lam[:, 0] <= 0):
         raise CoercivityViolationError(
-            f"element {ops.elem_id}: norm Gram singular off the kernel"
-        ) from exc
-    if lam[0] <= 0:
-        raise CoercivityViolationError(
-            f"element {ops.elem_id}: non-coercive local form (lam={lam[0]:.3e})"
-        )
-    return float(lam[0]), float(lam[-1])
+            f"{where}: non-coercive local form (lam={lam[:, 0].min():.3e})")
+    return lam[:, [0, -1]]
 
 
 def eta_of(ops):
-    lam_min, lam_max = eta_bounds(ops)
-    return max(1.0 / lam_min, lam_max)
+    """Equivalence constant max(1/lam_min, lam_max) of one element, or an
+    array of them for a stack (see ``eta_bounds``)."""
+    lam = eta_bounds(ops)
+    return np.maximum(1.0 / lam[..., 0], lam[..., 1])

@@ -12,8 +12,9 @@ centroid and applies a positive-weight conical product rule on each; face
 quadrature is plain Gauss-Legendre along the segment.
 
 The plural builders (``cell_quadratures``, ``face_quadratures``,
-``cell_bases``) work on a stack of elements or faces at once, with a
-leading batch axis; the singular ones are a batch of one.
+``cell_bases``) and the L2 projections work on a stack of elements or
+faces at once, with leading batch axes; a single id is a stack of one.
+``FaceBasis`` evaluates one face's basis from 2D points, as a check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi, roots_legendre
 
 # degree at which cell bases switch to the orthonormalized form
@@ -35,11 +36,10 @@ class BasisError(Exception):
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Quadrature points (2D), weights, and guaranteed exactness degree."""
+    """Quadrature points (2D) and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def integrate(self, f):
         return float(self.weights @ f(self.points))
@@ -106,7 +106,7 @@ def cell_quadratures(mesh, elem_ids, order):
 def cell_quadrature(mesh, elem_id, order):
     """Rule on element ``elem_id`` exact for polynomials up to ``order``."""
     points, weights = cell_quadratures(mesh, [elem_id], order)
-    return QuadRule(points[0], weights[0], order)
+    return QuadRule(points[0], weights[0])
 
 
 def face_quadratures(mesh, face_ids, order):
@@ -130,7 +130,7 @@ def face_quadratures(mesh, face_ids, order):
 def face_quadrature(mesh, face_id, order):
     """Gauss-Legendre rule along face ``face_id``, exact up to ``order``."""
     points, weights = face_quadratures(mesh, face_id, order)
-    return QuadRule(points, weights, 2 * len(weights) - 1)
+    return QuadRule(points, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +211,32 @@ class CellBasis:
         return self._apply((lxx + lyy) / self._scale**2)
 
 
-def cell_basis(mesh, elem_id, degree, orthonormalize=None):
-    """Basis on an element; orthonormalized for degree >= 4 by default."""
-    return cell_bases(mesh, [elem_id], degree, orthonormalize)[0]
+def cell_basis(mesh, elem_id, degree):
+    """Basis on an element; orthonormalized for degree >= 4."""
+    return cell_bases(mesh, [elem_id], degree)[0]
 
 
-def cell_bases(mesh, elem_ids, degree, orthonormalize=None):
+def cell_bases(mesh, elem_ids, degree):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
     center = mesh.elements.centroid[elem_ids]
     scale = mesh.elements.diameter[elem_ids]
     basis = CellBasis(center, scale, degree)
-    if orthonormalize is None:
-        orthonormalize = degree >= ORTHONORMALIZE_FROM
-    if orthonormalize and degree > 0:
+    if degree >= ORTHONORMALIZE_FROM:
         points, weights = cell_quadratures(mesh, elem_ids, 2 * degree)
-        V = basis._raw(points)
-        M = np.swapaxes(V * weights[..., None], -1, -2) @ V
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise BasisError(
-                f"{_elements(elem_ids)}: singular mass matrix at degree {degree}"
-            ) from exc
+        L = _mass_cholesky(basis._raw(points), weights, elem_ids, degree)
         inv_L = solve_triangular(L, np.eye(basis.dim), lower=True)
         basis = CellBasis(center, scale, degree, transform=inv_L)
     return basis
+
+
+def _mass_cholesky(V, weights, elem_ids, degree):
+    """Cholesky factors of the mass matrices of stacked basis values V."""
+    try:
+        return np.linalg.cholesky(np.swapaxes(V * weights[..., None], -1, -2) @ V)
+    except np.linalg.LinAlgError as exc:
+        raise BasisError(
+            f"{_elements(elem_ids)}: singular mass matrix at degree {degree}"
+        ) from exc
 
 
 def _elements(elem_ids):
@@ -264,9 +265,6 @@ class FaceBasis:
         s = self.param(points)
         return s[:, None] ** np.arange(self.dim)
 
-    def mass(self):
-        return face_mass(self.length, self.degree)
-
 
 def face_mass(length, degree):
     """Mass matrix of s^0 .. s^degree on faces of the given length(s).
@@ -291,10 +289,9 @@ def face_basis(mesh, face_id, degree):
 # Grams and projections
 
 
-def grams(mesh, elem_id, degree, basis=None):
+def grams(mesh, elem_id, degree):
     """Mass and stiffness matrices of the cell basis at ``degree``."""
-    if basis is None:
-        basis = cell_basis(mesh, elem_id, degree)
+    basis = cell_basis(mesh, elem_id, degree)
     quad = cell_quadrature(mesh, elem_id, 2 * degree)
     V = basis.eval(quad.points)
     D = basis.grad(quad.points)
@@ -308,28 +305,34 @@ def default_cell_order(degree):
     return 2 * degree + degree + 2
 
 
-def l2_project_cell(mesh, elem_id, degree, v, order=None, basis=None):
-    """Coefficients of the L2 projection of ``v`` onto the cell basis."""
-    if basis is None:
-        basis = cell_basis(mesh, elem_id, degree)
-    quad = cell_quadrature(mesh, elem_id, order or default_cell_order(degree))
-    V = basis.eval(quad.points)
-    M = V.T * quad.weights @ V
-    rhs = V.T @ (quad.weights * v(quad.points))
-    try:
-        return cho_solve(cho_factor(M), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise BasisError(
-            f"element {elem_id}: singular mass matrix at degree {degree}"
-        ) from exc
+def l2_project_cell(mesh, elem_ids, degree, v, order=None):
+    """Coefficients of the L2 projection of ``v`` onto the cell basis.
+
+    ``elem_ids`` is one element id, giving (dim,), or a sequence of ids of
+    elements that share a corner count, giving (B, dim).
+    """
+    ids = np.atleast_1d(elem_ids)
+    basis = cell_bases(mesh, ids, degree)
+    points, weights = cell_quadratures(mesh, ids, order or default_cell_order(degree))
+    V = basis.eval(points)
+    L = _mass_cholesky(V, weights, ids, degree)
+    vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
+    y = np.linalg.solve(L, np.einsum("bp,bpi->bi", vw, V)[..., None])
+    coeffs = np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+    return coeffs.reshape(np.shape(elem_ids) + (basis.dim,))
 
 
-def l2_project_face(mesh, face_id, degree, v, order=None, basis=None):
-    """Coefficients of the L2 projection of ``v`` onto the face basis."""
-    if basis is None:
-        basis = face_basis(mesh, face_id, degree)
-    quad = face_quadrature(mesh, face_id, order or default_cell_order(degree))
-    V = basis.eval(quad.points)
-    M = V.T * quad.weights @ V
-    rhs = V.T @ (quad.weights * v(quad.points))
-    return cho_solve(cho_factor(M), rhs)
+def l2_project_face(mesh, face_ids, degree, v, order=None):
+    """Coefficients of the L2 projection of ``v`` onto the face basis.
+
+    ``face_ids`` may have any shape S; the result has shape S + (degree+1,).
+    Every face rule maps the same reference nodes s, so the basis values
+    are shared and the mass matrix has a closed form.
+    """
+    order = order or default_cell_order(degree)
+    s, _ = face_rule(order)
+    points, weights = face_quadratures(mesh, face_ids, order)
+    vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
+    rhs = vw @ s[:, None] ** np.arange(degree + 1)
+    M = face_mass(mesh.faces.length[face_ids], degree)
+    return np.linalg.solve(M, rhs[..., None])[..., 0]

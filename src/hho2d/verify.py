@@ -126,7 +126,7 @@ def rectangle_mesh(n):
 
 def local_interpolates(mesh, k, u):
     """Flat local interpolate of ``u`` on every element, in element-id order."""
-    return [hl.interpolate(mesh, e, k, u).flat() for e in range(mesh.n_elements)]
+    return asm._per_element(mesh, lambda ids: hl.interpolate(mesh, ids, k, u))
 
 
 def interpolate_global(system, interp):
@@ -149,17 +149,20 @@ def energy_error(ops, solution, interp):
 
 def l2_error_cell_value(system, solution, case, order=None):
     """L2 distance between the exact solution and the piecewise cell value."""
-    order = order if order is not None else 2 * system.k + 6
+    mesh, k = system.mesh, system.k
+    order = order if order is not None else 2 * k + 6
     err2 = 0.0
-    for e, op in enumerate(system.ops):
-        quad = pb.cell_quadrature(system.mesh, e, order)
-        loc = solution.local_flat(e)
-        if system.k >= 1:
-            vals = op.cell_basis.eval(quad.points) @ loc[: hl.cell_block_dim(system.k)]
+    for ids in asm.element_batches(mesh):
+        points, weights = pb.cell_quadratures(mesh, ids, order)
+        loc = np.stack([solution.local_flat(e) for e in ids])
+        if k >= 1:
+            V = pb.cell_bases(mesh, ids, k - 1).eval(points)
+            vals = np.einsum("bpi,bi->bp", V, loc[:, :hl.cell_block_dim(k)])
         else:
-            vals = np.full(len(quad.weights), op.avg_weights @ loc)
-        diff = case.u(quad.points) - vals
-        err2 += quad.weights @ diff**2
+            avg = np.stack([system.ops[e].avg_weights for e in ids])
+            vals = (avg * loc).sum(axis=1)[:, None]
+        diff = case.u(points.reshape(-1, 2)).reshape(weights.shape) - vals
+        err2 += np.sum(weights * diff**2)
     return float(np.sqrt(err2))
 
 
@@ -185,15 +188,17 @@ def stab_energy(ops, interp):
 
 def source_l2_norm(mesh, case, order=10):
     total = 0.0
-    for e in range(mesh.n_elements):
-        quad = pb.cell_quadrature(mesh, e, order)
-        total += quad.weights @ case.f(quad.points) ** 2
+    for ids in asm.element_batches(mesh):
+        points, weights = pb.cell_quadratures(mesh, ids, order)
+        f = case.f(points.reshape(-1, 2)).reshape(weights.shape)
+        total += np.sum(weights * f**2)
     return float(np.sqrt(total))
 
 
 def mesh_eta(system):
     """Largest per-element equivalence constant of the local forms."""
-    return max(hl.eta_of(op) for op in system.ops)
+    etas = asm._per_element(system.mesh, lambda ids: hl.eta_of([system.ops[e] for e in ids]))
+    return float(max(etas))
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +213,26 @@ class PowerIterationError(Exception):
 
 def l2_mass_matrix(system):
     """Gram of the piecewise cell value on the zero-boundary dof space."""
-    blocks = []
-    nc = hl.cell_block_dim(system.k)
-    area = system.mesh.elements.area
-    for e, (op, idx) in enumerate(zip(system.ops, system.dofmap.table)):
-        if system.k >= 1:
-            quad = pb.cell_quadrature(system.mesh, e, 2 * system.k)
-            V = op.cell_basis.eval(quad.points)
-            blocks.append((idx[:nc], V.T * quad.weights @ V))
-        else:
-            w = op.avg_weights * np.sqrt(area[e])
-            blocks.append((idx, np.outer(w, w)))
-    return asm._scatter_blocks(blocks, system.dofmap.total)
+    mesh, k = system.mesh, system.k
+
+    def run(ids):
+        if k == 0:
+            avg = np.stack([system.ops[e].avg_weights for e in ids])
+            w = avg * np.sqrt(mesh.elements.area[ids])[:, None]
+            return w[:, :, None] * w[:, None, :]
+        points, weights = pb.cell_quadratures(mesh, ids, 2 * k)
+        V = pb.cell_bases(mesh, ids, k - 1).eval(points)
+        return np.swapaxes(V, -1, -2) * weights[:, None, :] @ V
+
+    # for k >= 1 the blocks act on the cell dofs only
+    rows = [idx[:hl.cell_block_dim(k) or None] for idx in system.dofmap.table]
+    return asm._scatter_blocks(zip(rows, asm._per_element(mesh, run)), system.dofmap.total)
 
 
-def poincare_constant(system, norm_gram=None, tol=1e-10, maxiter=5000):
+POWER_TOL, POWER_MAXITER = 1e-10, 5000  # power iteration stopping rule
+
+
+def poincare_constant(system, norm_gram=None):
     """Largest ratio |cell value|_L2 / energy norm, by power iteration."""
     if system.dofmap.total == 0:
         raise ValueError("empty system has no Poincare constant")
@@ -235,7 +245,7 @@ def poincare_constant(system, norm_gram=None, tol=1e-10, maxiter=5000):
     x = rng.standard_normal(system.dofmap.total)
     lam = 0.0
     history = []
-    for it in range(1, maxiter + 1):
+    for it in range(1, POWER_MAXITER + 1):
         y = norm_gram.apply_inverse(M @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
@@ -245,11 +255,11 @@ def poincare_constant(system, norm_gram=None, tol=1e-10, maxiter=5000):
         den = x @ (norm_gram.matrix @ x)
         lam_new = num / den
         history.append(lam_new)
-        if it > 1 and abs(lam_new - lam) <= tol * abs(lam_new):
+        if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
             return float(np.sqrt(lam_new)), it
         lam = lam_new
     raise PowerIterationError(
-        f"power iteration stagnated after {maxiter} iterations", history
+        f"power iteration stagnated after {POWER_MAXITER} iterations", history
     )
 
 
@@ -424,32 +434,32 @@ def projector_rate_suite(family, degree, case):
     weighted boundary gradient of the local energy projection."""
     if isinstance(case, str):
         case = CASES[case]
+    order = 2 * degree + 6
     hs, cell_errs, trace_errs, egrad_errs = [], [], [], []
     for mesh in family:
+        ops = asm.build_local_operators(mesh, degree)
+        els = mesh.elements
         cell2 = trace2 = egrad2 = 0.0
-        for el in mesh.elements:
-            basis = pb.cell_basis(mesh, el.id, degree)
-            coeff = pb.l2_project_cell(
-                mesh, el.id, degree, case.u, order=2 * degree + 6, basis=basis
-            )
-            quad = pb.cell_quadrature(mesh, el.id, 2 * degree + 6)
-            diff = case.u(quad.points) - basis.eval(quad.points) @ coeff
-            cell2 += quad.weights @ diff**2
-
-            ops = hl.local_operators(mesh, el.id, degree)
-            eproj, ebasis = hl.elliptic_project(
-                mesh, el.id, degree, case.u, ops=ops, order=2 * degree + 6
-            )
-            for fid in el.face_ids:
-                fq = pb.face_quadrature(mesh, int(fid), 2 * degree + 6)
-                bdiff = case.u(fq.points) - basis.eval(fq.points) @ coeff
-                trace2 += el.diameter * (fq.weights @ bdiff**2)
-                gdiff = case.grad(fq.points) - np.einsum(
-                    "pid,i->pd", ebasis.grad(fq.points), eproj
-                )
-                egrad2 += el.diameter * np.einsum(
-                    "pd,p,pd->", gdiff, fq.weights, gdiff
-                )
+        for ids in asm.element_batches(mesh):
+            basis = pb.cell_bases(mesh, ids, degree)
+            coeff = pb.l2_project_cell(mesh, ids, degree, case.u, order=order)
+            recon = np.stack([ops[e].recon for e in ids])
+            interp = hl.interpolate(mesh, ids, degree, case.u, order=order)
+            eproj = np.einsum("bij,bj->bi", recon, interp)
+            points, weights = pb.cell_quadratures(mesh, ids, order)
+            fpts, fw = pb.face_quadratures(mesh, els.face_ids[els.face_rows(ids)], order)
+            fpts = fpts.reshape(len(ids), -1, 2)
+            fw = fw.reshape(len(ids), -1) * els.diameter[ids][:, None]
+            u = case.u(points.reshape(-1, 2)).reshape(weights.shape)
+            fu = case.u(fpts.reshape(-1, 2)).reshape(fw.shape)
+            fgrad = case.grad(fpts.reshape(-1, 2)).reshape(fw.shape + (2,))
+            diff = u - np.einsum("bpi,bi->bp", basis.eval(points), coeff)
+            cell2 += np.sum(weights * diff**2)
+            bdiff = fu - np.einsum("bpi,bi->bp", basis.eval(fpts), coeff)
+            trace2 += np.sum(fw * bdiff**2)
+            egrad = pb.cell_bases(mesh, ids, degree + 1).grad(fpts)
+            gdiff = fgrad - np.einsum("bpid,bi->bpd", egrad, eproj)
+            egrad2 += np.einsum("bpd,bp,bpd->", gdiff, fw, gdiff)
         hs.append(mesh.h)
         cell_errs.append(np.sqrt(cell2))
         trace_errs.append(np.sqrt(trace2))

@@ -144,7 +144,7 @@ def test_criterion_02_polynomial_exactness():
                 continue
             c = rng.standard_normal(ops.recon_basis.dim)
             v = lambda p: ops.recon_basis.eval(p) @ c
-            got = ops.recon @ hl.interpolate(mesh, elem, k, v).flat()
+            got = ops.recon @ hl.interpolate(mesh, elem, k, v)
             worst = max(worst, np.linalg.norm(got - c) / np.linalg.norm(c))
     ok = worst <= 1e-10 and rank_failures == 0
     _report(
@@ -163,8 +163,7 @@ def test_criterion_03_stabilization_consistency():
         for k in (0, 1, 2):
             ops = hl.local_operators(mesh, elem, k)
             c = rng.standard_normal(ops.recon_basis.dim)
-            iw = hl.interpolate(mesh, elem, k, lambda p: ops.recon_basis.eval(p) @ c)
-            flat = iw.flat()
+            flat = hl.interpolate(mesh, elem, k, lambda p: ops.recon_basis.eval(p) @ c)
             s_norm = np.linalg.norm(ops.stab, 2)
             if s_norm <= 1e-14 * np.linalg.norm(ops.stiff, 2):
                 continue  # triangles at k = 0: stabilization is exactly zero

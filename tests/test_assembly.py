@@ -136,17 +136,17 @@ def test_gather_scatter_roundtrip():
     back = asm.GlobalHhoVector.zeros(mesh, dm)
     counts = np.zeros(dm.total)
     for el in mesh.elements:
-        local = vec.local(el.id)
-        back.scatter_add(el.id, local.flat())
+        back.scatter_add(el.id, vec.local_flat(el.id))
         idx = dm.element_indices(el)
         counts[idx[idx >= 0]] += 1.0
     assert back.data / counts == pytest.approx(vec.data, rel=1e-14)
     # boundary faces always read zero
-    local = vec.local(0)
+    local = vec.local_flat(0)
     el = mesh.elements[0]
+    nc = hl.cell_block_dim(2)
     for i, fid in enumerate(el.face_ids):
         if mesh.faces[fid].boundary:
-            assert np.all(local.faces[i] == 0.0)
+            assert np.all(local[nc + 3 * i:nc + 3 * (i + 1)] == 0.0)
 
 
 def test_assembly_deterministic_bytes():

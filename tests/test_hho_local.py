@@ -29,8 +29,7 @@ def pentagon_mesh(t=0.5):
 
 
 def test_interpolate_constant(unit_square):
-    vec = hl.interpolate(unit_square, 0, 1, lambda p: np.full(len(p), 4.2))
-    flat = vec.flat()
+    flat = hl.interpolate(unit_square, 0, 1, lambda p: np.full(len(p), 4.2))
     ops = hl.local_operators(unit_square, 0, 1)
     z = ops.constant_vector()
     assert flat == pytest.approx(4.2 * z, rel=1e-13)
@@ -39,9 +38,9 @@ def test_interpolate_constant(unit_square):
 def test_interpolate_k0_affine(unit_square):
     vec = hl.interpolate(unit_square, 0, 0, lambda p: p[:, 0])
     # face loop order: bottom, right, top, left
-    assert vec.flat() == pytest.approx([0.5, 1.0, 0.5, 0.0], abs=1e-14)
+    assert vec == pytest.approx([0.5, 1.0, 0.5, 0.0], abs=1e-14)
     ops = hl.local_operators(unit_square, 0, 0)
-    assert ops.avg_weights @ vec.flat() == pytest.approx(0.5, rel=1e-14)
+    assert ops.avg_weights @ vec == pytest.approx(0.5, rel=1e-14)
 
 
 def test_reconstruction_k0_recovers_affine(unit_square):
@@ -70,7 +69,7 @@ def test_polynomial_consistency_random_cells(k):
         ops = hl.local_operators(mesh, 0, k)
         c = rng.standard_normal(ops.recon_basis.dim)
         v = lambda p: ops.recon_basis.eval(p) @ c
-        got = ops.recon @ hl.interpolate(mesh, 0, k, v).flat()
+        got = ops.recon @ hl.interpolate(mesh, 0, k, v)
         assert np.linalg.norm(got - c) <= 1e-10 * np.linalg.norm(c)
 
 
@@ -81,8 +80,7 @@ def test_st2_polynomial_consistency_of_stabilization(k):
         ops = hl.local_operators(mesh, e, k)
         rng = np.random.default_rng(10 * e + k)
         c = rng.standard_normal(ops.recon_basis.dim)
-        iv = hl.interpolate(mesh, e, k, lambda p: ops.recon_basis.eval(p) @ c)
-        flat = iv.flat()
+        flat = hl.interpolate(mesh, e, k, lambda p: ops.recon_basis.eval(p) @ c)
         assert np.linalg.norm(ops.stab @ flat) <= 1e-10 * np.linalg.norm(
             ops.stab, 2
         ) * np.linalg.norm(flat)
@@ -100,7 +98,7 @@ def test_reconstruction_satisfies_its_variational_contract(k):
     rng = np.random.default_rng(k)
     vec = rng.standard_normal(ops.n_local)
     w = ops.recon @ vec
-    local = hl.LocalHhoVector.from_flat(k, el.n_faces, vec)
+    nc = hl.cell_block_dim(k)
 
     for j in range(rec.dim):
         ej = np.zeros(rec.dim)
@@ -111,11 +109,12 @@ def test_reconstruction_satisfies_its_variational_contract(k):
         rhs = 0.0
         if k >= 1:
             lap = rec.laplacian(quad.points) @ ej
-            vT = ops.cell_basis.eval(quad.points) @ local.cell
+            vT = ops.cell_basis.eval(quad.points) @ vec[:nc]
             rhs -= quad.weights @ (vT * lap)
         for i, fid in enumerate(el.face_ids):
             fq = pb.face_quadrature(mesh, int(fid), 2 * k + 4)
-            vF = ops.face_bases[i].eval(fq.points) @ local.faces[i]
+            vF_coeffs = vec[nc + i * (k + 1):nc + (i + 1) * (k + 1)]
+            vF = pb.face_basis(mesh, int(fid), k).eval(fq.points) @ vF_coeffs
             flux = rec.grad(fq.points) @ el.face_normals[i] @ ej
             rhs += fq.weights @ (vF * flux)
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
@@ -123,7 +122,7 @@ def test_reconstruction_satisfies_its_variational_contract(k):
     # mean closure: cell mean for k >= 1, weighted face average for k = 0
     mean_w = quad.weights @ (rec.eval(quad.points) @ w)
     if k >= 1:
-        expected = quad.weights @ (ops.cell_basis.eval(quad.points) @ local.cell)
+        expected = quad.weights @ (ops.cell_basis.eval(quad.points) @ vec[:nc])
     else:
         expected = el.area * (ops.avg_weights @ vec)
     assert mean_w == pytest.approx(expected, rel=1e-12, abs=1e-13)
@@ -225,7 +224,7 @@ def test_gradient_identity_lowest_order(unit_square):
     # reconstruction of the interpolate of an affine function keeps its slope
     ops = hl.local_operators(unit_square, 0, 0)
     v = lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1] + 0.25
-    coeff = ops.recon @ hl.interpolate(unit_square, 0, 0, v).flat()
+    coeff = ops.recon @ hl.interpolate(unit_square, 0, 0, v)
     pts = np.random.default_rng(8).uniform(0, 1, (6, 2))
     grads = np.einsum("pid,i->pd", ops.recon_basis.grad(pts), coeff)
     assert grads == pytest.approx(np.tile([2.0, -3.0], (6, 1)), abs=1e-12)
@@ -252,19 +251,8 @@ def test_t1_orthogonality(k, unit_square):
 
 def test_eta_bounds_reports_broken_pencils(unit_square):
     ops = hl.local_operators(unit_square, 0, 1)
-    broken = hl.LocalOperators(
-        elem_id=ops.elem_id,
-        k=ops.k,
-        recon=ops.recon,
-        stab=ops.stab,
-        stab_factor=ops.stab_factor,
-        stiff=ops.stiff + np.eye(ops.n_local),  # constants leave the kernel
-        norm_gram=ops.norm_gram,
-        avg_weights=ops.avg_weights,
-        recon_basis=ops.recon_basis,
-        cell_basis=ops.cell_basis,
-        face_bases=ops.face_bases,
-    )
+    # constants leave the kernel
+    broken = dataclasses.replace(ops, stiff=ops.stiff + np.eye(ops.n_local))
     with pytest.raises(hl.CoercivityViolationError):
         hl.eta_bounds(broken)
 
@@ -276,19 +264,36 @@ def test_batched_build_matches_one_element_at_a_time(k):
     meshes = [nonconforming_mesh(4), agglomerated_mesh(8), rectangle_mesh(4),
               generate("cartesian", 6)]
     fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
+    u = lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])
+
+    def close(got, want, floor=0.0):
+        assert np.shape(got) == np.shape(want)
+        return np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), floor)
+
     for mesh in meshes:
         batched = asm.build_local_operators(mesh, k)
         for e, op in enumerate(batched):
             ref = hl.local_operators(mesh, e, k)
             assert op.elem_id == e
-            assert len(op.face_bases) == mesh.elements[e].n_faces
             scale = np.abs(ref.stiff).max()
             for name in fields:
-                got, want = getattr(op, name), getattr(ref, name)
-                assert got.shape == want.shape
                 # floor for blocks that vanish up to roundoff
-                tol = 1e-12 * max(np.abs(want).max(), 1e-14 * scale)
-                assert np.abs(got - want).max() <= tol, (e, name)
+                assert close(getattr(op, name), getattr(ref, name), 1e-14 * scale), (e, name)
+        els = mesh.elements
+        for ids in asm.element_batches(mesh):
+            face_ids = els.face_ids[els.face_rows(ids)]
+            stacks = (
+                (hl.interpolate(mesh, ids, k, u),
+                 [hl.interpolate(mesh, e, k, u) for e in ids]),
+                (pb.l2_project_cell(mesh, ids, k, u),
+                 [pb.l2_project_cell(mesh, e, k, u) for e in ids]),
+                (pb.l2_project_face(mesh, face_ids, k, u),
+                 [[pb.l2_project_face(mesh, f, k, u) for f in row] for row in face_ids]),
+                (hl.eta_bounds([batched[e] for e in ids]),
+                 [hl.eta_bounds(batched[e]) for e in ids]),
+            )
+            for got, want in stacks:
+                assert close(got, np.array(want)), ids
 
 
 def test_singular_element_inside_a_batch_is_named():
@@ -305,10 +310,11 @@ def test_singular_element_inside_a_batch_is_named():
             hl.local_operators(broken, range(mesh.n_elements), k)
         with pytest.raises(error, match=r"^element 5: singular"):
             asm.build_local_operators(broken, k)
-
-
-def test_local_vector_roundtrip():
-    vec = hl.LocalHhoVector.from_flat(2, 3, np.arange(12.0))
-    assert vec.cell.tolist() == [0.0, 1.0, 2.0]
-    assert len(vec.faces) == 3
-    assert vec.flat().tolist() == list(np.arange(12.0))
+    for k in (1, 2, 3):
+        with pytest.raises(pb.BasisError, match=r"^element 5: singular"):
+            hl.interpolate(broken, range(mesh.n_elements), k, lambda p: p[:, 0])
+    # a pencil whose kernel misses the constants, inside an eta stack
+    ops = asm.build_local_operators(mesh, 1)
+    ops[9] = dataclasses.replace(ops[9], stiff=ops[9].stiff + np.eye(ops[9].n_local))
+    with pytest.raises(hl.CoercivityViolationError, match=r"^element 9: constants"):
+        hl.eta_bounds(ops)

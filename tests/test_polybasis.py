@@ -112,19 +112,15 @@ def test_projection_reproduces_polynomials():
             basis = pb.cell_basis(mesh, e, deg)
             rng = np.random.default_rng(deg)
             c = rng.standard_normal(basis.dim)
-            got = pb.l2_project_cell(
-                mesh, e, deg, lambda p: basis.eval(p) @ c, basis=basis
-            )
+            got = pb.l2_project_cell(mesh, e, deg, lambda p: basis.eval(p) @ c)
             assert np.linalg.norm(got - c) <= 1e-12 * max(1, np.linalg.norm(c))
 
 
 def test_projection_idempotent(unit_square):
     v = lambda p: np.sin(3 * p[:, 0]) + p[:, 1] ** 5
     basis = pb.cell_basis(unit_square, 0, 2)
-    c1 = pb.l2_project_cell(unit_square, 0, 2, v, basis=basis)
-    c2 = pb.l2_project_cell(
-        unit_square, 0, 2, lambda p: basis.eval(p) @ c1, basis=basis
-    )
+    c1 = pb.l2_project_cell(unit_square, 0, 2, v)
+    c2 = pb.l2_project_cell(unit_square, 0, 2, lambda p: basis.eval(p) @ c1)
     assert np.linalg.norm(c2 - c1) <= 1e-12 * np.linalg.norm(c1)
 
 
@@ -143,9 +139,7 @@ def test_face_projection_cases(unit_square):
     # exact reproduction in P^k(F)
     basis = pb.face_basis(unit_square, bottom, 3)
     coeff = np.array([0.3, -1.2, 0.7, 2.0])
-    got = pb.l2_project_face(
-        unit_square, bottom, 3, lambda p: basis.eval(p) @ coeff, basis=basis
-    )
+    got = pb.l2_project_face(unit_square, bottom, 3, lambda p: basis.eval(p) @ coeff)
     assert got == pytest.approx(coeff, rel=1e-12)
 
 
@@ -158,7 +152,7 @@ def test_gradient_stability_of_projection():
             c = rng.standard_normal(rich.dim)
             v = lambda p: rich.eval(p) @ c
             coarse = pb.cell_basis(mesh, e, deg)
-            cp = pb.l2_project_cell(mesh, e, deg, v, basis=coarse)
+            cp = pb.l2_project_cell(mesh, e, deg, v)
             quad = pb.cell_quadrature(mesh, e, 2 * deg + 2)
             gp = np.einsum("pid,i->pd", coarse.grad(quad.points), cp)
             gv = np.einsum("pid,i->pd", rich.grad(quad.points), c)
@@ -194,7 +188,7 @@ def test_orthonormalization_threshold(unit_square):
     assert pb.cell_basis(unit_square, 0, 3).transform is None
     rich = pb.cell_basis(unit_square, 0, 4)
     assert rich.transform is not None
-    M, _ = pb.grams(unit_square, 0, 4, basis=rich)
+    M, _ = pb.grams(unit_square, 0, 4)
     assert M == pytest.approx(np.eye(rich.dim), abs=1e-12)
 
 

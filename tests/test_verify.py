@@ -182,14 +182,19 @@ def test_study_interpolates_once_per_element_per_row(monkeypatch):
     interpolate = hl.interpolate
 
     def counting(mesh, elem_id, k, v, order=None):
-        calls.append(elem_id)
+        calls.append((id(mesh), sorted(np.atleast_1d(elem_id).tolist())))
         return interpolate(mesh, elem_id, k, v, order=order)
 
     monkeypatch.setattr(hl, "interpolate", counting)
     fam = vf.build_family("nonconforming", [2, 4])
     vf.study(fam, 1, "sine")
-    expected = [el.id for mesh in fam for el in mesh.elements]
-    assert sorted(calls) == sorted(expected)
+    # each element exactly once per row ...
+    interpolated = sorted((m, e) for m, ids in calls for e in ids)
+    assert interpolated == sorted((id(mesh), el.id) for mesh in fam for el in mesh.elements)
+    # ... in one stacked call per element batch
+    batches = [(id(mesh), ids) for mesh in fam for ids in asm.element_batches(mesh)]
+    assert len(batches) < sum(mesh.n_elements for mesh in fam)
+    assert sorted(calls) == sorted(batches)
 
 
 def test_study_rows_satisfy_apriori_and_sandwich():
