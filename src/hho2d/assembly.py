@@ -4,9 +4,14 @@ Unknowns are ordered with all interior-face blocks first (by face id) and
 all cell blocks after (by element id), so static condensation is a
 trailing-block Schur complement.  Boundary faces are eliminated (rows and
 columns dropped), which keeps the assembled matrix symmetric positive
-definite.  Local operators and loads are built in batches of elements
-with equal corner and face counts; the scatter order is fixed by element
-id, so two assemblies of the same inputs produce bit-identical results.
+definite.
+
+Element data stays in the stacks of ``mesh.batches`` (elements with equal
+corner and face counts) from the local operators to the solution: the dof
+map gives one (B, n_local) index array per stack, and the scatter, the
+static condensation and its recovery run stack by stack.  A global entry
+sums the contributions of at most the two elements next to a face, so
+the assembled bytes do not depend on the order of the stacks.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
+from hho2d.mesh import _frozen, _rows
 
 
 class AssemblyError(Exception):
@@ -38,19 +44,23 @@ class SolverError(Exception):
 class DofMap:
     """Element-to-global dof layout: interior-face blocks, then cell blocks.
 
-    ``table[e]`` is the read-only global index of every local dof of
-    element ``e`` (cell block, then one block per face in loop order), -1
-    where the dof is eliminated.
+    ``index`` lists, element after element, the read-only global index of
+    every local dof (cell block, then one block per face in loop order), -1
+    where the dof is eliminated; element e's run is
+    ``index[ptr[e]:ptr[e + 1]]``, the CSR form of ``ElementTable``.
     """
 
     k: int
     n_face_dofs: int
     total: int
-    table: tuple
+    ptr: np.ndarray
+    index: np.ndarray
 
-    def element_indices(self, element):
-        """Global index per local dof of one element, -1 where eliminated."""
-        return self.table[element.id]
+    def indices(self, elem_id):
+        """Global indices of one element, (n_local,), or of a stack of elements
+        with equal face counts, (B, n_local); -1 where eliminated."""
+        rows = _rows(self.ptr, np.atleast_1d(elem_id))
+        return self.index[rows if np.ndim(elem_id) else rows[0]]
 
 
 def build_dof_map(mesh, k):
@@ -66,15 +76,10 @@ def build_dof_map(mesh, k):
     faces = np.where(off >= 0, off + np.arange(k + 1), -1)
     cells = n_face_dofs + np.arange(mesh.n_elements * nc)
     # each element's cell block goes in front of its face blocks
-    flat = np.insert(faces.ravel(), np.repeat(els.face_ptr[:-1] * (k + 1), nc), cells)
-    flat.setflags(write=False)
-    ends = els.face_ptr[1:-1] * (k + 1) + nc * np.arange(1, mesh.n_elements)
-    return DofMap(
-        k=k,
-        n_face_dofs=n_face_dofs,
-        total=n_face_dofs + nc * mesh.n_elements,
-        table=tuple(np.split(flat, ends)),
-    )
+    index = np.insert(faces.ravel(), np.repeat(els.face_ptr[:-1] * (k + 1), nc), cells)
+    ptr = els.face_ptr * (k + 1) + nc * np.arange(mesh.n_elements + 1)
+    return DofMap(k=k, n_face_dofs=n_face_dofs, total=n_face_dofs + nc * mesh.n_elements,
+                  ptr=_frozen(ptr), index=_frozen(index))
 
 
 @dataclass
@@ -86,15 +91,16 @@ class GlobalHhoVector:
     data: np.ndarray
 
     def local_flat(self, elem_id):
-        """Element-local flat vector; boundary-face blocks read as zero."""
-        idx = self.dofmap.table[elem_id]
+        """Local flat vector of one element id, (n_local,), or of a stack of ids
+        with equal face counts, (B, n_local); boundary-face blocks read zero."""
+        idx = self.dofmap.indices(elem_id)
         keep = idx >= 0
-        out = np.zeros(len(idx))
+        out = np.zeros(idx.shape)
         out[keep] = self.data[idx[keep]]
         return out
 
     def scatter_add(self, elem_id, local_flat):
-        idx = self.dofmap.table[elem_id]
+        idx = self.dofmap.indices(elem_id)
         keep = idx >= 0
         np.add.at(self.data, idx[keep], np.asarray(local_flat)[keep])
 
@@ -103,37 +109,9 @@ class GlobalHhoVector:
         return cls(mesh=mesh, dofmap=dofmap, data=np.zeros(dofmap.total))
 
 
-# Elements per call of the batched local-operator kernel.  Bounded so the
-# stacked intermediates stay small: one stack per group raised the peak RSS
-# of a k = 3 solve on 289 elements by 13 MB, chunks of 32 kept it within
-# 2 MB of building one element at a time.
-OPS_CHUNK = 32
-
-
-def element_batches(mesh):
-    """Element ids grouped by (corner count, face count), in chunks."""
-    els = mesh.elements
-    shapes = zip(np.diff(els.corner_ptr).tolist(), np.diff(els.face_ptr).tolist())
-    groups = {}
-    for e, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(e)
-    for ids in groups.values():
-        for i in range(0, len(ids), OPS_CHUNK):
-            yield ids[i:i + OPS_CHUNK]
-
-
-def _per_element(mesh, run):
-    """``run(ids)`` on every element batch; its rows in element-id order."""
-    out = [None] * mesh.n_elements
-    for ids in element_batches(mesh):
-        for e, row in zip(ids, run(ids)):
-            out[e] = row
-    return out
-
-
 def build_local_operators(mesh, k):
-    """Local operators of every element, in element-id order."""
-    return _per_element(mesh, lambda ids: hl.local_operators(mesh, ids, k))
+    """One ``LocalOperators`` stack per batch of ``mesh.batches``, in order."""
+    return [hl.local_operators(mesh, ids, k) for ids in mesh.batches]
 
 
 @dataclass
@@ -145,13 +123,7 @@ class SparseSpdSystem:
     dofmap: DofMap
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    ops: list
-    nnz: int = 0
-    n_elements: int = 0
-
-    def __post_init__(self):
-        self.nnz = self.matrix.nnz
-        self.n_elements = self.mesh.n_elements
+    ops: list                # one LocalOperators stack per mesh batch
 
 
 def assemble(mesh, k, f, ops=None, rhs_order=None):
@@ -164,13 +136,11 @@ def assemble(mesh, k, f, ops=None, rhs_order=None):
     if ops is None:
         ops = build_local_operators(mesh, k)
     order = rhs_order if rhs_order is not None else 2 * k + 4
-    loads = _local_loads(mesh, k, f, ops, order)
-
     rhs = GlobalHhoVector.zeros(mesh, dofmap)
-    for e, b_loc in enumerate(loads):
-        rhs.scatter_add(e, b_loc)
+    for op in ops:
+        rhs.scatter_add(op.elem_id, _local_loads(mesh, k, f, op, order))
     matrix = _scatter_blocks(
-        zip(dofmap.table, (op.stiff for op in ops)), dofmap.total
+        ((dofmap.indices(op.elem_id), op.stiff) for op in ops), dofmap.total
     )
     system = SparseSpdSystem(
         mesh=mesh, k=k, dofmap=dofmap, matrix=matrix, rhs=rhs.data, ops=ops
@@ -180,7 +150,8 @@ def assemble(mesh, k, f, ops=None, rhs_order=None):
 
 
 def _scatter_blocks(blocks, n):
-    """Sum ``(indices, local matrix)`` blocks into an n x n CSR matrix.
+    """Sum ``(indices, local matrices)`` stacks, (B, m) and (B, m, m), into an
+    n x n CSR matrix.
 
     Rows and columns whose index is -1 (eliminated dofs) are dropped.  The
     triplets follow the order of ``blocks``, so equal inputs sum to
@@ -190,31 +161,28 @@ def _scatter_blocks(blocks, n):
         return sp.csr_matrix((0, 0))
     rows, cols, vals = [], [], []
     for idx, local in blocks:
-        keep = np.flatnonzero(idx >= 0)
-        gi = idx[keep]
-        rows.append(np.repeat(gi, len(gi)))
-        cols.append(np.tile(gi, len(gi)))
-        vals.append(local[np.ix_(keep, keep)].ravel())
+        m = idx.shape[-1]
+        r, c = np.repeat(idx, m, axis=-1), np.tile(idx, m)
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(local.reshape(r.shape)[keep])
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
 
 
-def _local_loads(mesh, k, f, ops, order):
-    """Per-element load vectors, one source evaluation per batch."""
-
-    def run(ids):
-        points, weights = pb.cell_quadratures(mesh, ids, order)
-        fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
-        if k == 0:
-            return [fw[b].sum() * ops[e].avg_weights for b, e in enumerate(ids)]
-        Vc = pb.cell_bases(mesh, ids, k - 1).eval(points)
-        loads = np.zeros((len(ids), ops[ids[0]].n_local))
-        loads[:, :hl.cell_block_dim(k)] = (fw[:, None, :] @ Vc)[:, 0]
-        return loads
-
-    return _per_element(mesh, run)
+def _local_loads(mesh, k, f, op, order):
+    """Load vectors (B, n_local) of one operator stack, one source evaluation."""
+    points, weights = pb.cell_quadratures(mesh, op.elem_id, order)
+    fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
+    if k == 0:
+        return fw.sum(axis=1)[:, None] * op.avg_weights
+    Vc = pb.cell_bases(mesh, op.elem_id, k - 1).eval(points)
+    loads = np.zeros(op.avg_weights.shape)
+    loads[:, :hl.cell_block_dim(k)] = (fw[:, None, :] @ Vc)[:, 0]
+    return loads
 
 
 def _check_diagonal(system):
@@ -222,18 +190,13 @@ def _check_diagonal(system):
     bad = np.flatnonzero(diag <= 0)
     if len(bad):
         dof = int(bad[0])
-        elem = _owner_element(system, dof)
+        # the first element, by id, with a local dof there
+        pos = np.flatnonzero(system.dofmap.index == dof)[0]
+        elem = np.searchsorted(system.dofmap.ptr, pos, side="right") - 1
         raise AssemblyError(
             f"non-positive diagonal at dof {dof} (element {elem}): "
             "broken geometry or coercivity"
         )
-
-
-def _owner_element(system, dof):
-    for e, idx in enumerate(system.dofmap.table):
-        if dof in idx:
-            return e
-    return -1
 
 
 RESIDUAL_TOL = 1e-12  # relative residual every solve must reach
@@ -321,7 +284,7 @@ class CondensedSystem:
     full: SparseSpdSystem
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    recovery: list            # (cell rows solver data) per element
+    recovery: list            # (elem ids, Acc^-1, Acf, b_cell) per element stack
     nnz_before: int
     nnz_after: int
 
@@ -336,9 +299,10 @@ class CondensedSystem:
         data[:sys.dofmap.n_face_dofs] = face_solution
         vec = GlobalHhoVector(mesh=sys.mesh, dofmap=sys.dofmap, data=data)
         nc = hl.cell_block_dim(sys.k)
-        for e, (Acc_inv, Acf, b_cell) in enumerate(self.recovery):
-            xf = vec.local_flat(e)[nc:]
-            data[sys.dofmap.table[e][:nc]] = Acc_inv @ (b_cell - Acf @ xf)
+        for ids, Acc_inv, Acf, b_cell in self.recovery:
+            xf = vec.local_flat(ids)[:, nc:, None]
+            x_cell = Acc_inv @ (b_cell[..., None] - Acf @ xf)
+            data[sys.dofmap.indices(ids)[:, :nc]] = x_cell[..., 0]
         return vec
 
 
@@ -352,24 +316,28 @@ def static_condense(system):
     blocks = []
     rhs = np.zeros(nf_dofs)
     recovery = []
-    for e, (op, idx) in enumerate(zip(system.ops, system.dofmap.table)):
-        Acc = op.stiff[:nc, :nc]
-        Acf = op.stiff[:nc, nc:]
-        Aff = op.stiff[nc:, nc:]
+    for op in system.ops:
+        idx = system.dofmap.indices(op.elem_id)
+        Acc = op.stiff[:, :nc, :nc]
+        Acf = op.stiff[:, :nc, nc:]
+        Aff = op.stiff[:, nc:, nc:]
         try:
             Acc_inv = np.linalg.inv(Acc)
         except np.linalg.LinAlgError as exc:
+            # inv and slogdet both fail on an exactly zero LU pivot
+            e = op.elem_id[np.argmax(np.linalg.slogdet(Acc)[0] == 0)]
             raise AssemblyError(
                 f"element {e}: singular cell block (coercivity violated)"
             ) from exc
-        b_cell = system.rhs[idx[:nc]]
-        S_loc = Aff - Acf.T @ Acc_inv @ Acf
-        b_loc = -Acf.T @ (Acc_inv @ b_cell)
-        face_idx = idx[nc:]
+        AfcT = np.swapaxes(Acf, 1, 2)
+        b_cell = system.rhs[idx[:, :nc]]
+        S_loc = Aff - AfcT @ Acc_inv @ Acf
+        b_loc = (-AfcT @ (Acc_inv @ b_cell[..., None]))[..., 0]
+        face_idx = idx[:, nc:]
         keep = face_idx >= 0
         blocks.append((face_idx, S_loc))
         np.add.at(rhs, face_idx[keep], b_loc[keep])
-        recovery.append((Acc_inv, Acf, b_cell))
+        recovery.append((op.elem_id, Acc_inv, Acf, b_cell))
     rhs += system.rhs[:nf_dofs]  # face loads (zero for this scheme's RHS)
 
     matrix = _scatter_blocks(blocks, nf_dofs)
@@ -411,7 +379,8 @@ class NormGram:
             ops = build_local_operators(mesh, k)
         self.ops = ops
         self.matrix = _scatter_blocks(
-            zip(self.dofmap.table, (op.norm_gram for op in ops)), self.dofmap.total
+            ((self.dofmap.indices(op.elem_id), op.norm_gram) for op in ops),
+            self.dofmap.total,
         )
         self._lu = None
         if self.dofmap.total:

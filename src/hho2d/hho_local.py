@@ -22,13 +22,15 @@ Cell unknowns are absent for k = 0; where a cell value is needed it is
 recovered on the fly as the distance-weighted face average.  A local
 vector is flat: the cell block, then one block per face in loop order.
 ``local_operators``, ``interpolate`` and ``eta_bounds`` work on a stack of
-elements with equal corner and face counts at once; one element is a
-stack of one.
+elements with equal corner and face counts at once (a batch of
+``mesh.batches``), and keep the leading batch axis in what they return:
+one ``LocalOperators`` and one (B, n_local) array per stack.  One element
+id gives the unbatched forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,9 +51,14 @@ def cell_block_dim(k):
 
 @dataclass
 class LocalOperators:
-    """Dense element matrices shared by assembly and verification."""
+    """Dense element matrices shared by assembly and verification.
 
-    elem_id: int
+    Built for one element, or for a stack of B elements: then ``elem_id`` is
+    a (B,) array, every array field and both bases have a leading batch axis,
+    and ``ops[b]`` is element b's operators (a slice gives a sub-stack).
+    """
+
+    elem_id: int | np.ndarray
     k: int
     recon: np.ndarray        # reconstruction coefficients map, (dim P^{k+1}, n)
     stab: np.ndarray         # stabilization Gram, (n, n)
@@ -62,33 +69,43 @@ class LocalOperators:
     recon_basis: pb.CellBasis
     cell_basis: pb.CellBasis | None
 
+    def __getitem__(self, b):
+        parts = {f.name: getattr(self, f.name) for f in fields(self)}
+        return LocalOperators(**{n: v if n == "k" or v is None else v[b] for n, v in parts.items()})
+
     @property
     def n_local(self):
-        return self.stiff.shape[0]
+        return self.stiff.shape[-1]
 
     def constant_vector(self):
         """Local interpolate of the constant function 1 (shared kernel)."""
-        z = np.zeros(self.n_local)
+        z = np.zeros(self.avg_weights.shape)
         nc = cell_block_dim(self.k)
-        z[nc::self.k + 1] = 1.0
+        z[..., nc::self.k + 1] = 1.0
         if self.k >= 1:
-            z[0] = 1.0
+            z[..., 0] = 1.0
             if self.cell_basis.transform is not None:
-                z[:nc] = np.linalg.solve(self.cell_basis.transform.T, z[:nc])
+                T = _mT(self.cell_basis.transform)
+                z[..., :nc] = np.linalg.solve(T, z[..., :nc, None])[..., 0]
         return z
 
 
-def _stacked(run, items, single):
-    """``run`` on the stack ``items`` (one item when ``single``); a failed stack
-    is re-run item by item, so the error names the element that fails alone."""
-    stack = [items] if single else list(items)
+def _stacked(run, stack, size):
+    """``run(stack)``; a failed stack of ``size`` > 1 is re-run one element at a
+    time, so the typed error names the element that fails alone."""
     try:
-        out = run(stack)
+        return run(stack)
     except (HhoError, pb.BasisError):
-        for item in stack if len(stack) > 1 else []:
-            run([item])
+        for b in range(size if size > 1 else 0):
+            run(stack[b:b + 1])
         raise
-    return out[0] if single else out
+
+
+def _on_ids(run, elem_id):
+    """``run`` on the ids ``elem_id``; one id runs a stack of one, unwrapped."""
+    ids = np.atleast_1d(elem_id)
+    out = _stacked(run, ids, len(ids))
+    return out if np.ndim(elem_id) else out[0]
 
 
 def interpolate(mesh, elem_id, k, v, order=None):
@@ -106,25 +123,24 @@ def interpolate(mesh, elem_id, k, v, order=None):
         cell = pb.l2_project_cell(mesh, ids, k - 1, v, order) if k else np.zeros((len(ids), 0))
         return np.concatenate([cell, faces.reshape(len(ids), -1)], axis=1)
 
-    return _stacked(run, elem_id, np.ndim(elem_id) == 0)
+    return _on_ids(run, elem_id)
 
 
 def local_operators(mesh, elem_id, k):
     """Build reconstruction, stabilization, stiffness, and norm Gram.
 
     ``elem_id`` is one element id, or a sequence of ids of elements that
-    share a corner count and a face count; then a list of operators is
-    returned in the same order.  Every quantity is computed for the whole
-    stack at once, over a leading batch axis.  A singular element raises a
-    typed error naming its own id.
+    share a corner count and a face count; then one ``LocalOperators``
+    stack is returned, in the same order.  Every quantity is computed for
+    the whole stack at once, over a leading batch axis.  A singular element
+    raises a typed error naming its own id.
     """
     if k < 0:
         raise HhoError("polynomial degree must be >= 0")
-    return _stacked(lambda ids: _build(mesh, ids, k), elem_id, np.ndim(elem_id) == 0)
+    return _on_ids(lambda ids: _build(mesh, ids, k), elem_id)
 
 
 def _build(mesh, ids, k):
-    ids = [int(e) for e in ids]
     els = mesh.elements
     rows = els.face_rows(ids)
     nb, nf = rows.shape
@@ -236,21 +252,10 @@ def _build(mesh, ids, k):
         N[:, :nc, :nc] += G_cell
     N = _sym(N)
 
-    return [
-        LocalOperators(
-            elem_id=e,
-            k=k,
-            recon=P[b],
-            stab=S[b],
-            stab_factor=R[b],
-            stiff=A[b],
-            norm_gram=N[b],
-            avg_weights=avg[b],
-            recon_basis=rec[b],
-            cell_basis=cellb[b] if k >= 1 else None,
-        )
-        for b, e in enumerate(ids)
-    ]
+    return LocalOperators(
+        elem_id=ids, k=k, recon=P, stab=S, stab_factor=R, stiff=A, norm_gram=N,
+        avg_weights=avg, recon_basis=rec, cell_basis=cellb,
+    )
 
 
 def _mT(X):
@@ -287,30 +292,29 @@ def eta_bounds(ops):
 
     Both forms share the one-dimensional kernel spanned by the interpolate
     of constants; the pencil restricted to its complement measures how far
-    the local form is from the energy norm.  ``ops`` is one
-    ``LocalOperators``, giving [lam_min, lam_max], or a sequence of them
-    with equal local sizes, giving an array (B, 2); the per-element
-    equivalence constant is max(1/lam_min, lam_max).
+    the local form is from the energy norm.  ``ops`` is one element's
+    ``LocalOperators``, giving [lam_min, lam_max], or a stack, giving an
+    array (B, 2); the per-element equivalence constant is
+    max(1/lam_min, lam_max).
     """
-    return _stacked(_eta_bounds, ops, isinstance(ops, LocalOperators))
+    return _stacked(_eta_bounds, ops, np.size(ops.elem_id))
 
 
 def _eta_bounds(ops):
-    where = pb._elements([op.elem_id for op in ops])
-    A = np.stack([op.stiff for op in ops])
-    N = np.stack([op.norm_gram for op in ops])
-    z = np.stack([op.constant_vector() for op in ops])
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    where = pb._elements(np.atleast_1d(ops.elem_id))
+    A, N = ops.stiff, ops.norm_gram
+    z = ops.constant_vector()
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
     for X in (A, N):
-        if np.any(np.linalg.norm(X @ z[..., None], axis=(1, 2))
-                  > KERNEL_TOL * np.linalg.norm(X, 2, axis=(1, 2))):
+        if np.any(np.linalg.norm(X @ z[..., None], axis=(-2, -1))
+                  > KERNEL_TOL * np.linalg.norm(X, 2, axis=(-2, -1))):
             raise CoercivityViolationError(f"{where}: constants are not in the shared kernel")
     # Householder reflection mapping z to -+e_0: its other columns are an
     # orthonormal basis of the complement of z
     u = z.copy()
-    u[:, 0] += np.where(z[:, 0] >= 0, 1.0, -1.0)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    Q = np.eye(z.shape[1])[:, 1:] - 2 * u[:, :, None] * u[:, None, 1:]
+    u[..., 0] += np.where(z[..., 0] >= 0, 1.0, -1.0)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    Q = np.eye(z.shape[-1])[:, 1:] - 2 * u[..., :, None] * u[..., None, 1:]
     try:
         L = np.linalg.cholesky(_mT(Q) @ N @ Q)
     except np.linalg.LinAlgError as exc:
@@ -318,10 +322,10 @@ def _eta_bounds(ops):
     # eigenvalues of L^-1 Aq L^-T are those of the pencil (Aq, Nq)
     X = np.linalg.solve(L, _mT(Q) @ A @ Q)
     lam = np.linalg.eigvalsh(_sym(np.linalg.solve(L, _mT(X))))
-    if np.any(lam[:, 0] <= 0):
+    if np.any(lam[..., 0] <= 0):
         raise CoercivityViolationError(
-            f"{where}: non-coercive local form (lam={lam[:, 0].min():.3e})")
-    return lam[:, [0, -1]]
+            f"{where}: non-coercive local form (lam={lam[..., 0].min():.3e})")
+    return lam[..., [0, -1]]
 
 
 def eta_of(ops):

@@ -24,7 +24,9 @@ A mesh is stored as read-only arrays.  ``mesh.faces`` (a ``FaceTable``)
 has one row per face id; ``mesh.elements`` (an ``ElementTable``) has one
 row per element, with the corner loops and the face loops in CSR form.
 Indexing or iterating either table gives read-only ``Face``/``Element``
-views of single rows.  Construction costs time linear in the mesh size:
+views of single rows.  ``mesh.batches`` lists the element ids in the
+stacks that every element kernel runs on: equal corner and face counts,
+at most ``BATCH_SIZE`` elements each.  Construction costs time linear in the mesh size:
 the hanging vertices of each side come from a uniform bucket grid, and the
 loop checks and the geometry run per group of elements with one corner
 count.
@@ -40,6 +42,12 @@ import numpy as np
 # Relative tolerance used for "vertex lies on a side" queries and for the
 # geometric consistency checks run on every constructed mesh.
 GEOM_RTOL = 1e-12
+
+# Elements per batch of the stacked element kernels.  Bounded so the
+# stacked intermediates stay small: one stack per group raised the peak RSS
+# of a k = 3 solve on 289 elements by 13 MB, chunks of 32 kept it within
+# 2 MB of building one element at a time.
+BATCH_SIZE = 32
 
 
 class MeshError(Exception):
@@ -171,6 +179,16 @@ class ElementTable:
         return _rows(self.face_ptr, ids)
 
 
+def _batches(els):
+    """Read-only element id arrays grouped by (corner count, face count), the
+    groups in order of first appearance, each cut into chunks of BATCH_SIZE."""
+    shape = np.column_stack([np.diff(els.corner_ptr), np.diff(els.face_ptr)])
+    _, first, group = np.unique(shape, axis=0, return_index=True, return_inverse=True)
+    groups = [np.flatnonzero(group == g) for g in np.argsort(first)]
+    return tuple(_frozen(ids[i:i + BATCH_SIZE])
+                 for ids in groups for i in range(0, len(ids), BATCH_SIZE))
+
+
 def _rows(ptr, ids):
     start = ptr[np.asarray(ids, dtype=int)]
     return start[:, None] + np.arange(ptr[ids[0] + 1] - start[0])
@@ -205,6 +223,7 @@ class PolyMesh:
         boundary = self.faces.elems[:, 1] < 0
         self._interior = _frozen(np.flatnonzero(~boundary))
         self._boundary = _frozen(np.flatnonzero(boundary))
+        self.batches = _batches(self.elements)
 
     # -- basic queries ----------------------------------------------------
 

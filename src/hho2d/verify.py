@@ -6,6 +6,10 @@ one, the dual norm of the consistency functional, the stabilization energy
 of the interpolated exact solution, spectral constants (the coercivity
 equivalence constant per mesh and the discrete Poincare constant), and the
 fitted orders of convergence along refinement families.
+
+Element data comes in the stacks of ``mesh.batches``: ``ops`` holds one
+``LocalOperators`` stack and an interpolate one (B, n_local) array per
+batch, and every measure reads them stack by stack.
 """
 
 from __future__ import annotations
@@ -125,14 +129,15 @@ def rectangle_mesh(n):
 
 
 def local_interpolates(mesh, k, u):
-    """Flat local interpolate of ``u`` on every element, in element-id order."""
-    return asm._per_element(mesh, lambda ids: hl.interpolate(mesh, ids, k, u))
+    """Flat local interpolates of ``u``, one (B, n_local) array per batch."""
+    return [hl.interpolate(mesh, ids, k, u) for ids in mesh.batches]
 
 
 def interpolate_global(system, interp):
     """Dof vector of the global interpolate (boundary faces read zero)."""
     data = np.zeros(system.dofmap.total)
-    for idx, iu in zip(system.dofmap.table, interp):
+    for ids, iu in zip(system.mesh.batches, interp):
+        idx = system.dofmap.indices(ids)
         keep = idx >= 0
         data[idx[keep]] = iu[keep]
     return asm.GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=data)
@@ -143,7 +148,7 @@ def energy_error(ops, solution, interp):
     err2 = 0.0
     for op, iu in zip(ops, interp):
         e = iu - solution.local_flat(op.elem_id)
-        err2 += e @ op.norm_gram @ e
+        err2 += np.sum(e[:, None, :] @ op.norm_gram @ e[:, :, None])
     return float(np.sqrt(max(err2, 0.0)))
 
 
@@ -152,15 +157,14 @@ def l2_error_cell_value(system, solution, case, order=None):
     mesh, k = system.mesh, system.k
     order = order if order is not None else 2 * k + 6
     err2 = 0.0
-    for ids in asm.element_batches(mesh):
-        points, weights = pb.cell_quadratures(mesh, ids, order)
-        loc = np.stack([solution.local_flat(e) for e in ids])
+    for op in system.ops:
+        points, weights = pb.cell_quadratures(mesh, op.elem_id, order)
+        loc = solution.local_flat(op.elem_id)
         if k >= 1:
-            V = pb.cell_bases(mesh, ids, k - 1).eval(points)
+            V = pb.cell_bases(mesh, op.elem_id, k - 1).eval(points)
             vals = np.einsum("bpi,bi->bp", V, loc[:, :hl.cell_block_dim(k)])
         else:
-            avg = np.stack([system.ops[e].avg_weights for e in ids])
-            vals = (avg * loc).sum(axis=1)[:, None]
+            vals = (op.avg_weights * loc).sum(axis=1)[:, None]
         diff = case.u(points.reshape(-1, 2)).reshape(weights.shape) - vals
         err2 += np.sum(weights * diff**2)
     return float(np.sqrt(err2))
@@ -181,14 +185,13 @@ def stab_energy(ops, interp):
     """Aggregate stabilization energy of the interpolated exact solution."""
     total = 0.0
     for op, iu in zip(ops, interp):
-        r = op.stab_factor @ iu
-        total += r @ r
+        total += np.sum((op.stab_factor @ iu[..., None]) ** 2)
     return float(np.sqrt(total))
 
 
 def source_l2_norm(mesh, case, order=10):
     total = 0.0
-    for ids in asm.element_batches(mesh):
+    for ids in mesh.batches:
         points, weights = pb.cell_quadratures(mesh, ids, order)
         f = case.f(points.reshape(-1, 2)).reshape(weights.shape)
         total += np.sum(weights * f**2)
@@ -197,8 +200,7 @@ def source_l2_norm(mesh, case, order=10):
 
 def mesh_eta(system):
     """Largest per-element equivalence constant of the local forms."""
-    etas = asm._per_element(system.mesh, lambda ids: hl.eta_of([system.ops[e] for e in ids]))
-    return float(max(etas))
+    return max(float(hl.eta_of(op).max()) for op in system.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +216,19 @@ class PowerIterationError(Exception):
 def l2_mass_matrix(system):
     """Gram of the piecewise cell value on the zero-boundary dof space."""
     mesh, k = system.mesh, system.k
-
-    def run(ids):
+    blocks = []
+    for op in system.ops:
+        idx = system.dofmap.indices(op.elem_id)
         if k == 0:
-            avg = np.stack([system.ops[e].avg_weights for e in ids])
-            w = avg * np.sqrt(mesh.elements.area[ids])[:, None]
-            return w[:, :, None] * w[:, None, :]
-        points, weights = pb.cell_quadratures(mesh, ids, 2 * k)
-        V = pb.cell_bases(mesh, ids, k - 1).eval(points)
-        return np.swapaxes(V, -1, -2) * weights[:, None, :] @ V
-
-    # for k >= 1 the blocks act on the cell dofs only
-    rows = [idx[:hl.cell_block_dim(k) or None] for idx in system.dofmap.table]
-    return asm._scatter_blocks(zip(rows, asm._per_element(mesh, run)), system.dofmap.total)
+            w = op.avg_weights * np.sqrt(mesh.elements.area[op.elem_id])[:, None]
+            blocks.append((idx, w[:, :, None] * w[:, None, :]))
+        else:
+            # the blocks act on the cell dofs only
+            points, weights = pb.cell_quadratures(mesh, op.elem_id, 2 * k)
+            V = pb.cell_bases(mesh, op.elem_id, k - 1).eval(points)
+            M = np.swapaxes(V, -1, -2) * weights[:, None, :] @ V
+            blocks.append((idx[:, :hl.cell_block_dim(k)], M))
+    return asm._scatter_blocks(blocks, system.dofmap.total)
 
 
 POWER_TOL, POWER_MAXITER = 1e-10, 5000  # power iteration stopping rule
@@ -401,7 +403,8 @@ def study(family, k, case, determinism=False):
             f_l2=source_l2_norm(mesh, case),
             solver_residual=info.residual,
         )
-        row.cp, row.poincare_iters = poincare_constant(system, norm_gram=norm_gram)
+        if system.dofmap.total:  # a level without unknowns keeps cp = nan
+            row.cp, row.poincare_iters = poincare_constant(system, norm_gram=norm_gram)
         if k >= 1:
             condensed = asm.static_condense(system)
             recovered, _ = asm.solve_condensed(condensed)
@@ -437,15 +440,14 @@ def projector_rate_suite(family, degree, case):
     order = 2 * degree + 6
     hs, cell_errs, trace_errs, egrad_errs = [], [], [], []
     for mesh in family:
-        ops = asm.build_local_operators(mesh, degree)
         els = mesh.elements
         cell2 = trace2 = egrad2 = 0.0
-        for ids in asm.element_batches(mesh):
+        for op in asm.build_local_operators(mesh, degree):
+            ids = op.elem_id
             basis = pb.cell_bases(mesh, ids, degree)
             coeff = pb.l2_project_cell(mesh, ids, degree, case.u, order=order)
-            recon = np.stack([ops[e].recon for e in ids])
             interp = hl.interpolate(mesh, ids, degree, case.u, order=order)
-            eproj = np.einsum("bij,bj->bi", recon, interp)
+            eproj = np.einsum("bij,bj->bi", op.recon, interp)
             points, weights = pb.cell_quadratures(mesh, ids, order)
             fpts, fw = pb.face_quadratures(mesh, els.face_ids[els.face_rows(ids)], order)
             fpts = fpts.reshape(len(ids), -1, 2)

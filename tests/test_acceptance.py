@@ -59,7 +59,8 @@ def stab_kernel(studies):
             continue
         coarse = vf.build_family(tag, LEVELS[:1]).meshes[0]
         if any(
-            np.linalg.norm(op.stab, 2) > 1e-14 * np.linalg.norm(op.stiff, 2)
+            np.any(np.linalg.norm(op.stab, 2, axis=(1, 2))
+                   > 1e-14 * np.linalg.norm(op.stiff, 2, axis=(1, 2)))
             for op in asm.build_local_operators(coarse, k)
         ):
             kernel.add((tag, k))

@@ -104,6 +104,22 @@ def test_study_command_writes_outputs(tmp_path, capsys):
     assert "fitted EOC" in capsys.readouterr().out
 
 
+def test_study_with_a_level_without_unknowns(tmp_path, capsys):
+    # the 1-cell level has no unknowns at k = 0: no Poincare constant there
+    out_csv = tmp_path / "report.csv"
+    code = cli.main(
+        ["study", "--family", "cartesian", "--levels", "1,2,4", "--k", "0",
+         "--out", str(out_csv)]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["0", "4", "24"]
+    assert rows[0][8] == "nan"
+    assert all(float(row[8]) > 0 for row in rows[1:])
+    first = cli.vf.study(cli.vf.build_family("cartesian", [1, 2]), 0, "sine").rows[0]
+    assert np.isnan(first.cp) and first.poincare_iters == 0
+
+
 def test_study_deterministic_bytes(tmp_path):
     args = [
         "study", "--family", "cartesian", "--levels", "2,4",

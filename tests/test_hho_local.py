@@ -3,11 +3,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hho2d import assembly as asm
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
-from hho2d.mesh import PolyMesh, generate
+from hho2d import verify as vf
+from hho2d.mesh import BATCH_SIZE, PolyMesh, generate
 from hho2d.verify import agglomerated_mesh, nonconforming_mesh, rectangle_mesh
 
 
@@ -257,14 +259,95 @@ def test_eta_bounds_reports_broken_pencils(unit_square):
         hl.eta_bounds(broken)
 
 
+# Per-element loops that the element-stack code replaced, kept as references.
+
+
+def per_element(mesh, stacks):
+    """Members of per-batch stacks (operators or arrays), in element-id order."""
+    out = [None] * mesh.n_elements
+    for ids, stack in zip(mesh.batches, stacks):
+        for b, e in enumerate(ids):
+            out[e] = stack[b]
+    return out
+
+
+def ref_scatter_blocks(blocks, n):
+    rows, cols, vals = [], [], []
+    for idx, local in blocks:
+        keep = np.flatnonzero(idx >= 0)
+        gi = idx[keep]
+        rows.append(np.repeat(gi, len(gi)))
+        cols.append(np.tile(gi, len(gi)))
+        vals.append(local[np.ix_(keep, keep)].ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+
+
+def ref_condense_expand(system, ops, table, face_solution):
+    """static_condense, then CondensedSystem.expand, one element at a time."""
+    nc = hl.cell_block_dim(system.k)
+    nf_dofs = system.dofmap.n_face_dofs
+    blocks, recovery = [], []
+    rhs = np.zeros(nf_dofs)
+    for op, idx in zip(ops, table):
+        Acc, Acf, Aff = op.stiff[:nc, :nc], op.stiff[:nc, nc:], op.stiff[nc:, nc:]
+        Acc_inv = np.linalg.inv(Acc)
+        b_cell = system.rhs[idx[:nc]]
+        face_idx = idx[nc:]
+        keep = face_idx >= 0
+        blocks.append((face_idx, Aff - Acf.T @ Acc_inv @ Acf))
+        np.add.at(rhs, face_idx[keep], (-Acf.T @ (Acc_inv @ b_cell))[keep])
+        recovery.append((Acc_inv, Acf, b_cell))
+    rhs += system.rhs[:nf_dofs]
+    vec = asm.GlobalHhoVector.zeros(system.mesh, system.dofmap)
+    vec.data[:nf_dofs] = face_solution
+    for e, (idx, (Acc_inv, Acf, b_cell)) in enumerate(zip(table, recovery)):
+        xf = vec.local_flat(e)[nc:]
+        vec.data[idx[:nc]] = Acc_inv @ (b_cell - Acf @ xf)
+    return ref_scatter_blocks(blocks, nf_dofs), rhs, vec.data
+
+
+def ref_energy_error(ops, solution, interp):
+    err2 = 0.0
+    for op, iu in zip(ops, interp):
+        e = iu - solution.local_flat(op.elem_id)
+        err2 += e @ op.norm_gram @ e
+    return float(np.sqrt(max(err2, 0.0)))
+
+
+def ref_stab_energy(ops, interp):
+    total = 0.0
+    for op, iu in zip(ops, interp):
+        r = op.stab_factor @ iu
+        total += r @ r
+    return float(np.sqrt(total))
+
+
+def ref_interpolate_global(system, table, interp):
+    data = np.zeros(system.dofmap.total)
+    for idx, iu in zip(table, interp):
+        keep = idx >= 0
+        data[idx[keep]] = iu[keep]
+    return data
+
+
+def same_bytes(a, b):
+    if sp.issparse(a):
+        return all(same_bytes(getattr(a, n), getattr(b, n)) for n in ("indptr", "indices", "data"))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_batched_build_matches_one_element_at_a_time(k):
     # mixed (corners, faces) groups, and a 36-quad group that spans chunks
-    assert generate("cartesian", 6).n_elements > asm.OPS_CHUNK
+    assert generate("cartesian", 6).n_elements > BATCH_SIZE
     meshes = [nonconforming_mesh(4), agglomerated_mesh(8), rectangle_mesh(4),
               generate("cartesian", 6)]
     fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
     u = lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])
+    f = lambda p: np.cos(2 * p[:, 0]) + p[:, 1]
 
     def close(got, want, floor=0.0):
         assert np.shape(got) == np.shape(want)
@@ -272,7 +355,9 @@ def test_batched_build_matches_one_element_at_a_time(k):
 
     for mesh in meshes:
         batched = asm.build_local_operators(mesh, k)
-        for e, op in enumerate(batched):
+        assert [op.elem_id.tolist() for op in batched] == [b.tolist() for b in mesh.batches]
+        views = per_element(mesh, batched)
+        for e, op in enumerate(views):
             ref = hl.local_operators(mesh, e, k)
             assert op.elem_id == e
             scale = np.abs(ref.stiff).max()
@@ -280,7 +365,7 @@ def test_batched_build_matches_one_element_at_a_time(k):
                 # floor for blocks that vanish up to roundoff
                 assert close(getattr(op, name), getattr(ref, name), 1e-14 * scale), (e, name)
         els = mesh.elements
-        for ids in asm.element_batches(mesh):
+        for ids, stack in zip(mesh.batches, batched):
             face_ids = els.face_ids[els.face_rows(ids)]
             stacks = (
                 (hl.interpolate(mesh, ids, k, u),
@@ -289,11 +374,42 @@ def test_batched_build_matches_one_element_at_a_time(k):
                  [pb.l2_project_cell(mesh, e, k, u) for e in ids]),
                 (pb.l2_project_face(mesh, face_ids, k, u),
                  [[pb.l2_project_face(mesh, f, k, u) for f in row] for row in face_ids]),
-                (hl.eta_bounds([batched[e] for e in ids]),
-                 [hl.eta_bounds(batched[e]) for e in ids]),
+                (hl.eta_bounds(stack),
+                 [hl.eta_bounds(stack[b]) for b in range(len(ids))]),
             )
             for got, want in stacks:
                 assert close(got, np.array(want)), ids
+
+        # the stack-by-stack system against the per-element references
+        system = asm.assemble(mesh, k, f, ops=batched)
+        dm = system.dofmap
+        table = [dm.indices(e) for e in range(mesh.n_elements)]
+        assert same_bytes(
+            system.matrix, ref_scatter_blocks(zip(table, (op.stiff for op in views)), dm.total))
+        gram = asm.NormGram(mesh, k, ops=batched, dofmap=dm)
+        assert same_bytes(
+            gram.matrix, ref_scatter_blocks(zip(table, (op.norm_gram for op in views)), dm.total))
+        rhs = asm.GlobalHhoVector.zeros(mesh, dm)
+        loads = [asm._local_loads(mesh, k, f, op, 2 * k + 4) for op in batched]
+        for e, load in enumerate(per_element(mesh, loads)):
+            rhs.scatter_add(e, load)
+        assert same_bytes(system.rhs, rhs.data)
+        interp = vf.local_interpolates(mesh, k, u)
+        rows = per_element(mesh, interp)
+        assert same_bytes(
+            vf.interpolate_global(system, interp).data,
+            ref_interpolate_global(system, table, rows))
+        solution, _ = asm.solve(system)
+        assert close(vf.energy_error(batched, solution, interp),
+                     ref_energy_error(views, solution, rows))
+        assert close(vf.stab_energy(batched, interp), ref_stab_energy(views, rows))
+        if k >= 1:
+            condensed = asm.static_condense(system)
+            xf = np.random.default_rng(k).standard_normal(condensed.n_reduced)
+            matrix, crhs, data = ref_condense_expand(system, views, table, xf)
+            assert same_bytes(condensed.matrix, matrix)
+            assert same_bytes(condensed.rhs, crhs)
+            assert same_bytes(condensed.expand(xf).data, data)
 
 
 def test_singular_element_inside_a_batch_is_named():
@@ -314,7 +430,18 @@ def test_singular_element_inside_a_batch_is_named():
         with pytest.raises(pb.BasisError, match=r"^element 5: singular"):
             hl.interpolate(broken, range(mesh.n_elements), k, lambda p: p[:, 0])
     # a pencil whose kernel misses the constants, inside an eta stack
-    ops = asm.build_local_operators(mesh, 1)
-    ops[9] = dataclasses.replace(ops[9], stiff=ops[9].stiff + np.eye(ops[9].n_local))
+    (stack,) = asm.build_local_operators(mesh, 1)
+    assert len(stack.elem_id) == mesh.n_elements
+    stiff = stack.stiff.copy()
+    stiff[9] += np.eye(stack.n_local)
     with pytest.raises(hl.CoercivityViolationError, match=r"^element 9: constants"):
-        hl.eta_bounds(ops)
+        hl.eta_bounds(dataclasses.replace(stack, stiff=stiff))
+    # a zeroed cell block inside a stack, at static condensation
+    for k in (1, 2, 3):
+        system = asm.assemble(mesh, k, lambda p: np.ones(len(p)))
+        nc = hl.cell_block_dim(k)
+        stiff = system.ops[0].stiff.copy()
+        stiff[9, :nc, :nc] = 0.0
+        system.ops[0] = dataclasses.replace(system.ops[0], stiff=stiff)
+        with pytest.raises(asm.AssemblyError, match=r"^element 9: singular cell block"):
+            asm.static_condense(system)

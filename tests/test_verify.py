@@ -8,6 +8,11 @@ from hho2d import verify as vf
 from hho2d.mesh import generate
 
 
+def element_views(mesh, stacks):
+    """(element, its operators) for every member of the operator stacks."""
+    return [(mesh.elements[e], s[b]) for s in stacks for b, e in enumerate(s.elem_id)]
+
+
 def test_cases_satisfy_their_pde():
     # forced pairs: -lap(u) = f, checked by finite differences
     rng = np.random.default_rng(0)
@@ -192,7 +197,7 @@ def test_study_interpolates_once_per_element_per_row(monkeypatch):
     interpolated = sorted((m, e) for m, ids in calls for e in ids)
     assert interpolated == sorted((id(mesh), el.id) for mesh in fam for el in mesh.elements)
     # ... in one stacked call per element batch
-    batches = [(id(mesh), ids) for mesh in fam for ids in asm.element_batches(mesh)]
+    batches = [(id(mesh), ids.tolist()) for mesh in fam for ids in mesh.batches]
     assert len(batches) < sum(mesh.n_elements for mesh in fam)
     assert sorted(calls) == sorted(batches)
 
@@ -217,7 +222,7 @@ def test_reconstructed_solution_converges_to_exact():
         system = asm.assemble(mesh, 1, case.f)
         solution, _ = asm.solve(system)
         err2 = 0.0
-        for el, op in zip(mesh.elements, system.ops):
+        for el, op in element_views(mesh, system.ops):
             coeff = op.recon @ solution.local_flat(el.id)
             quad = pb.cell_quadrature(mesh, el.id, 8)
             gh = np.einsum("pid,i->pd", op.recon_basis.grad(quad.points), coeff)
