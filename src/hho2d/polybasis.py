@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import roots_jacobi, roots_legendre
 
 # degree at which cell bases switch to the orthonormalized form
@@ -224,7 +223,7 @@ def cell_bases(mesh, elem_ids, degree):
     if degree >= ORTHONORMALIZE_FROM:
         points, weights = cell_quadratures(mesh, elem_ids, 2 * degree)
         L = _mass_cholesky(basis._raw(points), weights, elem_ids, degree)
-        inv_L = solve_triangular(L, np.eye(basis.dim), lower=True)
+        inv_L = np.linalg.solve(L, np.eye(basis.dim))
         basis = CellBasis(center, scale, degree, transform=inv_L)
     return basis
 

@@ -192,6 +192,25 @@ def test_orthonormalization_threshold(unit_square):
     assert M == pytest.approx(np.eye(rich.dim), abs=1e-12)
 
 
+def test_orthonormalizing_transform_matches_triangular_solve():
+    # one stacked solve against scipy's triangular solve, element by element
+    import scipy.linalg
+
+    mesh = refine_nonconforming(generate("cartesian", 4), [0, 5, 10])
+    worst = 0.0
+    for ids in mesh.batches:
+        for degree in (4, 5):
+            basis = pb.cell_bases(mesh, ids, degree)
+            points, weights = pb.cell_quadratures(mesh, ids, 2 * degree)
+            raw = pb.CellBasis(basis.center, basis.scale, degree).eval(points)
+            for b in range(len(ids)):
+                L = np.linalg.cholesky(raw[b].T * weights[b] @ raw[b])
+                ref = scipy.linalg.solve_triangular(L, np.eye(basis.dim), lower=True)
+                err = np.abs(basis.transform[b] - ref).max() / np.abs(ref).max()
+                worst = max(worst, err)
+    assert worst <= 1e-12
+
+
 def test_quadrature_errors():
     mesh = generate("cartesian", 1)
     with pytest.raises(pb.BasisError):
