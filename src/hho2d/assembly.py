@@ -324,15 +324,15 @@ def static_condense(system):
         try:
             Acc_inv = np.linalg.inv(Acc)
         except np.linalg.LinAlgError as exc:
-            # inv and slogdet both fail on an exactly zero LU pivot
+            # inv fails on an exactly zero LU pivot, where slogdet's sign is 0
             e = op.elem_id[np.argmax(np.linalg.slogdet(Acc)[0] == 0)]
             raise AssemblyError(
                 f"element {e}: singular cell block (coercivity violated)"
             ) from exc
-        AfcT = np.swapaxes(Acf, 1, 2)
+        Afc = np.swapaxes(Acf, 1, 2)
         b_cell = system.rhs[idx[:, :nc]]
-        S_loc = Aff - AfcT @ Acc_inv @ Acf
-        b_loc = (-AfcT @ (Acc_inv @ b_cell[..., None]))[..., 0]
+        S_loc = Aff - Afc @ Acc_inv @ Acf
+        b_loc = (-Afc @ (Acc_inv @ b_cell[..., None]))[..., 0]
         face_idx = idx[:, nc:]
         keep = face_idx >= 0
         blocks.append((face_idx, S_loc))

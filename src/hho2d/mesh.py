@@ -26,10 +26,10 @@ row per element, with the corner loops and the face loops in CSR form.
 Indexing or iterating either table gives read-only ``Face``/``Element``
 views of single rows.  ``mesh.batches`` lists the element ids in the
 stacks that every element kernel runs on: equal corner and face counts,
-at most ``BATCH_SIZE`` elements each.  Construction costs time linear in the mesh size:
-the hanging vertices of each side come from a uniform bucket grid, and the
-loop checks and the geometry run per group of elements with one corner
-count.
+at most ``BATCH_SIZE`` elements each.  Construction costs time linear in
+the mesh size: the hanging vertices of each side come from a uniform
+bucket grid, and the loop checks and the geometry run per group of
+elements with one corner count.
 """
 
 from __future__ import annotations
