@@ -190,7 +190,7 @@ def run_solve(config):
     norm_gram = asm.NormGram(mesh, config.k, ops=system.ops, dofmap=system.dofmap)
     print(f"mesh: {mesh.n_elements} elements, {mesh.n_faces} faces, h = {mesh.h:.6e}")
     print(f"degree k = {config.k}, case = {config.case}, unknowns = {system.dofmap.total}")
-    print(f"solver = {info.method}, relative residual = {info.residual:.3e}")
+    print(f"solver = {info.method}, {info}")
     print(f"solution energy norm = {norm_gram.norm(solution.data):.6e}")
     interp = vf.local_interpolates(mesh, config.k, case.u)
     energy_err = vf.energy_error(system.ops, solution, interp)

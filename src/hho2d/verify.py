@@ -331,21 +331,27 @@ class ConvergenceReport:
         "consist_dual", "stab_consist", "CP", "eta", "seconds",
     ]
 
+    def _solved(self):
+        """Rows with unknowns: a level without any has only roundoff errors."""
+        return [r for r in self.rows if r.n_dofs]
+
     def finalize(self):
-        hs = [r.h for r in self.rows]
-        if len(self.rows) >= 3:
+        rows = self._solved()
+        hs = [r.h for r in rows]
+        if len(rows) >= 3:
             self.eoc = {
-                "energy": eoc_fit(hs, [r.energy_err for r in self.rows]),
-                "consist": eoc_fit(hs, [r.consist_dual for r in self.rows]),
-                "stab": eoc_fit(hs, [r.stab_consist for r in self.rows]),
-                "l2": eoc_fit(hs, [r.l2_err for r in self.rows]),
+                "energy": eoc_fit(hs, [r.energy_err for r in rows]),
+                "consist": eoc_fit(hs, [r.consist_dual for r in rows]),
+                "stab": eoc_fit(hs, [r.stab_consist for r in rows]),
+                "l2": eoc_fit(hs, [r.l2_err for r in rows]),
             }
         return self
 
     def _table_rows(self):
-        hs = [r.h for r in self.rows]
-        incr = incremental_eoc(hs, [r.energy_err for r in self.rows])
-        for row, e in zip(self.rows, incr):
+        rows = self._solved()
+        incr = iter(incremental_eoc([r.h for r in rows], [r.energy_err for r in rows]))
+        for row in self.rows:
+            e = next(incr) if row.n_dofs else float("nan")
             yield [
                 self.family, str(self.k), f"{row.h:.6e}", str(row.n_dofs),
                 f"{row.energy_err:.6e}", "" if np.isnan(e) else f"{e:.3f}",

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hho2d import assembly as asm
 from hho2d import classics as cl
+from hho2d import cli
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d.mesh import generate, refine_nonconforming
-from hho2d.verify import CASES
+from hho2d.verify import CASES, nonconforming_mesh
 
 SINE = CASES["sine"]
 
@@ -76,6 +78,15 @@ def test_matrix_symmetric_and_spd():
         scipy.linalg.cholesky(system.matrix.toarray())
 
 
+def backward_error(A, x, b):
+    """Normwise backward error |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf)."""
+    A = A.toarray()
+    inf = np.inf
+    return np.linalg.norm(b - A @ x, inf) / (
+        np.linalg.norm(A, inf) * np.linalg.norm(x, inf) + np.linalg.norm(b, inf)
+    )
+
+
 def test_solve_contract():
     mesh = generate("cartesian", 4)
     system = asm.assemble(mesh, 1, SINE.f)
@@ -87,9 +98,44 @@ def test_solve_contract():
     assert cg_info.method == "cg"
     assert cg_info.residual <= 1e-11
     assert cg_solution.data == pytest.approx(solution.data, rel=1e-8, abs=1e-12)
+    for x, got in ((solution, info), (cg_solution, cg_info)):
+        want = backward_error(system.matrix, x.data, system.rhs)
+        assert got.backward_error == pytest.approx(want, rel=1e-12)
+    assert 0 < info.backward_error <= 1e-15
 
 
-def test_direct_failure_falls_back_to_cg(monkeypatch):
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_direct_solves_match_dense_cholesky(k):
+    mesh = nonconforming_mesh(3)
+    system = asm.assemble(mesh, k, SINE.f)
+    A = system.matrix.toarray()
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), system.rhs)
+    rel = lambda x, y: np.linalg.norm(x - y) / np.linalg.norm(y)
+    solution, info = asm.solve(system)
+    assert info.method == "direct"
+    assert rel(solution.data, ref) <= 1e-12
+    if k >= 1:
+        condensed = asm.static_condense(system)
+        recovered, cinfo = asm.solve_condensed(condensed)
+        assert rel(recovered.data, ref) <= 1e-12
+        xf = recovered.data[:condensed.n_reduced]
+        want = backward_error(condensed.matrix, xf, condensed.rhs)
+        assert cinfo.backward_error == pytest.approx(want, rel=1e-12)
+    gram = asm.NormGram(mesh, k, ops=system.ops, dofmap=system.dofmap)
+    v = np.random.default_rng(k).standard_normal(system.dofmap.total)
+    G = scipy.linalg.cho_factor(gram.matrix.toarray())
+    assert rel(gram.apply_inverse(v), scipy.linalg.cho_solve(G, v)) <= 1e-12
+
+
+def test_factor_uses_a_symmetric_ordering():
+    # minimum degree on A^T + A fills far less than splu's default COLAMD
+    A = asm.assemble(generate("cartesian", 16), 2, SINE.f).matrix
+    ours = asm._factor(A)
+    default = spla.splu(A.tocsc())
+    assert ours.L.nnz + ours.U.nnz < default.L.nnz + default.U.nnz
+
+
+def test_direct_failure_raises_solver_error(monkeypatch, capsys):
     mesh = generate("cartesian", 3)
     system = asm.assemble(mesh, 0, SINE.f)
 
@@ -97,10 +143,13 @@ def test_direct_failure_falls_back_to_cg(monkeypatch):
         raise RuntimeError("factorization exploded")
 
     monkeypatch.setattr(asm.spla, "splu", broken_splu)
-    solution, info = asm.solve(system)
-    assert info.method == "cg"
-    assert info.residual <= 1e-11
-    assert info.iterations > 0
+    with pytest.raises(asm.SolverError, match="factorization exploded") as err:
+        asm.solve(system)
+    # no factor, no solution: the residual is that of x = 0
+    assert err.value.residual == 1.0
+    assert "backward error" in str(err.value)
+    assert cli.main(["solve", "--mesh", "cartesian:3", "--k", "0"]) == 3
+    assert "FAILURE kind=numerical" in capsys.readouterr().err
 
 
 def test_rhs_matches_cell_value_functional():

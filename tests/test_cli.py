@@ -114,6 +114,11 @@ def test_study_with_a_level_without_unknowns(tmp_path, capsys):
     assert code == 0
     rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
     assert [row[3] for row in rows] == ["0", "4", "24"]
+    # its roundoff errors enter no EOC: incremental or fitted
+    assert [row[5] for row in rows[:2]] == ["", ""]
+    assert float(rows[2][5]) > 0
+    fitted = re.findall(r"= (-?\d+\.\d+)", capsys.readouterr().out)
+    assert all(float(v) >= 0 for v in fitted)
     assert rows[0][8] == "nan"
     assert all(float(row[8]) > 0 for row in rows[1:])
     first = cli.vf.study(cli.vf.build_family("cartesian", [1, 2]), 0, "sine").rows[0]

@@ -167,6 +167,15 @@ def test_local_forms_kernel_and_psd(unit_square):
         assert np.abs(ops.stiff - ops.stiff.T).max() <= 1e-13 * np.abs(ops.stiff).max()
 
 
+def test_constants_in_stiffness_kernel_with_transformed_cell_basis():
+    # cell degree k - 1 >= 4 goes through the orthonormalizing transform
+    ops = hl.local_operators(generate("cartesian", 2), [0, 1, 2, 3], 5)
+    assert ops.cell_basis.transform is not None
+    z = ops.constant_vector()
+    for stiff, zb in zip(ops.stiff, z):
+        assert np.linalg.norm(stiff @ zb) <= 1e-12 * np.linalg.norm(stiff, 2)
+
+
 def test_eta_bounds_triangle_and_sampling(unit_triangle):
     ops = hl.local_operators(unit_triangle, 0, 0)
     lo, hi = hl.eta_bounds(ops)
