@@ -179,7 +179,7 @@ def _local_loads(mesh, k, f, op, order):
     fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
     if k == 0:
         return fw.sum(axis=1)[:, None] * op.avg_weights
-    Vc = pb.cell_bases(mesh, op.elem_id, k - 1).eval(points)
+    Vc = op.cell_basis.eval(points)
     loads = np.zeros(op.avg_weights.shape)
     loads[:, :hl.cell_block_dim(k)] = (fw[:, None, :] @ Vc)[:, 0]
     return loads

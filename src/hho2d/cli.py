@@ -125,6 +125,7 @@ def build_parser():
     check = sub.add_parser("check", help="run the invariant suite on one mesh")
     check.add_argument("--mesh", required=True)
     check.add_argument("--k", type=int, default=1)
+    check.add_argument("--case", default="sine")
     return parser
 
 
@@ -158,7 +159,9 @@ def main(argv=None):
             )
             return run_study(config)
         if args.command == "check":
-            config = RunConfig(command="check", mesh_source=args.mesh, k=args.k)
+            config = RunConfig(
+                command="check", mesh_source=args.mesh, k=args.k, case=args.case
+            )
             return run_check(config)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, MeshError, ValueError) as exc:
@@ -215,10 +218,7 @@ def run_study(config):
     out.with_suffix(".md").write_text(report.to_markdown())
     sys.stdout.write(csv_text)
     if report.eoc:
-        print(
-            "fitted EOC (finest 3): "
-            + ", ".join(f"{k} = {v:.3f}" for k, v in report.eoc.items())
-        )
+        print(report.eoc_line())
     print(f"wrote {out} and {out.with_suffix('.md')}")
     return 0
 
@@ -260,7 +260,7 @@ def run_check(config):
     except hl.CoercivityViolationError as exc:
         report("coercivity-bounds", False, str(exc))
 
-    case = vf.CASES["sine"]
+    case = vf.CASES[config.case]
     fluxes = cl.gradient_fluxes(mesh, case.grad, order=10)
     values = np.zeros(mesh.n_faces)
     interior = mesh.interior_face_ids()

@@ -18,6 +18,11 @@ k-1, one face polynomial of degree k per face).  From it we build:
   Gram matrix of the local energy norm
   |grad v_T|^2 + h^-1 sum_F |v_F - v_T|^2_F.
 
+Every cell integral in these operators is of a polynomial: it is gathered
+from the stack's table of monomial moments (``polybasis._cell_moments``),
+and the face terms use the face nodes of that table.  The fan quadrature
+is left to ``interpolate``, whose integrands are not polynomials.
+
 Cell unknowns are absent for k = 0; where a cell value is needed it is
 recovered on the fly as the distance-weighted face average.  A local
 vector is flat: the cell block, then one block per face in loop order.
@@ -150,44 +155,41 @@ def _build(mesh, ids, k):
     hT = els.diameter[ids][:, None, None]
     area = els.area[ids][:, None]
     normals = els.face_normals[rows]
-    face_ids = els.face_ids[rows]
 
-    rec = pb.cell_bases(mesh, ids, k + 1)
+    # every cell integral is of a polynomial of degree <= 2k+2: a gather
+    # from the moments of the scaled monomials, one table per stack; Z holds
+    # those monomials at the nodes of the face rule of order 2k+2
+    mu, Z = pb._cell_moments(mesh, ids, 2 * k + 2)
+    rec = pb._cell_bases(mesh, ids, k + 1, mu)
     dr = rec.dim
-    pts, w = pb.cell_quadratures(mesh, ids, 2 * (k + 1))
-    Vr = rec.eval(pts)
-    Dr = rec.grad(pts)
-    G = _sym(_grad_gram(Dr, w))
-    m_rec = np.einsum("bp,bpi->bi", w, Vr)
+    G = _sym(pb._moment_gram(mu, "grad", rec, rec))
+    m_rec = pb._moment_integrals(mu, rec)
 
     if k >= 1:
-        cellb = pb.cell_bases(mesh, ids, k - 1)
-        Vc = cellb.eval(pts)
-        M_cell = _sym(_wgram(Vc, w, Vc))
-        G_cell = _sym(_grad_gram(cellb.grad(pts), w))
-        Lr = rec.laplacian(pts)
-        m_cell = np.einsum("bp,bpi->bi", w, Vc)
+        cellb = pb._cell_bases(mesh, ids, k - 1, mu)
+        M_cell = _sym(pb._moment_gram(mu, "mass", cellb, cellb))
+        G_cell = _sym(pb._moment_gram(mu, "grad", cellb, cellb))
+        m_cell = pb._moment_integrals(mu, cellb)
     else:
         cellb = None
 
     # face rules: the same reference nodes s on every face, so the face
     # basis values are shared and face masses are |F| times a reference
-    s, _ = pb.face_rule(2 * k + 2)
-    fpts, fw = pb.face_quadratures(mesh, face_ids, 2 * k + 2)  # (B, nf, m, .)
+    s, sw = pb.face_rule(2 * k + 2)
     nq = len(s)
-    flat_fpts = fpts.reshape(nb, nf * nq, 2)
     Vf = s[:, None] ** np.arange(kf)
     lengths = els.face_lengths[rows]
+    fw = sw * 0.5 * lengths[..., None]  # (B, nf, m)
     M_f = pb.face_mass(lengths, k)
-    Vr_f = rec.eval(flat_fpts).reshape(nb, nf, nq, dr)
-    Dr_f = rec.grad(flat_fpts).reshape(nb, nf, nq, dr, 2)
+    Vr_f = rec.from_monomials(Z).reshape(nb, nf, nq, dr)
+    Dr_f = rec.grad_from_monomials(Z).reshape(nb, nf, nq, dr, 2)
     n = normals[:, :, None, None, :]
     flux = Dr_f[..., 0] * n[..., 0] + Dr_f[..., 1] * n[..., 1]
 
     # right-hand side of the reconstruction system, one column per local dof
     B = np.zeros((nb, dr, n_loc))
     if k >= 1:
-        B[:, :, :nc] = -_wgram(Lr, w, Vc)
+        B[:, :, :nc] = -pb._moment_gram(mu, "lap", rec, cellb)
     B[:, :, nc:] = (
         _wgram(flux, fw, Vf).transpose(0, 2, 1, 3).reshape(nb, dr, nf * kf)
     )
@@ -224,7 +226,7 @@ def _build(mesh, ids, k):
             L_cell = np.linalg.cholesky(M_cell)
         except np.linalg.LinAlgError as exc:
             raise HhoError(f"{pb._elements(ids)}: singular cell mass matrix") from exc
-        Pi_cell = np.linalg.solve(M_cell, _wgram(Vc, w, Vr))
+        Pi_cell = np.linalg.solve(M_cell, pb._moment_gram(mu, "mass", cellb, rec))
         D = -Pi_cell @ P
         D[:, :, :nc] += np.eye(nc)
         factor_rows.append(_mT(L_cell) @ D / hT)
@@ -243,7 +245,7 @@ def _build(mesh, ids, k):
     J = np.zeros((nb, nf, nq, n_loc))
     J[..., nc:] = np.einsum("fg,qj->fqgj", np.eye(nf), Vf).reshape(nf, nq, nf * kf)
     if k >= 1:
-        J[..., :nc] -= cellb.eval(flat_fpts).reshape(nb, nf, nq, nc)
+        J[..., :nc] -= cellb.from_monomials(Z).reshape(nb, nf, nq, nc)
     else:
         J -= avg[:, None, None, :]
     J = J.reshape(nb, nf * nq, n_loc)
@@ -269,11 +271,6 @@ def _sym(X):
 def _wgram(X, w, Y):
     """X^T diag(w) Y over the quadrature axis (second to last of X and Y)."""
     return _mT(X * w[..., None]) @ Y
-
-
-def _grad_gram(D, w):
-    """Weighted Gram of gradients D (..., P, dim, 2), summed over components."""
-    return _wgram(D[..., 0], w, D[..., 0]) + _wgram(D[..., 1], w, D[..., 1])
 
 
 def elliptic_project(mesh, elem_id, k, v, ops=None, order=None):

@@ -7,9 +7,15 @@ bases are 1D monomials in the arc-length coordinate s in [-1, 1], oriented
 by the global face record so that both neighbors of a face see identical
 coefficients.
 
-Cell quadrature fans the (star-shaped) polygon into triangles from its
-centroid and applies a positive-weight conical product rule on each; face
-quadrature is plain Gauss-Legendre along the segment.
+Cell integrals of polynomials come from one table of monomial moments
+int_T z^a per stack of elements, computed on the faces through Euler's
+identity for homogeneous functions (Chin, Lasserre and Sukumar, Comput.
+Mech. 2015); mass, gradient and Laplacian Grams of the bases, and the
+degree >= 4 orthonormalization, are gathers from it.  Integrands that are
+not polynomials (loads, interpolation, errors) use the cell quadrature: it
+fans the (star-shaped) polygon into triangles from its centroid and
+applies a positive-weight conical product rule on each.  Face quadrature
+is plain Gauss-Legendre along the segment.
 
 The plural builders (``cell_quadratures``, ``face_quadratures``,
 ``cell_bases``) and the L2 projections work on a stack of elements or
@@ -193,21 +199,29 @@ class CellBasis:
         return V if self.transform is None else V @ np.swapaxes(self.transform, -1, -2)
 
     def eval(self, points):
-        return self._apply(self._raw(points))
+        return self.from_monomials(self._raw(points))
 
     def grad(self, points):
-        px, py = self._powers(points)
+        return self.grad_from_monomials(self._raw(points))
+
+    def from_monomials(self, Z):
+        """Values from a table Z (..., P, n) of the raw monomials z^a, in
+        ``monomial_exponents`` order up to any degree >= ``degree``."""
+        return self._apply(Z[..., :self.dim])
+
+    def grad_from_monomials(self, Z):
+        """Gradients (..., P, dim, 2) from a monomial table (see
+        ``from_monomials``): d/dx z^(a, b) = a z^(a-1, b) / scale."""
         a, b = self.exponents[:, 0], self.exponents[:, 1]
-        gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / self._scale
-        gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / self._scale
+        gx = a * Z[..., _mono_index(np.maximum(a - 1, 0), b)] / self._scale
+        gy = b * Z[..., _mono_index(a, np.maximum(b - 1, 0))] / self._scale
         return np.stack([self._apply(gx), self._apply(gy)], axis=-1)
 
-    def laplacian(self, points):
-        px, py = self._powers(points)
-        a, b = self.exponents[:, 0], self.exponents[:, 1]
-        lxx = a * (a - 1) * px[..., np.maximum(a - 2, 0)] * py[..., b]
-        lyy = b * (b - 1) * px[..., a] * py[..., np.maximum(b - 2, 0)]
-        return self._apply((lxx + lyy) / self._scale**2)
+
+def _mono_index(a, b):
+    """Position of the exponents (a, b) in ``monomial_exponents`` order."""
+    d = a + b
+    return d * (d + 1) // 2 + b
 
 
 def cell_basis(mesh, elem_id, degree):
@@ -217,21 +231,28 @@ def cell_basis(mesh, elem_id, degree):
 
 def cell_bases(mesh, elem_ids, degree):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
+    orthonormal = degree >= ORTHONORMALIZE_FROM
+    mu = _cell_moments(mesh, elem_ids, 2 * degree)[0] if orthonormal else None
+    return _cell_bases(mesh, elem_ids, degree, mu)
+
+
+def _cell_bases(mesh, elem_ids, degree, mu):
+    """``cell_bases`` given the moments ``mu`` of the elements up to degree
+    2 * ``degree`` at least (unused, and may be None, below degree 4)."""
     center = mesh.elements.centroid[elem_ids]
     scale = mesh.elements.diameter[elem_ids]
     basis = CellBasis(center, scale, degree)
     if degree >= ORTHONORMALIZE_FROM:
-        points, weights = cell_quadratures(mesh, elem_ids, 2 * degree)
-        L = _mass_cholesky(basis._raw(points), weights, elem_ids, degree)
+        L = _mass_cholesky(_moment_gram(mu, "mass", basis, basis), elem_ids, degree)
         inv_L = np.linalg.solve(L, np.eye(basis.dim))
         basis = CellBasis(center, scale, degree, transform=inv_L)
     return basis
 
 
-def _mass_cholesky(V, weights, elem_ids, degree):
-    """Cholesky factors of the mass matrices of stacked basis values V."""
+def _mass_cholesky(M, elem_ids, degree):
+    """Cholesky factors of stacked mass matrices M."""
     try:
-        return np.linalg.cholesky(np.swapaxes(V * weights[..., None], -1, -2) @ V)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise BasisError(
             f"{_elements(elem_ids)}: singular mass matrix at degree {degree}"
@@ -288,14 +309,83 @@ def face_basis(mesh, face_id, degree):
 # Grams and projections
 
 
+def _cell_moments(mesh, elem_ids, degree):
+    """Moments mu_a = int_T z^a of the scaled monomials, |a| <= ``degree``.
+
+    z = (x - x_T)/h_T is homogeneous about the centroid x_T, so the
+    divergence theorem applied to (x - x_T) z^a gives (Euler's identity)
+
+        int_T z^a = 1/(2 + |a|) sum_F d_F int_F z^a,
+
+    d_F the centroid-to-face distance; the Gauss rule of order ``degree``
+    integrates each face term exactly.  Elements share a face count.
+    Returns the moments (B, n_mono), in ``monomial_exponents(degree)``
+    order, and the monomial table Z (B, nf * m, n_mono) at the m nodes of
+    every face, faces in loop order, for the bases' ``from_monomials``.
+    """
+    els = mesh.elements
+    rows = els.face_rows(elem_ids)
+    points, weights = face_quadratures(mesh, els.face_ids[rows], degree)
+    nb = len(rows)
+    weights = (weights * els.face_dists[rows][..., None]).reshape(nb, 1, -1)
+    monos = CellBasis(els.centroid[elem_ids], els.diameter[elem_ids], degree)
+    Z = monos._raw(points.reshape(nb, -1, 2))
+    mu = (weights @ Z)[:, 0] / (2.0 + monos.exponents.sum(axis=1))
+    return mu, Z
+
+
+@lru_cache(maxsize=None)
+def _gram_map(kind, left_degree, right_degree, n_moments):
+    """Read-only (n_moments, nl * nr) matrix taking the moments to the flat
+    Gram of the raw monomials z^a (left) and z^b (right), up to h^-2:
+
+        "mass"  int z^a z^b
+        "grad"  int grad z^a . grad z^b = a_x b_x z^(a+b-2e_x) + a_y b_y z^(a+b-2e_y)
+        "lap"   int lap(z^a) z^b = a_x (a_x - 1) z^(a+b-2e_x) + a_y (a_y - 1) z^(a+b-2e_y)
+    """
+    ea = np.array(monomial_exponents(left_degree))[:, None, :]
+    eb = np.array(monomial_exponents(right_degree))[None, :, :]
+    shape = (ea.shape[0], eb.shape[1])
+    if kind == "mass":
+        terms = [(np.ones(shape), (0, 0))]
+    else:
+        c = ea * eb if kind == "grad" else np.broadcast_to(ea * (ea - 1), shape + (2,))
+        terms = [(c[..., 0], (2, 0)), (c[..., 1], (0, 2))]
+    W = np.zeros((n_moments, shape[0] * shape[1]))
+    cols = np.arange(W.shape[1])
+    for c, shift in terms:
+        # a negative exponent comes with c = 0; clip it to a valid row
+        e = np.maximum(ea + eb - shift, 0)
+        np.add.at(W, (_mono_index(e[..., 0], e[..., 1]).ravel(), cols), c.ravel())
+    W.setflags(write=False)
+    return W
+
+
+def _moment_gram(mu, kind, left, right):
+    """Gram of two bases on the elements of ``mu`` (see ``_gram_map``), with
+    both transforms applied: (B, left.dim, right.dim)."""
+    W = _gram_map(kind, left.degree, right.degree, mu.shape[-1])
+    gram = (mu @ W).reshape(len(mu), left.dim, right.dim)
+    if kind != "mass":
+        gram /= left.scale[:, None, None] ** 2
+    if left.transform is not None:
+        gram = left.transform @ gram
+    if right.transform is not None:
+        gram = gram @ np.swapaxes(right.transform, -1, -2)
+    return gram
+
+
+def _moment_integrals(mu, basis):
+    """int_T phi_i of every basis function, (B, dim)."""
+    return _moment_gram(mu, "mass", basis, CellBasis(basis.center, basis.scale, 0))[..., 0]
+
+
 def grams(mesh, elem_id, degree):
     """Mass and stiffness matrices of the cell basis at ``degree``."""
-    basis = cell_basis(mesh, elem_id, degree)
-    quad = cell_quadrature(mesh, elem_id, 2 * degree)
-    V = basis.eval(quad.points)
-    D = basis.grad(quad.points)
-    M = V.T * quad.weights @ V
-    G = np.einsum("pid,p,pjd->ij", D, quad.weights, D)
+    mu, _ = _cell_moments(mesh, [elem_id], 2 * degree)
+    basis = _cell_bases(mesh, [elem_id], degree, mu)
+    M = _moment_gram(mu, "mass", basis, basis)[0]
+    G = _moment_gram(mu, "grad", basis, basis)[0]
     return 0.5 * (M + M.T), 0.5 * (G + G.T)
 
 
@@ -314,7 +404,7 @@ def l2_project_cell(mesh, elem_ids, degree, v, order=None):
     basis = cell_bases(mesh, ids, degree)
     points, weights = cell_quadratures(mesh, ids, order or default_cell_order(degree))
     V = basis.eval(points)
-    L = _mass_cholesky(V, weights, ids, degree)
+    L = _mass_cholesky(np.swapaxes(V * weights[..., None], -1, -2) @ V, ids, degree)
     vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
     y = np.linalg.solve(L, np.einsum("bp,bpi->bi", vw, V)[..., None])
     coeffs = np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]

@@ -161,7 +161,7 @@ def l2_error_cell_value(system, solution, case, order=None):
         points, weights = pb.cell_quadratures(mesh, op.elem_id, order)
         loc = solution.local_flat(op.elem_id)
         if k >= 1:
-            V = pb.cell_bases(mesh, op.elem_id, k - 1).eval(points)
+            V = op.cell_basis.eval(points)
             vals = np.einsum("bpi,bi->bp", V, loc[:, :hl.cell_block_dim(k)])
         else:
             vals = (op.avg_weights * loc).sum(axis=1)[:, None]
@@ -224,9 +224,8 @@ def l2_mass_matrix(system):
             blocks.append((idx, w[:, :, None] * w[:, None, :]))
         else:
             # the blocks act on the cell dofs only
-            points, weights = pb.cell_quadratures(mesh, op.elem_id, 2 * k)
-            V = pb.cell_bases(mesh, op.elem_id, k - 1).eval(points)
-            M = np.swapaxes(V, -1, -2) * weights[:, None, :] @ V
+            mu, _ = pb._cell_moments(mesh, op.elem_id, 2 * k - 2)
+            M = pb._moment_gram(mu, "mass", op.cell_basis, op.cell_basis)
             blocks.append((idx[:, :hl.cell_block_dim(k)], M))
     return asm._scatter_blocks(blocks, system.dofmap.total)
 
@@ -269,7 +268,11 @@ def poincare_constant(system, norm_gram=None):
 # EOC fitting
 
 
-def eoc_fit(hs, errors, points=3):
+EOC_POINTS = 3  # eoc_fit fits the finest levels
+ROUNDOFF_RATIO = 1e-8  # stab_consist <= this * consist_dual is roundoff
+
+
+def eoc_fit(hs, errors, points=EOC_POINTS):
     """Least-squares slope of log(error) vs log(h) on the finest points."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -335,17 +338,32 @@ class ConvergenceReport:
         """Rows with unknowns: a level without any has only roundoff errors."""
         return [r for r in self.rows if r.n_dofs]
 
+    def _stab_is_roundoff(self):
+        """The stabilization energy is roundoff on every fitted row, as for
+        an interpolate in the stabilization kernel: no slope to fit."""
+        rows = self._solved()[-EOC_POINTS:]
+        return all(r.stab_consist <= ROUNDOFF_RATIO * r.consist_dual for r in rows)
+
     def finalize(self):
         rows = self._solved()
         hs = [r.h for r in rows]
         if len(rows) >= 3:
+            stab = [r.stab_consist for r in rows]
             self.eoc = {
                 "energy": eoc_fit(hs, [r.energy_err for r in rows]),
                 "consist": eoc_fit(hs, [r.consist_dual for r in rows]),
-                "stab": eoc_fit(hs, [r.stab_consist for r in rows]),
+                "stab": np.nan if self._stab_is_roundoff() else eoc_fit(hs, stab),
                 "l2": eoc_fit(hs, [r.l2_err for r in rows]),
             }
         return self
+
+    def eoc_line(self):
+        """The fitted EOCs as printed; a roundoff ``stab`` reads ``roundoff``."""
+        roundoff = self._stab_is_roundoff()
+        return f"fitted EOC (finest {EOC_POINTS}): " + ", ".join(
+            f"{k} = roundoff" if k == "stab" and roundoff else f"{k} = {v:.3f}"
+            for k, v in self.eoc.items()
+        )
 
     def _table_rows(self):
         rows = self._solved()
@@ -376,10 +394,7 @@ class ConvergenceReport:
             lines.append("| " + " | ".join(fields) + " |")
         if self.eoc:
             lines.append("")
-            lines.append(
-                "fitted EOC (finest 3): "
-                + ", ".join(f"{k} = {v:.3f}" for k, v in self.eoc.items())
-            )
+            lines.append(self.eoc_line())
         return "\n".join(lines) + "\n"
 
 

@@ -80,6 +80,31 @@ def test_check_command_passes(capsys):
     assert "PASS poincare" in out
 
 
+def test_check_takes_a_case(capsys, monkeypatch):
+    # the flux-cancellation and the assembled loads use the chosen case
+    seen = []
+    assemble, fluxes = cli.asm.assemble, cli.cl.gradient_fluxes
+
+    def spy_assemble(mesh, k, f, **kwargs):
+        seen.append(f)
+        return assemble(mesh, k, f, **kwargs)
+
+    def spy_fluxes(mesh, grad, **kwargs):
+        seen.append(grad)
+        return fluxes(mesh, grad, **kwargs)
+
+    monkeypatch.setattr(cli.asm, "assemble", spy_assemble)
+    monkeypatch.setattr(cli.cl, "gradient_fluxes", spy_fluxes)
+    code = cli.main(["check", "--mesh", "triangular:2", "--k", "1", "--case", "bubble"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS flux-cancellation" in out and "PASS cr-equality" in out
+    bubble = cli.vf.CASES["bubble"]
+    assert seen == [bubble.grad, bubble.f, bubble.f]
+    assert cli.main(["check", "--mesh", "cartesian:2", "--case", "nope"]) == 2
+    assert capsys.readouterr().err.startswith("FAILURE kind=config")
+
+
 def test_check_on_triangles_includes_cr(capsys):
     code = cli.main(["check", "--mesh", "triangular:2", "--k", "1"])
     out = capsys.readouterr().out
@@ -123,6 +148,25 @@ def test_study_with_a_level_without_unknowns(tmp_path, capsys):
     assert all(float(row[8]) > 0 for row in rows[1:])
     first = cli.vf.study(cli.vf.build_family("cartesian", [1, 2]), 0, "sine").rows[0]
     assert np.isnan(first.cp) and first.poincare_iters == 0
+
+
+def test_study_reports_a_roundoff_stabilization_fit(tmp_path, capsys):
+    # the sine interpolate lies in the k = 0 stabilization kernel on squares:
+    # its stabilization energy is roundoff on every level, so no slope
+    out_csv = tmp_path / "report.csv"
+    args = ["study", "--family", "cartesian", "--levels", "1,2,4,8", "--k", "0"]
+    assert cli.main(args + ["--out", str(out_csv)]) == 0
+    line = (r"^fitted EOC \(finest 3\): energy = 1\.\d{3}, consist = 1\.\d{3}, "
+            r"stab = roundoff, l2 = \d\.\d{3}$")
+    assert re.search(line, capsys.readouterr().out, re.M)
+    assert re.search(line, out_csv.with_suffix(".md").read_text(), re.M)
+    report = cli.vf.study(cli.vf.build_family("cartesian", [1, 2, 4, 8]), 0, "sine")
+    assert set(report.eoc) == {"energy", "consist", "stab", "l2"}
+    assert np.isnan(report.eoc["stab"])
+    # where the stabilization energy converges, its slope is printed
+    assert cli.main(["study", "--family", "cartesian", "--levels", "2,4,8", "--k", "1",
+                     "--out", str(out_csv)]) == 0
+    assert re.search(r"stab = 1\.\d{3}, l2", capsys.readouterr().out)
 
 
 def test_study_deterministic_bytes(tmp_path):

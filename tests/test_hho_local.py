@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from test_polybasis import ref_laplacian
 
 from hho2d import assembly as asm
 from hho2d import hho_local as hl
@@ -110,7 +111,7 @@ def test_reconstruction_satisfies_its_variational_contract(k):
         lhs = np.einsum("pd,p,pd->", gw, quad.weights, gphi)
         rhs = 0.0
         if k >= 1:
-            lap = rec.laplacian(quad.points) @ ej
+            lap = ref_laplacian(rec, quad.points) @ ej
             vT = ops.cell_basis.eval(quad.points) @ vec[:nc]
             rhs -= quad.weights @ (vT * lap)
         for i, fid in enumerate(el.face_ids):
@@ -342,6 +343,89 @@ def ref_interpolate_global(system, table, interp):
     return data
 
 
+def ref_cell_basis(mesh, ids, degree):
+    """cell_bases, orthonormalized on the fan quadrature."""
+    els = mesh.elements
+    basis = pb.CellBasis(els.centroid[ids], els.diameter[ids], degree)
+    if degree < pb.ORTHONORMALIZE_FROM:
+        return basis
+    points, weights = pb.cell_quadratures(mesh, ids, 2 * degree)
+    V = basis.eval(points)
+    L = np.linalg.cholesky(np.swapaxes(V * weights[..., None], 1, 2) @ V)
+    return pb.CellBasis(basis.center, basis.scale, degree, np.linalg.inv(L))
+
+
+def ref_build(mesh, ids, k):
+    """recon, stab, stiff and norm_gram of a stack, with every cell integral
+    on the fan quadrature instead of the boundary moments."""
+    els = mesh.elements
+    rows = els.face_rows(ids)
+    nb, nf = rows.shape
+    nc, kf = hl.cell_block_dim(k), k + 1
+    n_loc = nc + nf * kf
+    hT = els.diameter[ids][:, None, None]
+
+    def wgram(X, w, Y):
+        return np.swapaxes(X * w[..., None], -1, -2) @ Y
+
+    def ggram(D, w):
+        return wgram(D[..., 0], w, D[..., 0]) + wgram(D[..., 1], w, D[..., 1])
+
+    rec = ref_cell_basis(mesh, ids, k + 1)
+    dr = rec.dim
+    pts, w = pb.cell_quadratures(mesh, ids, 2 * k + 2)
+    G = ggram(rec.grad(pts), w)
+    s, _ = pb.face_rule(2 * k + 2)
+    fpts, fw = pb.face_quadratures(mesh, els.face_ids[rows], 2 * k + 2)
+    nq = len(s)
+    fpts = fpts.reshape(nb, nf * nq, 2)
+    Vf = s[:, None] ** np.arange(kf)
+    n = els.face_normals[rows][:, :, None, None, :]
+    Dr_f = rec.grad(fpts).reshape(nb, nf, nq, dr, 2)
+    flux = Dr_f[..., 0] * n[..., 0] + Dr_f[..., 1] * n[..., 1]
+    B = np.zeros((nb, dr, n_loc))
+    B[:, :, nc:] = wgram(flux, fw, Vf).transpose(0, 2, 1, 3).reshape(nb, dr, nf * kf)
+    r = np.zeros((nb, n_loc))
+    if k == 0:
+        r[:, nc:] = 0.5 * els.face_dists[rows] * els.face_lengths[rows]
+    else:
+        cellb = ref_cell_basis(mesh, ids, k - 1)
+        Vc = cellb.eval(pts)
+        B[:, :, :nc] = -wgram(ref_laplacian(rec, pts), w, Vc)
+        r[:, :nc] = np.einsum("bp,bpi->bi", w, Vc)
+    K = np.zeros((nb, dr + 1, dr + 1))
+    K[:, :dr, :dr] = G
+    K[:, :dr, dr] = K[:, dr, :dr] = np.einsum("bp,bpi->bi", w, rec.eval(pts))
+    P = np.linalg.solve(K, np.concatenate([B, r[:, None]], axis=1))[:, :dr]
+
+    # stabilization: face parts scaled by h^-1, the cell part by h^-2
+    M_f = pb.face_mass(els.face_lengths[rows], k)
+    Pi_f = np.linalg.solve(M_f, wgram(Vf, fw, rec.eval(fpts).reshape(nb, nf, nq, dr)))
+    D = (-Pi_f @ P[:, None]).reshape(nb, nf * kf, n_loc)
+    D[:, :, nc:] += np.eye(nf * kf)
+    D = D.reshape(nb, nf, kf, n_loc)
+    S = np.einsum("bfil,bfij,bfjm->blm", D, M_f, D) / hT
+    if k >= 1:
+        M_cell = wgram(Vc, w, Vc)
+        D = -np.linalg.solve(M_cell, wgram(Vc, w, rec.eval(pts))) @ P
+        D[:, :, :nc] += np.eye(nc)
+        S += np.swapaxes(D, 1, 2) @ M_cell @ D / hT**2
+
+    # energy-norm Gram: cell gradient plus scaled face jumps
+    J = np.zeros((nb, nf, nq, n_loc))
+    J[..., nc:] = np.einsum("fg,qj->fqgj", np.eye(nf), Vf).reshape(nf, nq, nf * kf)
+    if k >= 1:
+        J[..., :nc] -= cellb.eval(fpts).reshape(nb, nf, nq, nc)
+    else:
+        J -= (r / els.area[ids][:, None])[:, None, None, :]
+    J = J.reshape(nb, nf * nq, n_loc)
+    N = wgram(J, fw.reshape(nb, -1), J) / hT
+    if k >= 1:
+        N[:, :nc, :nc] += ggram(cellb.grad(pts), w)
+    A = np.swapaxes(P, 1, 2) @ G @ P + S
+    return {"recon": P, "stab": S, "stiff": A, "norm_gram": N}
+
+
 def same_bytes(a, b):
     if sp.issparse(a):
         return all(same_bytes(getattr(a, n), getattr(b, n)) for n in ("indptr", "indices", "data"))
@@ -375,6 +459,10 @@ def test_batched_build_matches_one_element_at_a_time(k):
                 assert close(getattr(op, name), getattr(ref, name), 1e-14 * scale), (e, name)
         els = mesh.elements
         for ids, stack in zip(mesh.batches, batched):
+            # the cell integrals against the fan quadrature
+            ref = ref_build(mesh, ids, k)
+            for name, want in ref.items():
+                assert close(getattr(stack, name), want), (ids, name)
             face_ids = els.face_ids[els.face_rows(ids)]
             stacks = (
                 (hl.interpolate(mesh, ids, k, u),
@@ -423,13 +511,17 @@ def test_batched_build_matches_one_element_at_a_time(k):
 
 def test_singular_element_inside_a_batch_is_named():
     mesh = generate("cartesian", 4)
-    # collapse element 5 onto the bottom side: every fan triangle is flat
+    # collapse element 5 onto the bottom side: every fan triangle is flat,
+    # and so is every centroid-to-face pyramid of the boundary moments
     els = mesh.elements
     corners, centroid = els.corners.copy(), els.centroid.copy()
     corners[els.corner_ptr[5]:els.corner_ptr[6]] = [0, 1, 2, 3]
     centroid[5] = [0.375, 0.0]
+    dists = els.face_dists.copy()
+    dists[els.face_ptr[5]:els.face_ptr[6]] = 0.0
     broken = copy.copy(mesh)
-    broken.elements = dataclasses.replace(els, corners=corners, centroid=centroid)
+    broken.elements = dataclasses.replace(
+        els, corners=corners, centroid=centroid, face_dists=dists)
     for k, error in ((1, hl.HhoError), (3, pb.BasisError)):
         with pytest.raises(error, match=r"^element 5: singular"):
             hl.local_operators(broken, range(mesh.n_elements), k)

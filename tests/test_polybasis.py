@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_acceptance import random_polygon_corpus
 
 from hho2d import polybasis as pb
-from hho2d.mesh import PolyMesh, generate, refine_nonconforming
+from hho2d.mesh import MeshError, PolyMesh, generate, refine_nonconforming
+from hho2d.verify import nonconforming_mesh
 
 
 @pytest.fixture
@@ -104,6 +108,91 @@ def test_grams_affine_hand_integration(unit_square):
     assert G == pytest.approx(np.diag([0.0, 0.5, 0.5]), abs=1e-15)
     assert np.abs(G @ np.array([1.0, 0.0, 0.0])).max() == 0.0
     assert np.linalg.eigvalsh(M).min() > 0
+
+
+def ref_laplacian(basis, points):
+    """Laplacians of the (stacked) basis functions at points."""
+    z = (np.asarray(points, dtype=float) - basis._center) / basis._scale
+    x, y = z[..., :1], z[..., 1:]
+    a, b = basis.exponents[:, 0], basis.exponents[:, 1]
+    lap = (a * (a - 1) * x ** np.maximum(a - 2, 0) * y**b
+           + b * (b - 1) * x**a * y ** np.maximum(b - 2, 0))
+    return basis._apply(lap / basis._scale**2)
+
+
+def fan_moments(mesh, ids, degree):
+    """int_T z^a, |a| <= degree, on the fan quadrature."""
+    points, weights = pb.cell_quadratures(mesh, ids, degree)
+    els = mesh.elements
+    monos = pb.CellBasis(els.centroid[ids], els.diameter[ids], degree)
+    return np.einsum("bp,bpi->bi", weights, monos.eval(points))
+
+
+def assert_moments_match_fan(mesh):
+    # |z| <= 1 on T, so the area bounds every moment
+    for ids in mesh.batches:
+        area = mesh.elements.area[ids][:, None]
+        for k in range(4):
+            mu, _ = pb._cell_moments(mesh, ids, 2 * k + 2)
+            assert np.all(np.abs(mu - fan_moments(mesh, ids, 2 * k + 2)) <= 1e-13 * area)
+
+
+def test_moments_match_the_fan_quadrature():
+    for mesh, _ in random_polygon_corpus():
+        assert_moments_match_fan(mesh)
+    assert_moments_match_fan(nonconforming_mesh(4))
+
+
+@st.composite
+def star_polygons(draw):
+    """A polygon star-shaped w.r.t. its centroid, placed at random, with
+    hanging vertices: corners in the middle of straight sides."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    angle = 2 * np.pi * np.cumsum(gaps) / gaps.sum() + draw(st.floats(0, 2 * np.pi))
+    radius = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    corners = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    loop = []
+    for i in range(n):
+        loop.append(corners[i])
+        for t in sorted(draw(st.lists(st.floats(0.1, 0.9), max_size=2, unique=True))):
+            loop.append((1 - t) * corners[i] + t * corners[(i + 1) % n])
+    scale = draw(st.floats(1e-2, 1e2))
+    shift = np.array(draw(st.tuples(st.floats(-1e2, 1e2), st.floats(-1e2, 1e2))))
+    try:
+        return PolyMesh(scale * np.array(loop) + shift, [list(range(len(loop)))])
+    except MeshError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_moments_match_the_fan_quadrature_on_star_polygons(mesh):
+    assert_moments_match_fan(mesh)
+
+
+def test_moment_grams_match_the_fan_quadrature():
+    mesh = refine_nonconforming(generate("cartesian", 3), [0, 4])
+    for ids in mesh.batches:
+        mu, _ = pb._cell_moments(mesh, ids, 10)
+        points, weights = pb.cell_quadratures(mesh, ids, 10)
+        # plain and orthonormalized bases, on either side
+        for dl, dr in ((0, 2), (3, 3), (4, 2), (5, 4)):
+            left = pb._cell_bases(mesh, ids, dl, mu)
+            right = pb._cell_bases(mesh, ids, dr, mu)
+            V, W = left.eval(points) * weights[..., None], right.eval(points)
+            D, E = left.grad(points) * weights[..., None, None], right.grad(points)
+            L = ref_laplacian(left, points) * weights[..., None]
+            refs = {
+                "mass": np.swapaxes(V, 1, 2) @ W,
+                "grad": np.einsum("bpid,bpjd->bij", D, E),
+                "lap": np.swapaxes(L, 1, 2) @ W,
+            }
+            for kind, ref in refs.items():
+                gram = pb._moment_gram(mu, kind, left, right)
+                assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max(), (kind, dl, dr)
+            ints = np.einsum("bp,bpi->bi", weights, left.eval(points))
+            assert np.abs(pb._moment_integrals(mu, left) - ints).max() <= 1e-12 * np.abs(ints).max()
 
 
 def test_projection_reproduces_polynomials():
