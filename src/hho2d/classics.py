@@ -2,6 +2,15 @@
 conforming triangle meshes, the lowest-order Raviart-Thomas-Nedelec local
 interpolation, and the flux-times-face-value cancellation identity used as
 a cross-check for both.
+
+Everything is array code over the mesh tables.  On a conforming
+triangulation every element has three corners and three faces, face i
+running from corner i to corner i + 1, so the face rows reshape to
+(n_elements, 3).  Cell integrals use the stacked fan quadrature over
+``mesh.batches``, face integrals the stacked Gauss rules.  Fluxes are
+exchanged as one array per element, in face-loop order.  Nothing here
+uses ``hho_local``: the Crouzeix-Raviart matrix is an independent check
+of the k = 0 HHO assembly.
 """
 
 from __future__ import annotations
@@ -10,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from hho2d import polybasis as pb
-from hho2d.mesh import MeshError
+from hho2d.assembly import _factor
+from hho2d.mesh import MeshError, _first_failure
 
 
 @dataclass
@@ -29,73 +38,75 @@ class CrSystem:
         """Face values for all faces (boundary ones pinned to zero)."""
         values = np.zeros(self.mesh.n_faces)
         if self.matrix.shape[0]:
-            sol = spsolve(self.matrix.tocsc(), self.rhs)
-            values[self.face_index >= 0] = np.atleast_1d(sol)
+            values[self.face_index >= 0] = _factor(self.matrix).solve(self.rhs)
         return values
 
 
-def _check_triangles(mesh):
-    for el in mesh.elements:
-        if len(el.vertex_loop) != 3:
-            raise MeshError(f"element {el.id}: not a triangle")
-        if el.n_faces != 3:
-            raise MeshError(f"element {el.id}: hanging node on a side")
+def _triangle_faces(mesh):
+    """Face ids (n_elements, 3) of a conforming triangulation."""
+    els = mesh.elements
+    failed = _first_failure(np.diff(els.corner_ptr) != 3, np.diff(els.face_ptr) != 3)
+    if failed is not None:
+        e, check = failed
+        raise MeshError(f"element {e}: " + ("not a triangle", "hanging node on a side")[check])
+    return els.face_ids.reshape(-1, 3)
 
 
 def cr_basis_gradients(mesh, elem_id):
-    """Gradients of the three face-average basis functions 1 - 2*hat_opp."""
-    el = mesh.elements[elem_id]
-    pts = mesh.vertices[el.vertex_loop]
-    A = np.column_stack([np.ones(3), pts])
-    hat_coeffs = np.linalg.solve(A, np.eye(3))  # column i: barycentric of vertex i
-    grads = np.empty((3, 2))
-    for i, fid in enumerate(el.face_ids):
-        f = mesh.faces[fid]
-        opp = [j for j, v in enumerate(el.vertex_loop) if v not in (f.v0, f.v1)]
-        grads[i] = -2.0 * hat_coeffs[1:, opp[0]]
-    return grads
+    """Gradients of the three face-average basis functions 1 - 2*hat_opp.
+
+    One element id gives (3, 2); a sequence of triangle ids gives (B, 3, 2).
+    """
+    els = mesh.elements
+    ids = np.atleast_1d(elem_id)
+    pts = mesh.vertices[els.corners[els.corner_rows(ids)]]
+    A = np.concatenate([np.ones(pts.shape[:-1] + (1,)), pts], axis=-1)
+    hat_coeffs = np.linalg.solve(A, np.eye(3))  # column j: barycentric of corner j
+    # face i runs from corner i to corner i + 1: corner i + 2 is opposite
+    grads = -2.0 * np.swapaxes(hat_coeffs[:, 1:, [2, 0, 1]], 1, 2)
+    return grads if np.ndim(elem_id) else grads[0]
 
 
 def cr_assemble(mesh, f, order=6):
     """Assemble the broken-gradient stiffness and load for face averages."""
-    _check_triangles(mesh)
+    fids = _triangle_faces(mesh)
+    interior = mesh.interior_face_ids()
     face_index = np.full(mesh.n_faces, -1, dtype=int)
-    for i, fid in enumerate(mesh.interior_face_ids()):
-        face_index[fid] = i
-    n = int((face_index >= 0).sum())
+    face_index[interior] = np.arange(len(interior))
+    n = len(interior)
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    for el in mesh.elements:
-        grads = cr_basis_gradients(mesh, el.id)
-        K = el.area * grads @ grads.T
-        quad = pb.cell_quadrature(mesh, el.id, order)
-        fvals = f(quad.points)
-        idx = face_index[el.face_ids]
+    grads = cr_basis_gradients(mesh, np.arange(mesh.n_elements))
+    K = mesh.elements.area[:, None, None] * grads @ np.swapaxes(grads, 1, 2)
+    idx = face_index[fids]
+    rows = np.broadcast_to(idx[:, :, None], K.shape)
+    cols = np.broadcast_to(idx[:, None, :], K.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    matrix = sp.coo_matrix((K[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+
+    loads = np.empty((mesh.n_elements, 3))
+    mids = mesh.faces.midpoint[fids]
+    for ids in mesh.batches:
+        points, weights = pb.cell_quadratures(mesh, ids, order)
+        fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
         # basis value at x: 1 - 2*hat_opp(x) = affine through the gradients
-        for i, fid in enumerate(el.face_ids):
-            face = mesh.faces[fid]
-            phi = 1.0 + (quad.points - face.midpoint) @ grads[i]
-            if idx[i] >= 0:
-                rhs[idx[i]] += quad.weights @ (fvals * phi)
-            for j in range(3):
-                if idx[i] >= 0 and idx[j] >= 0:
-                    rows.append(idx[i])
-                    cols.append(idx[j])
-                    vals.append(K[i, j])
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        rel = points[:, None] - mids[ids][:, :, None]
+        phi = 1.0 + (rel @ grads[ids][..., None])[..., 0]
+        loads[ids] = np.einsum("bip,bp->bi", phi, fw)
+    keep = idx >= 0
+    rhs = np.bincount(idx[keep], loads[keep], minlength=n)
     return CrSystem(mesh=mesh, matrix=matrix, rhs=rhs, face_index=face_index)
 
 
 def cr_energy_error(mesh, face_values, grad_u, order=8):
     """Broken-gradient error of a Crouzeix-Raviart field vs an exact slope."""
+    fids = _triangle_faces(mesh)
+    grads = cr_basis_gradients(mesh, np.arange(mesh.n_elements))
+    gh = np.einsum("ei,eid->ed", face_values[fids], grads)
     total = 0.0
-    for el in mesh.elements:
-        grads = cr_basis_gradients(mesh, el.id)
-        gh = face_values[el.face_ids] @ grads
-        quad = pb.cell_quadrature(mesh, el.id, order)
-        diff = grad_u(quad.points) - gh
-        total += np.einsum("pd,p,pd->", diff, quad.weights, diff)
+    for ids in mesh.batches:
+        points, weights = pb.cell_quadratures(mesh, ids, order)
+        diff = grad_u(points.reshape(-1, 2)).reshape(points.shape) - gh[ids][:, None]
+        total += np.einsum("bpd,bp,bpd->", diff, weights, diff)
     return float(np.sqrt(total))
 
 
@@ -122,39 +133,36 @@ class RtnField:
 
     def normal_fluxes(self):
         """Per-element arrays of the constant flux through each face."""
-        out = []
-        for el in self.mesh.elements:
-            rel = el.face_midpoints - self.anchor[el.id]
-            out.append(
-                el.face_normals @ self.a[el.id]
-                + self.q[el.id] * np.einsum("fd,fd->f", rel, el.face_normals)
-            )
-        return out
+        els = self.mesh.elements
+        elem = np.repeat(np.arange(len(els)), np.diff(els.face_ptr))
+        rel = els.face_midpoints - self.anchor[elem]
+        normals = els.face_normals
+        flux = (np.einsum("fd,fd->f", normals, self.a[elem])
+                + self.q[elem] * np.einsum("fd,fd->f", rel, normals))
+        return np.split(flux, els.face_ptr[1:-1])
 
 
 def rtn_interpolate(mesh, tau, order=8):
     """Match the exact face flux integrals of ``tau`` on every triangle."""
-    _check_triangles(mesh)
-    n = mesh.n_elements
-    a = np.empty((n, 2))
-    q = np.empty(n)
-    anchor = np.empty((n, 2))
-    for el in mesh.elements:
-        anchor[el.id] = el.centroid
-        A = np.empty((3, 3))
-        b = np.empty(3)
-        for i, fid in enumerate(el.face_ids):
-            quad = pb.face_quadrature(mesh, int(fid), order)
-            b[i] = quad.weights @ (tau(quad.points) @ el.face_normals[i])
-            A[i, :2] = el.face_lengths[i] * el.face_normals[i]
-            A[i, 2] = el.face_lengths[i] * el.face_dists[i]
-        try:
-            sol = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise MeshError(f"element {el.id}: degenerate triangle") from exc
-        a[el.id] = sol[:2]
-        q[el.id] = sol[2]
-    return RtnField(mesh=mesh, a=a, q=q, anchor=anchor)
+    fids = _triangle_faces(mesh)
+    els = mesh.elements
+    normals = els.face_normals.reshape(-1, 3, 2)
+    lengths = els.face_lengths.reshape(-1, 3, 1)
+    points, weights = pb.face_quadratures(mesh, fids, order)
+    values = tau(points.reshape(-1, 2)).reshape(points.shape)
+    b = np.einsum("eiq,eiqd,eid->ei", weights, values, normals)
+    A = lengths * np.concatenate([normals, els.face_dists.reshape(-1, 3, 1)], axis=-1)
+    try:
+        sol = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        # name the first triangle that fails alone
+        for e in range(len(A)):
+            try:
+                np.linalg.solve(A[e], b[e])
+            except np.linalg.LinAlgError:
+                raise MeshError(f"element {e}: degenerate triangle") from exc
+        raise
+    return RtnField(mesh=mesh, a=sol[:, :2], q=sol[:, 2], anchor=els.centroid)
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +178,29 @@ def magic_residual(mesh, normal_fluxes, face_values):
     from a field with continuous normal components.
     """
     face_values = np.asarray(face_values, dtype=float)
-    for fid in mesh.boundary_face_ids():
-        if face_values[fid] != 0.0:
-            raise ValueError(f"face {fid}: boundary value must be zero")
-    total = 0.0
-    for el in mesh.elements:
-        flux = np.asarray(normal_fluxes[el.id], dtype=float)
-        total += np.dot(el.face_lengths * flux, face_values[el.face_ids])
-    return float(total)
+    boundary = mesh.boundary_face_ids()
+    bad = boundary[face_values[boundary] != 0.0]
+    if len(bad):
+        raise ValueError(f"face {bad[0]}: boundary value must be zero")
+    return _face_sum(mesh, np.concatenate(normal_fluxes), face_values)
 
 
 def magic_scale(mesh, normal_fluxes, face_values):
     """Cancellation-free magnitude of the same sum (for relative checks)."""
-    face_values = np.asarray(face_values, dtype=float)
-    total = 0.0
-    for el in mesh.elements:
-        flux = np.asarray(normal_fluxes[el.id], dtype=float)
-        total += np.dot(el.face_lengths * np.abs(flux), np.abs(face_values[el.face_ids]))
-    return float(total)
+    flux = np.abs(np.concatenate(normal_fluxes))
+    return _face_sum(mesh, flux, np.abs(np.asarray(face_values, dtype=float)))
+
+
+def _face_sum(mesh, flux, face_values):
+    """Sum of |F| * flux * face value over the flat face rows."""
+    els = mesh.elements
+    return float(np.sum(els.face_lengths * flux * face_values[els.face_ids]))
 
 
 def gradient_fluxes(mesh, grad, order=8):
     """Face-average normal fluxes of an analytic gradient field."""
-    out = []
-    for el in mesh.elements:
-        flux = np.empty(el.n_faces)
-        for i, fid in enumerate(el.face_ids):
-            quad = pb.face_quadrature(mesh, int(fid), order)
-            flux[i] = quad.weights @ (grad(quad.points) @ el.face_normals[i]) / el.face_lengths[i]
-        out.append(flux)
-    return out
+    els = mesh.elements
+    points, weights = pb.face_quadratures(mesh, els.face_ids, order)
+    values = grad(points.reshape(-1, 2)).reshape(points.shape)
+    flux = np.einsum("fq,fqd,fd->f", weights, values, els.face_normals) / els.face_lengths
+    return np.split(flux, els.face_ptr[1:-1])

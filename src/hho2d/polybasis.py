@@ -17,15 +17,13 @@ fans the (star-shaped) polygon into triangles from its centroid and
 applies a positive-weight conical product rule on each.  Face quadrature
 is plain Gauss-Legendre along the segment.
 
-The plural builders (``cell_quadratures``, ``face_quadratures``,
-``cell_bases``) and the L2 projections work on a stack of elements or
-faces at once, with leading batch axes; a single id is a stack of one.
-``FaceBasis`` evaluates one face's basis from 2D points, as a check.
+The builders (``cell_quadratures``, ``face_quadratures``, ``cell_bases``)
+and the L2 projections work on a stack of elements or faces at once, with
+leading batch axes; one element is a stack of one, ``[e]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,17 +35,6 @@ ORTHONORMALIZE_FROM = 4
 
 class BasisError(Exception):
     """Degenerate geometry or unusable basis/quadrature request."""
-
-
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature points (2D) and weights."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, f):
-        return float(self.weights @ f(self.points))
 
 
 @lru_cache(maxsize=None)
@@ -108,12 +95,6 @@ def cell_quadratures(mesh, elem_ids, order):
     return points, weights
 
 
-def cell_quadrature(mesh, elem_id, order):
-    """Rule on element ``elem_id`` exact for polynomials up to ``order``."""
-    points, weights = cell_quadratures(mesh, [elem_id], order)
-    return QuadRule(points[0], weights[0])
-
-
 def face_quadratures(mesh, face_ids, order):
     """Stacked Gauss-Legendre rules on faces, exact up to ``order``.
 
@@ -130,12 +111,6 @@ def face_quadratures(mesh, face_ids, order):
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
-
-
-def face_quadrature(mesh, face_id, order):
-    """Gauss-Legendre rule along face ``face_id``, exact up to ``order``."""
-    points, weights = face_quadratures(mesh, face_id, order)
-    return QuadRule(points, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +199,6 @@ def _mono_index(a, b):
     return d * (d + 1) // 2 + b
 
 
-def cell_basis(mesh, elem_id, degree):
-    """Basis on an element; orthonormalized for degree >= 4."""
-    return cell_bases(mesh, [elem_id], degree)[0]
-
-
 def cell_bases(mesh, elem_ids, degree):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
     orthonormal = degree >= ORTHONORMALIZE_FROM
@@ -264,28 +234,6 @@ def _elements(elem_ids):
     return f"element {ids[0]}" if len(ids) == 1 else f"one of elements {ids}"
 
 
-class FaceBasis:
-    """Monomials s^q in the arc-length coordinate of one face."""
-
-    def __init__(self, midpoint, tangent, length, degree):
-        if degree < 0:
-            raise BasisError("face basis degree must be >= 0")
-        self.midpoint = midpoint
-        self.tangent = tangent
-        self.length = length
-        self.degree = degree
-        self.dim = degree + 1
-
-    def param(self, points):
-        """Map 2D points on the face to s in [-1, 1]."""
-        rel = np.atleast_2d(points) - self.midpoint
-        return rel @ self.tangent * (2.0 / self.length)
-
-    def eval(self, points):
-        s = self.param(points)
-        return s[:, None] ** np.arange(self.dim)
-
-
 def face_mass(length, degree):
     """Mass matrix of s^0 .. s^degree on faces of the given length(s).
 
@@ -295,14 +243,6 @@ def face_mass(length, degree):
     pq = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
     length = np.asarray(length, dtype=float)[..., None, None]
     return np.where(pq % 2 == 0, length / (pq + 1.0), 0.0)
-
-
-def face_basis(mesh, face_id, degree):
-    faces = mesh.faces
-    return FaceBasis(
-        faces.midpoint[face_id], faces.tangent[face_id],
-        float(faces.length[face_id]), degree,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +318,6 @@ def _moment_gram(mu, kind, left, right):
 def _moment_integrals(mu, basis):
     """int_T phi_i of every basis function, (B, dim)."""
     return _moment_gram(mu, "mass", basis, CellBasis(basis.center, basis.scale, 0))[..., 0]
-
-
-def grams(mesh, elem_id, degree):
-    """Mass and stiffness matrices of the cell basis at ``degree``."""
-    mu, _ = _cell_moments(mesh, [elem_id], 2 * degree)
-    basis = _cell_bases(mesh, [elem_id], degree, mu)
-    M = _moment_gram(mu, "mass", basis, basis)[0]
-    G = _moment_gram(mu, "grad", basis, basis)[0]
-    return 0.5 * (M + M.T), 0.5 * (G + G.T)
 
 
 def default_cell_order(degree):

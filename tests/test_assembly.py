@@ -162,13 +162,13 @@ def test_rhs_matches_cell_value_functional():
         vec = asm.GlobalHhoVector(mesh=mesh, dofmap=system.dofmap, data=v)
         total = 0.0
         for el, op in element_views(mesh, system.ops):
-            quad = pb.cell_quadrature(mesh, el.id, 10)
+            (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 10)
             loc = vec.local_flat(el.id)
             if k >= 1:
-                vals = op.cell_basis.eval(quad.points) @ loc[: hl.cell_block_dim(k)]
+                vals = op.cell_basis.eval(points) @ loc[: hl.cell_block_dim(k)]
             else:
-                vals = np.full(len(quad.weights), op.avg_weights @ loc)
-            total += quad.weights @ (SINE.f(quad.points) * vals)
+                vals = np.full(len(weights), op.avg_weights @ loc)
+            total += weights @ (SINE.f(points) * vals)
         assert system.rhs @ v == pytest.approx(total, rel=1e-12)
 
 

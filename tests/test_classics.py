@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hho2d import classics as cl
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
-from hho2d.mesh import MeshError, generate, refine_nonconforming
+from hho2d.mesh import MeshError, PolyMesh, generate, refine_nonconforming
 
 
 def sine_case():
@@ -47,10 +47,10 @@ def test_cr_basis_is_dual_to_face_averages():
         grads = cl.cr_basis_gradients(mesh, el.id)
         for i, fid in enumerate(el.face_ids):
             for j, fjd in enumerate(el.face_ids):
-                quad = pb.face_quadrature(mesh, int(fjd), 4)
+                points, weights = pb.face_quadratures(mesh, int(fjd), 4)
                 mid = mesh.faces[fid].midpoint
-                phi = 1.0 + (quad.points - mid) @ grads[i]
-                avg = quad.weights @ phi / mesh.faces[fjd].length
+                phi = 1.0 + (points - mid) @ grads[i]
+                avg = weights @ phi / mesh.faces[fjd].length
                 assert avg == pytest.approx(1.0 if i == j else 0.0, abs=1e-13)
 
 
@@ -73,6 +73,39 @@ def test_cr_matrix_matches_hho_k0(n):
     hho = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
     rel = sp.linalg.norm(hho - system.matrix) / sp.linalg.norm(system.matrix)
     assert rel <= 1e-12
+
+
+def jittered_triangulation(n, seed=4):
+    """triangular:n with every interior vertex moved by up to h/5."""
+    mesh = generate("triangular", n)
+    verts = mesh.vertices.copy()
+    inner = (verts > 0).all(axis=1) & (verts < 1).all(axis=1)
+    rng = np.random.default_rng(seed)
+    verts[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) / n
+    return PolyMesh(verts, mesh.elements.corners.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("mesh", [generate("triangular", 4), jittered_triangulation(4)])
+def test_cr_load_of_affine_source(mesh):
+    # oracle: the edge-midpoint rule is exact for degree 2, and a CR basis
+    # function is 1 at its own face midpoint and 0 at the two others, so
+    # rhs[F] = f(mid_F) * sum over the triangles T of F of |T| / 3
+    f = lambda p: 1.5 - 2.0 * p[:, 0] + 0.7 * p[:, 1]
+    system = cl.cr_assemble(mesh, f)
+    interior = mesh.interior_face_ids()
+    area = mesh.elements.area[mesh.faces.elems[interior]].sum(axis=1)
+    expected = f(mesh.faces.midpoint[interior]) * area / 3.0
+    assert (system.face_index[interior] == np.arange(len(interior))).all()
+    assert np.abs(system.rhs - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("mesh", [generate("triangular", 4), jittered_triangulation(4)])
+def test_cr_energy_error_of_affine_interpolate(mesh):
+    # an affine u is reproduced by its face-midpoint values
+    u = lambda p: 0.3 + 1.1 * p[:, 0] - 0.6 * p[:, 1]
+    grad = lambda p: np.tile([1.1, -0.6], (len(p), 1))
+    values = u(mesh.faces.midpoint)
+    assert cl.cr_energy_error(mesh, values, grad) <= 1e-13
 
 
 def test_cr_energy_convergence():
@@ -119,8 +152,8 @@ def test_rtn_flux_continuity_and_commutation():
         if len(pair) == 2:
             assert pair[0] + pair[1] == pytest.approx(0.0, abs=1e-12)
     for el in mesh.elements:
-        quad = pb.cell_quadrature(mesh, el.id, 8)
-        mean_div = quad.integrate(div) / el.area
+        (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 8)
+        mean_div = weights @ div(points) / el.area
         assert field.divergence()[el.id] == pytest.approx(mean_div, abs=1e-12)
 
 

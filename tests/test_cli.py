@@ -112,6 +112,34 @@ def test_check_on_triangles_includes_cr(capsys):
     assert "PASS cr-equality" in out
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_check_on_several_stacks(capsys, k):
+    # the face-count stacks of nonconf:4 do not follow element-id order
+    assert len(cli.resolve_mesh("nonconf:4").batches) > 1
+    code = cli.main(["check", "--mesh", "nonconf:4", "--k", str(k)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS polynomial-consistency" in out
+    assert "PASS stabilization-consistency" in out
+
+
+def test_check_sees_one_broken_element(monkeypatch, capsys):
+    # negative control: one element's reconstruction scaled, deep in a stack
+    build = cli.asm.build_local_operators
+
+    def broken(mesh, k):
+        ops = build(mesh, k)
+        ops[-1].recon[-1] *= 2.0
+        return ops
+
+    monkeypatch.setattr(cli.asm, "build_local_operators", broken)
+    code = cli.main(["check", "--mesh", "nonconf:4", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL polynomial-consistency" in captured.out
+    assert "PASS stabilization-consistency" in captured.out
+
+
 def test_study_command_writes_outputs(tmp_path, capsys):
     out_csv = tmp_path / "report.csv"
     code = cli.main(
@@ -225,6 +253,17 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
 
     def boom(*args, **kwargs):
         raise asm.SolverError("forced failure", iterations=3, residual=1.0)
+
+    monkeypatch.setattr(cli.asm, "solve", boom)
+    code = cli.main(["solve", "--mesh", "cartesian:2", "--k", "1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("FAILURE kind=numerical")
+
+
+def test_linalg_failure_is_numerical(monkeypatch, capsys):
+    # LinAlgError is a ValueError, but not a configuration error
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced singular matrix")
 
     monkeypatch.setattr(cli.asm, "solve", boom)
     code = cli.main(["solve", "--mesh", "cartesian:2", "--k", "1"])
