@@ -57,6 +57,10 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if any(n < 1 for n in self.levels):
             raise ConfigError("levels must be positive")
+        if not 0 < self.frac <= 1:
+            raise ConfigError("nonconforming fraction must be in (0, 1]")
+        if self.block < 1:
+            raise ConfigError("agglomeration block must be >= 1")
 
 
 def resolve_mesh(source, frac=0.25, block=2):
@@ -78,7 +82,7 @@ def resolve_mesh(source, frac=0.25, block=2):
             n = _positive_int(parts[1])
             b = int(parts[2]) if len(parts) == 3 else block
             return vf.agglomerated_mesh(n, b)
-    except ValueError as exc:
+    except (ValueError, MeshError) as exc:
         raise ConfigError(f"bad generator spec {source!r}: {exc}") from exc
     path = Path(source)
     if not path.exists():
@@ -145,7 +149,10 @@ def main(argv=None):
             )
             return run_solve(config)
         if args.command == "study":
-            levels = tuple(int(t) for t in args.levels.split(","))
+            try:
+                levels = tuple(int(t) for t in args.levels.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"bad levels {args.levels!r}: {exc}") from exc
             config = RunConfig(
                 command="study",
                 family=args.family,
@@ -164,7 +171,6 @@ def main(argv=None):
             )
             return run_check(config)
         raise ConfigError(f"unknown command {args.command!r}")
-    # LinAlgError is a ValueError: the numerical clause must come first
     except (
         asm.SolverError,
         asm.AssemblyError,
@@ -175,7 +181,7 @@ def main(argv=None):
     ) as exc:
         print(f'FAILURE kind=numerical detail="{exc}"', file=sys.stderr)
         return 3
-    except (ConfigError, MeshError, ValueError) as exc:
+    except (ConfigError, MeshError) as exc:
         print(f'FAILURE kind=config detail="{exc}"', file=sys.stderr)
         return 2
     except CheckFailure as exc:
@@ -283,18 +289,18 @@ def run_check(config):
     report("flux-cancellation", abs(residual) <= 1e-12 * scale,
            f"relative residual {abs(residual) / scale:.2e}")
 
+    system = asm.assemble(mesh, k, case.f, ops=ops)
     # three faces: three corners and no hanging vertex
     if (np.diff(mesh.elements.face_ptr) == 3).all():
         import scipy.sparse as sp
 
-        system0 = asm.assemble(mesh, 0, case.f)
+        system0 = system if k == 0 else asm.assemble(mesh, 0, case.f)
         cr = cl.cr_assemble(mesh, case.f)
         rel = sp.linalg.norm(system0.matrix - cr.matrix) / sp.linalg.norm(cr.matrix)
         report("cr-equality", rel <= 1e-12, f"relative Frobenius gap {rel:.2e}")
     else:
         print("SKIP cr-equality: mesh is not a conforming triangulation")
 
-    system = asm.assemble(mesh, k, case.f, ops=ops)
     if system.dofmap.total:
         try:
             cp, iters = vf.poincare_constant(system)

@@ -28,9 +28,12 @@ recovered on the fly as the distance-weighted face average.  A local
 vector is flat: the cell block, then one block per face in loop order.
 ``local_operators``, ``interpolate`` and ``eta_bounds`` work on a stack of
 elements with equal corner and face counts at once (a batch of
-``mesh.batches``), and keep the leading batch axis in what they return:
-one ``LocalOperators`` and one (B, n_local) array per stack.  One element
-id gives the unbatched forms.
+``mesh.batches``, at most ``mesh.STACK_FACES`` faces), and keep the leading
+batch axis in what they return: one ``LocalOperators`` and one
+(B, n_local) array per stack.  The bytes of an element's operators do not
+depend on where its group is cut, except in a stack of one element: its
+moment Grams are a one-row BLAS product, which rounds differently at k = 3.
+One element id gives the unbatched forms.
 """
 
 from __future__ import annotations
@@ -298,14 +301,17 @@ def eta_bounds(ops):
 
 
 def _eta_bounds(ops):
-    where = pb._elements(np.atleast_1d(ops.elem_id))
+    def fail(what):
+        return CoercivityViolationError(f"{pb._elements(np.atleast_1d(ops.elem_id))}: {what}")
+
     A, N = ops.stiff, ops.norm_gram
     z = ops.constant_vector()
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     for X in (A, N):
+        # X is symmetric: its spectral norm is its largest |eigenvalue|
         if np.any(np.linalg.norm(X @ z[..., None], axis=(-2, -1))
-                  > KERNEL_TOL * np.linalg.norm(X, 2, axis=(-2, -1))):
-            raise CoercivityViolationError(f"{where}: constants are not in the shared kernel")
+                  > KERNEL_TOL * np.abs(np.linalg.eigvalsh(X)).max(axis=-1)):
+            raise fail("constants are not in the shared kernel")
     # Householder reflection mapping z to -+e_0: its other columns are an
     # orthonormal basis of the complement of z
     u = z.copy()
@@ -315,13 +321,12 @@ def _eta_bounds(ops):
     try:
         L = np.linalg.cholesky(_mT(Q) @ N @ Q)
     except np.linalg.LinAlgError as exc:
-        raise CoercivityViolationError(f"{where}: norm Gram singular off the kernel") from exc
+        raise fail("norm Gram singular off the kernel") from exc
     # eigenvalues of L^-1 Aq L^-T are those of the pencil (Aq, Nq)
     X = np.linalg.solve(L, _mT(Q) @ A @ Q)
     lam = np.linalg.eigvalsh(_sym(np.linalg.solve(L, _mT(X))))
     if np.any(lam[..., 0] <= 0):
-        raise CoercivityViolationError(
-            f"{where}: non-coercive local form (lam={lam[..., 0].min():.3e})")
+        raise fail(f"non-coercive local form (lam={lam[..., 0].min():.3e})")
     return lam[..., [0, -1]]
 
 

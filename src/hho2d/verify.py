@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import numpy as np
 from hho2d import assembly as asm
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
-from hho2d.mesh import MeshFamily, agglomerate, generate, refine_nonconforming
+from hho2d.mesh import MeshError, MeshFamily, agglomerate, generate, refine_nonconforming
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def build_family(tag, levels, frac=0.25, block=2):
         elif tag == "rectangles":
             meshes.append(rectangle_mesh(n))
         else:
-            raise ValueError(f"unknown family tag {tag!r}")
+            raise MeshError(f"unknown family tag {tag!r}")
     return MeshFamily(tag=tag, meshes=meshes)
 
 
@@ -106,7 +107,7 @@ def nonconforming_mesh(n, frac=0.25):
 def agglomerated_mesh(n, block=2):
     """Left half coarsened into block x block squares, right half fine."""
     if n % (2 * block) != 0:
-        raise ValueError("agglomerated mesh needs block | n/2")
+        raise MeshError("agglomerated mesh needs block | n/2")
     blocks = [
         (i, j, block, block)
         for j in range(0, n, block)
@@ -119,7 +120,7 @@ def agglomerated_mesh(n, block=2):
 def rectangle_mesh(n):
     """All cells merged into 2x1 dominoes (generic non-square elements)."""
     if n % 2 != 0:
-        raise ValueError("rectangle mesh needs even n")
+        raise MeshError("rectangle mesh needs even n")
     blocks = [(2 * i, j, 2, 1) for j in range(n) for i in range(n // 2)]
     return agglomerate(generate("cartesian", n), blocks)
 
@@ -143,20 +144,26 @@ def interpolate_global(system, interp):
     return asm.GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=data)
 
 
+def _total(parts):
+    """Exactly rounded sum of per-element contributions, given as one array
+    per stack: the same however the elements are cut into stacks."""
+    return math.fsum(np.concatenate(parts).tolist())
+
+
 def energy_error(ops, solution, interp):
     """Energy distance between the solution and the exact interpolate."""
-    err2 = 0.0
+    err2 = []
     for op, iu in zip(ops, interp):
         e = iu - solution.local_flat(op.elem_id)
-        err2 += np.sum(e[:, None, :] @ op.norm_gram @ e[:, :, None])
-    return float(np.sqrt(max(err2, 0.0)))
+        err2.append((e[:, None, :] @ op.norm_gram @ e[:, :, None])[:, 0, 0])
+    return float(np.sqrt(max(_total(err2), 0.0)))
 
 
 def l2_error_cell_value(system, solution, case, order=None):
     """L2 distance between the exact solution and the piecewise cell value."""
     mesh, k = system.mesh, system.k
     order = order if order is not None else 2 * k + 6
-    err2 = 0.0
+    err2 = []
     for op in system.ops:
         points, weights = pb.cell_quadratures(mesh, op.elem_id, order)
         loc = solution.local_flat(op.elem_id)
@@ -166,8 +173,8 @@ def l2_error_cell_value(system, solution, case, order=None):
         else:
             vals = (op.avg_weights * loc).sum(axis=1)[:, None]
         diff = case.u(points.reshape(-1, 2)).reshape(weights.shape) - vals
-        err2 += np.sum(weights * diff**2)
-    return float(np.sqrt(err2))
+        err2.append(np.sum(weights * diff**2, axis=1))
+    return float(np.sqrt(_total(err2)))
 
 
 def consistency_moments(system, interp):
@@ -183,19 +190,18 @@ def consistency_dual_norm(system, interp, norm_gram):
 
 def stab_energy(ops, interp):
     """Aggregate stabilization energy of the interpolated exact solution."""
-    total = 0.0
-    for op, iu in zip(ops, interp):
-        total += np.sum((op.stab_factor @ iu[..., None]) ** 2)
-    return float(np.sqrt(total))
+    parts = [np.sum((op.stab_factor @ iu[..., None]) ** 2, axis=(1, 2))
+             for op, iu in zip(ops, interp)]
+    return float(np.sqrt(_total(parts)))
 
 
 def source_l2_norm(mesh, case, order=10):
-    total = 0.0
+    parts = []
     for ids in mesh.batches:
         points, weights = pb.cell_quadratures(mesh, ids, order)
         f = case.f(points.reshape(-1, 2)).reshape(weights.shape)
-        total += np.sum(weights * f**2)
-    return float(np.sqrt(total))
+        parts.append(np.sum(weights * f**2, axis=1))
+    return float(np.sqrt(_total(parts)))
 
 
 def mesh_eta(system):
@@ -236,7 +242,7 @@ POWER_TOL, POWER_MAXITER = 1e-10, 5000  # power iteration stopping rule
 def poincare_constant(system, norm_gram=None):
     """Largest ratio |cell value|_L2 / energy norm, by power iteration."""
     if system.dofmap.total == 0:
-        raise ValueError("empty system has no Poincare constant")
+        raise asm.AssemblyError("empty system has no Poincare constant")
     if norm_gram is None:
         norm_gram = asm.NormGram(
             system.mesh, system.k, ops=system.ops, dofmap=system.dofmap
@@ -462,7 +468,7 @@ def projector_rate_suite(family, degree, case):
     hs, cell_errs, trace_errs, egrad_errs = [], [], [], []
     for mesh in family:
         els = mesh.elements
-        cell2 = trace2 = egrad2 = 0.0
+        cell2, trace2, egrad2 = [], [], []
         for op in asm.build_local_operators(mesh, degree):
             ids = op.elem_id
             basis = pb.cell_bases(mesh, ids, degree)
@@ -477,16 +483,16 @@ def projector_rate_suite(family, degree, case):
             fu = case.u(fpts.reshape(-1, 2)).reshape(fw.shape)
             fgrad = case.grad(fpts.reshape(-1, 2)).reshape(fw.shape + (2,))
             diff = u - np.einsum("bpi,bi->bp", basis.eval(points), coeff)
-            cell2 += np.sum(weights * diff**2)
+            cell2.append(np.sum(weights * diff**2, axis=1))
             bdiff = fu - np.einsum("bpi,bi->bp", basis.eval(fpts), coeff)
-            trace2 += np.sum(fw * bdiff**2)
+            trace2.append(np.sum(fw * bdiff**2, axis=1))
             egrad = pb.cell_bases(mesh, ids, degree + 1).grad(fpts)
             gdiff = fgrad - np.einsum("bpid,bi->bpd", egrad, eproj)
-            egrad2 += np.einsum("bpd,bp,bpd->", gdiff, fw, gdiff)
+            egrad2.append(np.einsum("bpd,bp,bpd->b", gdiff, fw, gdiff))
         hs.append(mesh.h)
-        cell_errs.append(np.sqrt(cell2))
-        trace_errs.append(np.sqrt(trace2))
-        egrad_errs.append(np.sqrt(egrad2))
+        cell_errs.append(np.sqrt(_total(cell2)))
+        trace_errs.append(np.sqrt(_total(trace2)))
+        egrad_errs.append(np.sqrt(_total(egrad2)))
     return {
         "cell_l2": eoc_fit(hs, cell_errs),
         "weighted_trace": eoc_fit(hs, trace_errs),

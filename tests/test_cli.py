@@ -112,6 +112,27 @@ def test_check_on_triangles_includes_cr(capsys):
     assert "PASS cr-equality" in out
 
 
+def test_check_builds_and_assembles_once_at_k0(capsys, monkeypatch):
+    # the cr-equality and the poincare steps share one k = 0 system
+    calls = {"build": 0, "assemble": 0}
+    build, assemble = cli.asm.build_local_operators, cli.asm.assemble
+
+    def spy_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def spy_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli.asm, "build_local_operators", spy_build)
+    monkeypatch.setattr(cli.asm, "assemble", spy_assemble)
+    cli.main(["check", "--mesh", "triangular:8", "--k", "0"])
+    out = capsys.readouterr().out
+    assert "PASS cr-equality" in out and "PASS poincare" in out
+    assert calls == {"build": 1, "assemble": 1}
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_check_on_several_stacks(capsys, k):
     # the face-count stacks of nonconf:4 do not follow element-id order
@@ -226,6 +247,31 @@ def test_non_finite_mesh_file_is_a_config_error(tmp_path, capsys, token):
     code = cli.main(["solve", "--mesh", str(path), "--k", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("FAILURE kind=config")
+
+
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (["--family", "agglomerated", "--levels", "4,6", "--block", "2"],
+         "agglomerated mesh needs block | n/2"),
+        (["--family", "agglomerated", "--block", "0"], "agglomeration block must be >= 1"),
+        (["--family", "nonconforming", "--frac", "0"],
+         "nonconforming fraction must be in (0, 1]"),
+        (["--levels", "4,x"], "bad levels '4,x'"),
+    ],
+)
+def test_bad_study_input_is_a_config_error(tmp_path, capsys, args, detail):
+    code = cli.main(["study", "--out", str(tmp_path / "s.csv"), *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f'FAILURE kind=config detail="{detail}')
+
+
+def test_bad_agglomerated_spec_keeps_its_message(capsys):
+    assert cli.main(["solve", "--mesh", "agglo:6:2"]) == 2
+    assert capsys.readouterr().err == (
+        "FAILURE kind=config detail=\"bad generator spec 'agglo:6:2': "
+        "agglomerated mesh needs block | n/2\"\n")
 
 
 def test_bad_degree_exit_code(capsys):

@@ -10,7 +10,8 @@ from hho2d import assembly as asm
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d import verify as vf
-from hho2d.mesh import BATCH_SIZE, PolyMesh, generate
+from hho2d import mesh as hm
+from hho2d.mesh import PolyMesh, generate
 from hho2d.verify import agglomerated_mesh, nonconforming_mesh, rectangle_mesh
 
 
@@ -198,6 +199,47 @@ def test_eta_scale_invariance():
         b1 = hl.eta_bounds(hl.local_operators(small, 0, k))
         b2 = hl.eta_bounds(hl.local_operators(big, 0, k))
         assert b1 == pytest.approx(b2, rel=1e-10)
+
+
+# max eta over the mesh at k = 0..3, from the SVD-based kernel check
+ETA_MAX = {
+    "nonconf4": [3.0154480726901167, 8.591380906051063, 17.219593636234446, 28.648509618942747],
+    "tri4": [6.64916512532633, 15.461676705456998, 28.048248028204707, 45.336673338556615],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ETA_MAX))
+def test_eta_kernel_check_by_symmetric_eigenvalues(name):
+    mesh = nonconforming_mesh(4) if name == "nonconf4" else generate("triangular", 4)
+    for k, want in enumerate(ETA_MAX[name]):
+        stacks = asm.build_local_operators(mesh, k)
+        assert max(hl.eta_of(s).max() for s in stacks) == pytest.approx(want, rel=1e-13)
+        for s in stacks:
+            for X in (s.stiff, s.norm_gram):
+                two = np.linalg.norm(X, 2, axis=(-2, -1))
+                eig = np.abs(np.linalg.eigvalsh(X)).max(axis=-1)
+                assert np.abs(eig - two).max() <= 1e-13 * two.max()
+
+
+@pytest.mark.parametrize("field", ["stiff", "norm_gram"])
+def test_eta_kernel_check_threshold(field):
+    # a rank-one push along the constants, just below and just above the
+    # kernel tolerance, in element 5 of a stack of 16
+    (stack,) = asm.build_local_operators(generate("cartesian", 4), 1)
+    X = getattr(stack, field)
+    z = stack.constant_vector()[5]
+    z /= np.linalg.norm(z)
+    scale = np.linalg.norm(X[5], 2)
+    for factor, raises in ((0.5, False), (2.0, True)):
+        pushed = X.copy()
+        pushed[5] += factor * hl.KERNEL_TOL * scale * np.outer(z, z)
+        broken = dataclasses.replace(stack, **{field: pushed})
+        if raises:
+            with pytest.raises(hl.CoercivityViolationError,
+                               match=r"^element 5: constants are not in the shared kernel"):
+                hl.eta_bounds(broken)
+        else:
+            assert hl.eta_bounds(broken) == pytest.approx(hl.eta_bounds(stack), rel=1e-6)
 
 
 def test_eta_uniform_across_family():
@@ -442,11 +484,12 @@ def same_bytes(a, b):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_batched_build_matches_one_element_at_a_time(k):
-    # mixed (corners, faces) groups, and a 36-quad group that spans chunks
-    assert generate("cartesian", 6).n_elements > BATCH_SIZE
+def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
+    # mixed (corners, faces) groups, and a 36-quad group cut into 9 stacks
+    monkeypatch.setattr(hm, "STACK_FACES", 16)
     meshes = [nonconforming_mesh(4), agglomerated_mesh(8), rectangle_mesh(4),
               generate("cartesian", 6)]
+    assert len(meshes[-1].batches) == 9
     fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
     u = lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])
     f = lambda p: np.cos(2 * p[:, 0]) + p[:, 1]

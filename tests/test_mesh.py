@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hho2d.mesh as hm
 from hho2d.mesh import (
     GEOM_RTOL,
     MeshError,
@@ -246,6 +247,61 @@ def test_vertices_are_read_only():
     mesh = generate("cartesian", 2)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 42.0
+
+
+# ---------------------------------------------------------------------------
+# element stacks
+
+
+def _shape(mesh, e):
+    return len(mesh.elements[e].vertex_loop), mesh.elements[e].n_faces
+
+
+@pytest.mark.parametrize("budget", [3, 16, hm.STACK_FACES])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate("cartesian", 6),
+        lambda: generate("triangular", 5),
+        lambda: refine_nonconforming(generate("cartesian", 4), [1, 2, 7, 12]),
+        lambda: agglomerate(
+            generate("cartesian", 4),
+            [(0, 0, 2, 2)]
+            + [(i, j, 1, 1) for j in range(4) for i in range(4) if not (i < 2 and j < 2)],
+        ),
+    ],
+    ids=["cart6", "tri5", "refined", "agglo"],
+)
+def test_batches_partition_by_shape_within_the_face_budget(build, budget, monkeypatch):
+    monkeypatch.setattr(hm, "STACK_FACES", budget)
+    mesh = build()
+    stacks = [b.tolist() for b in mesh.batches]
+    # every element exactly once
+    assert sorted(sum(stacks, [])) == list(range(mesh.n_elements))
+    shapes = []
+    for ids in stacks:
+        shape = {_shape(mesh, e) for e in ids}
+        assert len(shape) == 1  # one (corners, faces) shape per stack
+        (shape,) = shape
+        assert len(ids) == 1 or len(ids) * shape[1] <= budget
+        assert ids == sorted(ids)
+        shapes.append(shape)
+    # groups are contiguous runs of stacks, in order of first appearance,
+    # and every stack but the last of its group is full
+    first = list(dict.fromkeys(_shape(mesh, e) for e in range(mesh.n_elements)))
+    assert list(dict.fromkeys(shapes)) == first
+    for i, shape in enumerate(shapes[:-1]):
+        if shapes[i + 1] == shape:
+            assert len(stacks[i]) == max(1, budget // shape[1])
+            assert stacks[i][-1] < stacks[i + 1][0]
+        else:
+            assert shape not in shapes[i + 1:]
+
+
+def test_uniform_mesh_needs_few_stacks():
+    # 1024 quads under the default budget
+    assert len(generate("cartesian", 32).batches) <= 4
+    assert all(b.flags.writeable is False for b in generate("cartesian", 4).batches)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hho2d import assembly as asm
+from hho2d import mesh as hm
 from hho2d import classics as cl
 from hho2d import polybasis as pb
 from hho2d import verify as vf
-from hho2d.mesh import generate
+from hho2d.mesh import MeshError, generate
 
 
 def element_views(mesh, stacks):
@@ -54,8 +57,12 @@ def test_family_builders():
     assert rect.n_elements == 8
     agg = vf.agglomerated_mesh(8, 2)
     assert agg.total_area == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(MeshError, match="unknown family tag"):
         vf.build_family("unknown", [2])
+    with pytest.raises(MeshError, match="block"):
+        vf.agglomerated_mesh(6, 2)
+    with pytest.raises(MeshError, match="even"):
+        vf.rectangle_mesh(3)
 
 
 def test_energy_error_zero_for_interpolate():
@@ -113,6 +120,14 @@ def test_eoc_fit():
     incr = vf.incremental_eoc(hs, errs)
     assert np.isnan(incr[0])
     assert incr[1:] == pytest.approx([2.0, 2.0, 2.0])
+
+
+def test_poincare_constant_of_an_empty_system():
+    # one cell at k = 0: every face is on the boundary, no unknowns
+    system = asm.assemble(generate("cartesian", 1), 0, vf.CASES["sine"].f)
+    assert system.dofmap.total == 0
+    with pytest.raises(asm.AssemblyError, match="empty system"):
+        vf.poincare_constant(system)
 
 
 def test_poincare_constant_identity_oracle():
@@ -284,3 +299,27 @@ def test_stab_consistency_polynomial_st2():
     # bubble is degree 4: exactly reproducible at k = 3
     _, _, values = vf.stab_consistency_rate(fam, 3, "bubble")
     assert max(values) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_study_totals_do_not_depend_on_the_stack_cut(k, monkeypatch):
+    # 16 face slots cut every group into stacks of 1 to 5 elements; the
+    # lone elements are the same as under the default budget, since a
+    # one-element stack takes BLAS's one-row path in the moment Grams
+    default = hm.STACK_FACES
+
+    def totals(budget):
+        monkeypatch.setattr(hm, "STACK_FACES", budget)
+        out = []
+        for tag in ("nonconforming", "triangular", "agglomerated"):
+            family = vf.build_family(tag, (4, 8))
+            assert budget == default or len(family.meshes[-1].batches) > 8
+            for row in vf.study(family, k, "sine").rows:
+                out.append({n: repr(v) for n, v in dataclasses.asdict(row).items()
+                            if n != "seconds"})
+            suite = vf.projector_rate_suite(family, k, "sine")
+            out.append({n: repr(suite[n]) for n in ("cell_errors", "trace_errors",
+                                                     "egrad_errors")})
+        return out
+
+    assert totals(16) == totals(default)
