@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hho2d.mesh as hm
+from hho2d import mesh as hm
 from hho2d.mesh import (
     GEOM_RTOL,
     MeshError,
