@@ -266,9 +266,11 @@ def run_check(config):
         worst = max(worst, defect.max())
     report("polynomial-consistency", worst <= 1e-10, f"max relative defect {worst:.2e}")
 
+    # |S v| against the element's energy scale: S itself is roundoff where
+    # P^{k+1} fills the local space (triangles at k = 0)
     worst = 0.0
     for s, c, vec in draw():
-        denom = np.linalg.norm(s.stab, 2, axis=(1, 2)) * np.linalg.norm(vec, axis=1) + 1e-300
+        denom = np.linalg.norm(s.stiff, 2, axis=(1, 2)) * np.linalg.norm(vec, axis=1) + 1e-300
         defect = np.linalg.norm((s.stab @ vec[..., None])[..., 0], axis=1) / denom
         worst = max(worst, defect.max())
     report("stabilization-consistency", worst <= 1e-10, f"max scaled defect {worst:.2e}")

@@ -16,6 +16,15 @@ Text format (line oriented, ``#`` starts a comment)::
     ELEMENTS <m>
     <p> <v0> ... <v{p-1}>    # CCW vertex loop
 
+``load_mesh`` tokenizes the whole document at once and converts the vertex
+block and the element block with one numpy call each.  Where that pass
+cannot vouch for its result (a malformed line, a number spelled in a way
+numpy reads differently from ``float``/``int``), the line-by-line reader
+runs instead and raises ``MeshError`` naming the offending line.  The
+tokenized reader and ``generate`` hand a corner table (CSR offsets and
+corner ids) straight to the constructor; ``PolyMesh(vertices, loops)``,
+which the line reader uses, turns its loops into one first.
+
 Vertex loops must be simple polygons, star-shaped with respect to their
 centroid.  All meshes are immutable after construction and safe to share
 across threads.
@@ -28,13 +37,16 @@ views of single rows.  ``mesh.batches`` lists the element ids in the
 stacks that every element kernel runs on: equal corner and face counts,
 at most ``STACK_FACES`` faces each.  Construction costs time linear in
 the mesh size: the hanging vertices of each side come from a uniform
-bucket grid, and the loop checks and the geometry run per group of
-elements with one corner count.
+bucket grid, where only the vertices inside the side's slightly widened
+bounding box get the exact on-segment test, and the loop checks and the
+geometry run per group of elements with one corner count.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,17 +224,34 @@ class PolyMesh:
     """
 
     def __init__(self, vertices, loops):
+        counts = np.array([len(lp) for lp in loops], dtype=int)
+        corner_ptr = np.concatenate([[0], np.cumsum(counts)])
+        corners = np.fromiter(
+            itertools.chain.from_iterable(loops), dtype=int, count=corner_ptr[-1]
+        )
+        self._setup(vertices, corner_ptr, corners)
+
+    @classmethod
+    def _from_corners(cls, vertices, corner_ptr, corners):
+        """The mesh of a corner table: element e has the corners
+        ``corners[corner_ptr[e]:corner_ptr[e + 1]]``.  ``corners`` is taken
+        over, and its clockwise loops are reversed in place."""
+        mesh = cls.__new__(cls)
+        mesh._setup(vertices, corner_ptr, corners)
+        return mesh
+
+    def _setup(self, vertices, corner_ptr, corners):
         verts = np.array(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError("vertex array must have shape (n, 2)")
         bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
         if len(bad):
             raise MeshError(f"vertex {bad[0]}: non-finite coordinate")
-        if len(loops) == 0:
+        if len(corner_ptr) == 1:
             raise MeshError("mesh has no elements")
         verts.setflags(write=False)
         self.vertices = verts
-        self.faces, self.elements = _build(verts, loops)
+        self.faces, self.elements = _build(verts, corner_ptr, corners)
         self._validate()
         self.h = float(self.elements.diameter.max())  # meshsize
         self.total_area = sum(self.elements.area.tolist())
@@ -308,17 +337,12 @@ class MeshFamily:
 # order, and within it the first failed check.
 
 
-def _build(verts, loops):
+def _build(verts, corner_ptr, corners):
     """Checked CCW corner loops, then the face and element tables."""
-    counts = np.array([len(lp) for lp in loops], dtype=int)
-    corner_ptr = np.concatenate([[0], np.cumsum(counts)])
-    corners = np.fromiter(
-        itertools.chain.from_iterable(loops), dtype=int, count=corner_ptr[-1]
-    )
     _check_loops(verts, corner_ptr, corners)
     area, centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
     u, v, piece_ptr, lengths = _split_sides(verts, corner_ptr, corners, diameter)
-    elem = np.repeat(np.arange(len(counts)), np.diff(piece_ptr))
+    elem = np.repeat(np.arange(len(area)), np.diff(piece_ptr))
     face_ids, faces = _number_faces(verts, u, v, elem)
 
     # element-side geometry, in traversal order
@@ -487,7 +511,9 @@ def _hanging_vertices(verts, va, vb, tol, live):
     the buckets of a uniform grid whose cell is the median side length
     (spatial hashing, Teschner et al., VMV 2003), and each side tests only
     the vertices of the buckets its tol-widened segment crosses, taking in
-    every bucket row just the columns the segment covers.
+    every bucket row just the columns the segment covers.  Of those, the
+    side's own ends and the vertices outside its widened bounding box are
+    dropped before the exact test, which they could not pass.
     """
     sides = np.flatnonzero(live)
     if len(sides) == 0:
@@ -532,19 +558,33 @@ def _hanging_vertices(verts, va, vb, tol, live):
     s = sides[np.repeat(k, stop - first)]
     w = by_key[_ranges(first, stop - first)]
 
-    # the on-segment test on every (side, candidate) pair
-    t = _dot(verts[w] - a[s], d[s]) / L2[s]
-    off = verts[w] - (a[s] + t[:, None] * d[s])
+    # prefilter: drop the side's own ends, then every vertex outside the
+    # side's bounding box widened by `margin`.  A vertex the test below
+    # accepts lies within 2.01 tol + eps/2 |coordinate| of that box (3e-162
+    # more where its squared offset underflows); the margin covers that and
+    # the rounding of the box itself with room to spare.
+    s, w = _keep((w != va[s]) & (w != vb[s]), s, w)
+    margin = 4.0 * tol + 2.0 * np.finfo(float).eps * np.abs(verts).max() + 1e-150
+    lo = np.minimum(a, b) - margin[:, None]
+    hi = np.maximum(a, b) + margin[:, None]
+    p = verts[w]
+    s, w, p = _keep(((p >= lo[s]) & (p <= hi[s])).all(axis=1), s, w, p)
+
+    # the on-segment test on the remaining (side, candidate) pairs
+    t = _dot(p - a[s], d[s]) / L2[s]
+    off = p - (a[s] + t[:, None] * d[s])
     along = t * L[s]
     on = (
         (np.einsum("ij,ij->i", off, off) <= tol[s] * tol[s])
         & (along > -tol[s])
         & (along < L[s] + tol[s])
-        & (w != va[s])
-        & (w != vb[s])
     )
     order = np.lexsort((t[on], s[on]))
     return s[on][order], w[on][order]
+
+
+def _keep(mask, *arrays):
+    return tuple(arr[mask] for arr in arrays)
 
 
 def _ranges(start, count):
@@ -609,6 +649,96 @@ def _frozen(arr):
 
 def load_mesh(text):
     """Parse the POLYMESH2D text format and build the mesh."""
+    table = _read_tokens(text)
+    if table is None:
+        return PolyMesh(*_read_lines(text))
+    return PolyMesh._from_corners(*table)
+
+
+# the bytes each part of a document may hold on the tokenized path
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n"
+_FLOAT_BYTES = b"0123456789.eE+- \t\n"
+_INT_BYTES = b"0123456789+- \t\n"
+_COMMENT = re.compile(rb"#[^\n]*")
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_tokens(text):
+    """(vertices, corner_ptr, corners) of a well-formed document, from one
+    tokenization of the whole text and one numpy conversion per block.
+
+    Returns None wherever it cannot show that the result equals the line
+    reader's: a malformed document, characters other than printable ASCII,
+    tabs and line feeds (a CR only before a LF), or number spellings that
+    numpy reads differently from ``float``/``int`` (``1_0``, ``nan``,
+    integers that do not fit int64).  ``load_mesh`` then runs the line
+    reader, which raises its error or reads the document as before.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode()
+    if "\r" in text:  # str.splitlines breaks once at a CRLF
+        raw = raw.replace(b"\r\n", b"\n")
+    if raw.translate(None, _PLAIN):
+        return None
+    if "#" in text:
+        raw = _COMMENT.sub(b"", raw)
+    c = np.frombuffer(raw, dtype=np.uint8)
+    # tokens raw[start:stop], and the first token of each line that has one
+    blank = (c == 32) | (c == 10) | (c == 9)
+    edges = np.flatnonzero(np.diff(blank, prepend=True, append=True))
+    start, stop = edges[0::2], edges[1::2]
+    tok_line = np.searchsorted(np.flatnonzero(c == 10), start)
+    first = np.flatnonzero(np.diff(tok_line, prepend=-1))
+    n_tokens = np.diff(first, append=len(start))
+    word = lambda i: raw[start[i]:stop[i]]
+
+    def count(line, label):
+        """n of a '<label> <n>' line, n >= 1, or None."""
+        if len(first) <= line or n_tokens[line] != 2 or word(first[line]) != label:
+            return None
+        try:
+            value = int(word(first[line] + 1))
+        except ValueError:
+            return None
+        return value if value >= 1 else None
+
+    def block(lines, chars, dtype):
+        """Every token of ``lines`` as one array, or None."""
+        t0 = first[lines.start]
+        t1 = first[lines.stop - 1] + n_tokens[lines.stop - 1]
+        chunk = raw[start[t0]:stop[t1 - 1]]
+        if chunk.translate(None, chars):
+            return None
+        try:
+            values = np.fromstring(chunk, dtype=dtype, sep=" ")
+        except ValueError:
+            return None
+        return values if len(values) == t1 - t0 else None
+
+    if len(first) < 2 or n_tokens[0] != 2 or (word(0), word(1)) != (b"POLYMESH2D", b"1"):
+        return None
+    n = count(1, b"VERTICES")
+    m = n and count(n + 2, b"ELEMENTS")
+    if not m or len(first) != n + 3 + m or (n_tokens[2:n + 2] != 2).any():
+        return None
+    verts = block(range(2, n + 2), _FLOAT_BYTES, float)
+    flat = block(range(n + 3, n + 3 + m), _INT_BYTES, np.int64)
+    if verts is None or flat is None:
+        return None
+    if flat.max() == _INT64.max or flat.min() == _INT64.min:  # maybe clipped
+        return None
+    head = first[n + 3:] - first[n + 3]  # the corner count of each loop
+    p = flat[head]
+    if (p < 3).any() or (n_tokens[n + 3:] != p + 1).any():
+        return None
+    corners = np.delete(flat, head)
+    return verts.reshape(n, 2), np.concatenate([[0], np.cumsum(p)]), corners
+
+
+def _read_lines(text):
+    """(vertices, loops) of the document, read line by line; raises
+    ``MeshError`` naming the first malformed line."""
     tokens = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -656,7 +786,7 @@ def load_mesh(text):
         loops.append([_parse_int(t, ln) for t in fields[1:]])
     if pos != len(tokens):
         raise MeshError(f"line {tokens[pos][0]}: trailing content")
-    return PolyMesh(verts, loops)
+    return verts, loops
 
 
 def _parse_int(token, ln, minimum=None):
@@ -686,22 +816,21 @@ def dump_mesh(mesh):
 
 def generate(kind, n):
     """Uniform mesh of the unit square: 'cartesian' or 'triangular'."""
+    n = operator.index(n)
     if n < 1:
         raise MeshError("subdivision count must be >= 1")
-    vid = lambda i, j: j * (n + 1) + i
-    verts = [(i / n, j / n) for j in range(n + 1) for i in range(n + 1)]
-    loops = []
-    for j in range(n):
-        for i in range(n):
-            c = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            if kind == "cartesian":
-                loops.append(c)
-            elif kind == "triangular":
-                loops.append([c[0], c[1], c[2]])
-                loops.append([c[0], c[2], c[3]])
-            else:
-                raise MeshError(f"unknown generator kind {kind!r}")
-    return PolyMesh(verts, loops)
+    if kind not in ("cartesian", "triangular"):
+        raise MeshError(f"unknown generator kind {kind!r}")
+    x = np.arange(n + 1) / n
+    verts = np.column_stack([np.tile(x, n + 1), np.repeat(x, n + 1)])
+    # vertex (i, j) has id j (n + 1) + i; cell (i, j) starts at its lower left
+    v = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    cells = np.column_stack([v, v + 1, v + n + 2, v + n + 1])
+    if kind == "triangular":
+        cells = cells[:, [0, 1, 2, 0, 2, 3]]
+    p = 4 if kind == "cartesian" else 3
+    corners = cells.ravel()
+    return PolyMesh._from_corners(verts, np.arange(0, len(corners) + 1, p), corners)
 
 
 def refine_nonconforming(mesh, marked):
@@ -795,18 +924,22 @@ def agglomerate(fine, target):
 def _check_cartesian(mesh, n):
     if len(mesh.vertices) != (n + 1) ** 2:
         raise MeshError("fine mesh does not look like a generated Cartesian grid")
-    for el in mesh.elements:
-        if len(el.vertex_loop) != 4:
-            raise MeshError(f"element {el.id}: not a grid quadrilateral")
-        i = int(round(el.centroid[0] * n - 0.5))
-        j = int(round(el.centroid[1] * n - 0.5))
-        ref = np.array(
-            [[i / n, j / n], [(i + 1) / n, j / n],
-             [(i + 1) / n, (j + 1) / n], [i / n, (j + 1) / n]]
-        )
-        got = np.sort(mesh.vertices[el.vertex_loop], axis=0)
-        if not np.allclose(np.sort(ref, axis=0), got, rtol=0, atol=1e-14):
-            raise MeshError(f"element {el.id}: not a unit grid cell")
+    els = mesh.elements
+    quad = np.diff(els.corner_ptr) == 4
+    ids = np.flatnonzero(quad)
+    # each quad against the grid cell (i, j) of its centroid, with the
+    # corner coordinates sorted per axis: i/n, i/n, (i+1)/n, (i+1)/n
+    cell = np.round(els.centroid[ids] * n - 0.5)
+    ref = (cell[:, None, :] + np.array([0, 0, 1, 1])[:, None]) / n
+    rows = els.corner_ptr[ids][:, None] + np.arange(4)
+    got = np.sort(mesh.vertices[els.corners[rows]], axis=1)
+    off_grid = np.zeros(len(els), dtype=bool)
+    off_grid[ids] = (np.abs(ref - got) > 1e-14).any(axis=(1, 2))
+    failed = _first_failure(~quad, off_grid)
+    if failed is not None:
+        e, check = failed
+        message = ("not a grid quadrilateral", "not a unit grid cell")[check]
+        raise MeshError(f"element {e}: {message}")
 
 
 def _pt_key(p):

@@ -161,6 +161,36 @@ def test_check_sees_one_broken_element(monkeypatch, capsys):
     assert "PASS stabilization-consistency" in captured.out
 
 
+def test_check_passes_stabilization_on_triangles_at_k0(capsys):
+    # S vanishes up to roundoff on triangles at k = 0, and so does S v
+    code = cli.main(["check", "--mesh", "triangular:8", "--k", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS stabilization-consistency" in out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_check_sees_a_stabilization_outside_the_kernel(monkeypatch, capsys, k):
+    # negative control: a rank-one term along the cell mean, which no
+    # polynomial of degree k + 1 with a nonzero mean escapes, in one element
+    build = cli.asm.build_local_operators
+
+    def broken(mesh, k):
+        ops = build(mesh, k)
+        last = ops[-1]
+        e0 = np.zeros(last.n_local)
+        e0[0] = 1.0
+        last.stab[-1] += np.linalg.norm(last.stiff[-1], 2) * np.outer(e0, e0)
+        return ops
+
+    monkeypatch.setattr(cli.asm, "build_local_operators", broken)
+    code = cli.main(["check", "--mesh", "nonconf:4", "--k", str(k)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL stabilization-consistency" in out
+    assert "PASS polynomial-consistency" in out
+
+
 def test_study_command_writes_outputs(tmp_path, capsys):
     out_csv = tmp_path / "report.csv"
     code = cli.main(

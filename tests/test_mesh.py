@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hho2d import mesh as hm
+from hho2d.verify import build_family
 from hho2d.mesh import (
     GEOM_RTOL,
     MeshError,
@@ -515,3 +516,280 @@ def test_bucketed_search_matches_scan_near_the_tolerance(factor, side, angle, sc
     mesh = PolyMesh(scale * verts @ rot.T, [[0, 1, 2, 3], [1, 4, 5, 7], [7, 5, 6, 2]])
     assert mesh.elements[0].n_faces == (5 if factor < 1 else 4)
     assert_faces_match_scan(mesh)
+
+
+def _nudged_past_an_end(factor, end, angle, scale):
+    """A unit square whose bottom side has a vertex w on its line, factor *
+    tol past one end; w is a corner of a triangle beyond that end."""
+    tol = GEOM_RTOL * np.sqrt(2.0)
+    if end:
+        w, far = (1 + factor * tol, 0.0), [(3, -1), (3, 1)]
+    else:
+        w, far = (-factor * tol, 0.0), [(-2, 1), (-2, -1)]
+    verts = np.array([(0, 0), (1, 0), (1, 1), (0, 1), w, *far], dtype=float)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return scale * verts @ rot.T, [[0, 1, 2, 3], [4, 5, 6]]
+
+
+def scan_error(verts, loops):
+    """The message of the first piece of `scan_faces` no longer than its
+    element's tolerance, in element and traversal order, or None."""
+    keys, _, elems = scan_faces(verts, loops)
+    for e, (loop, (face_ids, signs)) in enumerate(zip(loops, elems)):
+        poly = verts[loop]
+        diff = poly[:, None, :] - poly[None, :, :]
+        tol = GEOM_RTOL * float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+        for f, sign in zip(face_ids, signs):
+            u, v = keys[f] if sign > 0 else keys[f][::-1]
+            if np.linalg.norm(verts[v] - verts[u]) <= tol:
+                return f"element {e}: zero-length face {u}-{v} after splitting"
+    return None
+
+
+@SEARCH
+@given(st.sampled_from([0.5, 2.0]), st.sampled_from([0, 1]),
+       st.floats(0.0, 2 * np.pi), st.floats(1e-3, 1e3))
+def test_bucketed_search_matches_scan_past_the_ends(factor, end, angle, scale):
+    # where the prefilter's box margin sits: a vertex on a side's line just
+    # past one end is inside the side at 0.5 tol (so a piece of 0.5 tol is
+    # left) and outside it at 2 tol
+    verts, loops = _nudged_past_an_end(factor, end, angle, scale)
+    expected = scan_error(verts, loops)
+    assert (expected is not None) == (factor < 1)
+    if expected is None:
+        assert_faces_match_scan(PolyMesh(verts, loops))
+    else:
+        with pytest.raises(MeshError) as info:
+            PolyMesh(verts, loops)
+        assert str(info.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# the tokenized reader against the line reader
+
+
+def _outcome(build):
+    """Every array of the mesh, or the type and text of the error raised."""
+    try:
+        mesh = build()
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc).__name__, str(exc)
+    tables = [mesh.vertices, *vars(mesh.faces).values(), *vars(mesh.elements).values()]
+    return "mesh", [(a.dtype.str, a.shape, a.tobytes()) for a in tables + list(mesh.batches)]
+
+
+def reference_load(text):
+    return PolyMesh(*hm._read_lines(text))
+
+
+SMALL_MESHES = [
+    hanging_node_mesh(),
+    generate("triangular", 2),
+    refine_nonconforming(generate("cartesian", 2), [1]),
+    PolyMesh([(-0.0, 0.0), (1e-100, 0.0), (1e-100, 1e-100), (0.0, 1e-100)], [[0, 1, 2, 3]]),
+]
+
+# numbers the readers may spell or convert differently, and plain junk
+ODD_TOKENS = ["x", "nan", "nan(1)", "-inf", "1_0", "+3", "-1", "0", "00", "1e5", "1.5", ".", "-",
+              "1e999", "0x1f", "٣", "1.0-2.0", "99999999999999999999", "#", "VERTICES"]
+
+
+@st.composite
+def mutated_documents(draw):
+    text = dump_mesh(draw(st.sampled_from(SMALL_MESHES)))
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        j = draw(st.integers(0, len(fields) - 1))
+        kind = draw(st.sampled_from(
+            ["truncate", "count", "token", "add", "remove", "comment", "blank",
+             "tab", "crlf", "cr"]))
+        if kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+            continue
+        if kind == "count":
+            word = draw(st.sampled_from(["VERTICES", "ELEMENTS"]))
+            delta = draw(st.sampled_from([-2, -1, 1]))
+            text = re.sub(rf"{word} (\d+)", lambda m: f"{word} {int(m[1]) + delta}", text)
+            continue
+        if kind == "token":
+            fields[j] = draw(st.sampled_from(ODD_TOKENS))
+            lines[i] = " ".join(fields)
+        elif kind == "add":
+            fields.insert(j, draw(st.sampled_from(["0", "1", "0.5"])))
+            lines[i] = " ".join(fields)
+        elif kind == "remove":
+            del fields[j]
+            lines[i] = " ".join(fields)
+        elif kind == "comment":
+            lines[i] += draw(st.sampled_from(["# note", " #", "#1 2 3"]))
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t", "# only a comment"])))
+        elif kind == "tab":
+            lines[i] = "\t" + lines[i].replace(" ", draw(st.sampled_from(["\t", " \t ", "  "])))
+        elif kind == "crlf":
+            lines[i] += "\r"
+        else:
+            lines[i] = lines[i].replace(" ", "\r", 1)
+        text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_tokenized_reader_matches_the_line_reader(text):
+    assert _outcome(lambda: load_mesh(text)) == _outcome(lambda: reference_load(text))
+
+
+# (line, field) of UNIT_SQUARE_DOC: a count, a coordinate, a corner count
+# and a corner id
+TOKEN_PLACES = {"vertex count": (1, 1), "coordinate": (3, 1), "element count": (6, 1),
+                "corner count": (7, 0), "corner id": (7, 3)}
+
+
+@pytest.mark.parametrize("place", list(TOKEN_PLACES))
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_odd_tokens_read_as_the_line_reader_reads_them(token, place):
+    line, field = TOKEN_PLACES[place]
+    lines = [ln.split(" ") for ln in UNIT_SQUARE_DOC.splitlines()]
+    lines[line][field] = token
+    text = "\n".join(" ".join(ln) for ln in lines) + "\n"
+    assert _outcome(lambda: load_mesh(text)) == _outcome(lambda: reference_load(text))
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1e308, 1.7976931348623157e308, 0.1, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=3, max_size=12))
+def test_tokenized_reader_reads_coordinates_bit_exactly(coords):
+    # the reader checks no geometry, so any finite coordinates will do
+    doc = "\n".join(
+        ["POLYMESH2D 1", f"VERTICES {len(coords)}"]
+        + [f"{x!r} {y!r}" for x, y in coords]
+        + ["ELEMENTS 1", "3 0 1 2", ""]
+    )
+    verts, corner_ptr, corners = hm._read_tokens(doc)
+    assert verts.tobytes() == np.array(coords, dtype=float).tobytes()
+    assert verts.tobytes() == hm._read_lines(doc)[0].tobytes()
+    assert corner_ptr.tolist() == [0, 3] and corners.tolist() == [0, 1, 2]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.floats(1e-100, 1e100), st.floats(-4.0, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_dump_load_round_trip_is_bit_exact(n, scale, shift, seed):
+    grid = generate("cartesian", n)
+    rng = np.random.default_rng(seed)
+    jitter = 0.2 / n * (rng.random(grid.vertices.shape) - 0.5)
+    mesh = PolyMesh(scale * (grid.vertices + jitter) + shift * scale, grid.elements.corners.reshape(-1, 4))
+    doc = dump_mesh(mesh)
+    again = load_mesh(doc)
+    assert dump_mesh(again) == doc
+    assert _outcome(lambda: again) == _outcome(lambda: mesh)
+
+
+def _jittered_document(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = generate("cartesian", n)
+    verts = np.array(grid.vertices)
+    inner = ((verts > 0) & (verts < 1)).all(axis=1)
+    radius = 0.15 / n * np.sqrt(rng.random(inner.sum()))
+    angle = 2 * np.pi * rng.random(inner.sum())
+    verts[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    return dump_mesh(PolyMesh(verts, grid.elements.corners.reshape(-1, 4)))
+
+
+def _decorated(text):
+    """The document with comments, blank lines, tabs and CRLF line ends."""
+    lines = text.splitlines()
+    out = ["# a mesh", ""]
+    for i, line in enumerate(lines):
+        out.append(line.replace(" ", "\t" if i % 2 else "  \t") + ("  # row" if i % 3 else ""))
+        if i % 5 == 0:
+            out.append("   ")
+    return "\r\n".join(out) + "\r\n# end\r\n"
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(lambda: _jittered_document(32, 7), id="jittered32"),
+    pytest.param(lambda: _decorated(dump_mesh(hanging_node_mesh())), id="decorated"),
+    *[pytest.param(lambda tag=tag: dump_mesh(build_family(tag, [8]).meshes[0]), id=tag)
+      for tag in ("cartesian", "triangular", "nonconforming", "agglomerated", "rectangles")],
+])
+def test_well_formed_documents_take_the_tokenized_path(doc, monkeypatch):
+    text = doc()
+    reference = reference_load(text)
+
+    def refuse(text):
+        raise AssertionError("the line reader ran on a well-formed document")
+
+    monkeypatch.setattr(hm, "_read_lines", refuse)
+    assert _outcome(lambda: load_mesh(text)) == _outcome(lambda: reference)
+
+
+# ---------------------------------------------------------------------------
+# generators
+
+
+def test_generate_builds_the_grid_in_vertex_and_cell_order():
+    n = 3
+    for kind, loops in [
+        ("cartesian", lambda c: [c]),
+        ("triangular", lambda c: [[c[0], c[1], c[2]], [c[0], c[2], c[3]]]),
+    ]:
+        mesh = generate(kind, n)
+        assert mesh.vertices.tolist() == [
+            [i / n, j / n] for j in range(n + 1) for i in range(n + 1)
+        ]
+        vid = lambda i, j: j * (n + 1) + i
+        expected = [
+            lp for j in range(n) for i in range(n)
+            for lp in loops([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
+        ]
+        assert mesh.elements.corners.tolist() == sum(expected, [])
+    with pytest.raises(MeshError, match="unknown generator kind 'hex'"):
+        generate("hex", 2)
+    with pytest.raises(MeshError, match="subdivision count"):
+        generate("hex", 0)
+
+
+def _grid_with(n, replace):
+    """Loops of the n x n grid with some cells replaced by other loops."""
+    grid = generate("cartesian", n)
+    loops = grid.elements.corners.reshape(-1, 4).tolist()
+    for e, new in sorted(replace.items(), reverse=True):
+        loops[e:e + 1] = new
+    return grid.vertices, loops
+
+
+@pytest.mark.parametrize("verts_loops, message", [
+    # cell 0 as two triangles, cells 2 and 3 as one rectangle: not a quad first
+    (_grid_with(2, {0: [[0, 1, 4], [0, 4, 3]], 2: [[3, 4, 5, 8, 7, 6]], 3: []}),
+     "element 0: not a grid quadrilateral"),
+    # the same, but the first element is a unit cell: element 1 is named
+    (_grid_with(2, {1: [[1, 2, 5], [1, 5, 4]], 2: [[3, 4, 5, 8, 7, 6]], 3: []}),
+     "element 1: not a grid quadrilateral"),
+])
+def test_agglomerate_names_the_first_non_grid_cell(verts_loops, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        agglomerate(PolyMesh(*verts_loops), 1)
+
+
+def test_agglomerate_names_the_first_moved_cell():
+    # a vertex of cells 4, 5, 7, 8 moved: cell 4 is named, by id order
+    verts = np.array(generate("cartesian", 3).vertices)
+    for nudge, message in [(0.5e-14, None), (2e-14, "element 4: not a unit grid cell")]:
+        moved = verts.copy()
+        moved[10] += nudge
+        mesh = PolyMesh(moved, generate("cartesian", 3).elements.corners.reshape(-1, 4))
+        if message is None:
+            assert agglomerate(mesh, 3).n_elements == 1
+        else:
+            with pytest.raises(MeshError, match=message):
+                agglomerate(mesh, 3)
