@@ -31,9 +31,8 @@ elements with equal corner and face counts at once (a batch of
 ``mesh.batches``, at most ``mesh.STACK_FACES`` faces), and keep the leading
 batch axis in what they return: one ``LocalOperators`` and one
 (B, n_local) array per stack.  The bytes of an element's operators do not
-depend on where its group is cut, except in a stack of one element: its
-moment Grams are a one-row BLAS product, which rounds differently at k = 3.
-One element id gives the unbatched forms.
+depend on where its group is cut.  One element id gives the unbatched
+forms.
 """
 
 from __future__ import annotations
@@ -91,10 +90,10 @@ class LocalOperators:
         nc = cell_block_dim(self.k)
         z[..., nc::self.k + 1] = 1.0
         if self.k >= 1:
-            z[..., 0] = 1.0
-            if self.cell_basis.transform is not None:
-                T = _mT(self.cell_basis.transform)
-                z[..., :nc] = np.linalg.solve(T, z[..., :nc, None])[..., 0]
+            # the constant is T[0, 0]^-1 times the first basis function: the
+            # transform T is lower triangular
+            transform = self.cell_basis.transform
+            z[..., 0] = 1.0 if transform is None else 1.0 / transform[..., 0, 0]
         return z
 
 
@@ -183,7 +182,6 @@ def _build(mesh, ids, k):
     Vf = s[:, None] ** np.arange(kf)
     lengths = els.face_lengths[rows]
     fw = sw * 0.5 * lengths[..., None]  # (B, nf, m)
-    M_f = pb.face_mass(lengths, k)
     Vr_f = rec.from_monomials(Z).reshape(nb, nf, nq, dr)
     Dr_f = rec.grad_from_monomials(Z).reshape(nb, nf, nq, dr, 2)
     n = normals[:, :, None, None, :]
@@ -197,47 +195,49 @@ def _build(mesh, ids, k):
         _wgram(flux, fw, Vf).transpose(0, 2, 1, 3).reshape(nb, dr, nf * kf)
     )
 
-    # mean-value closure row and the element-average weight row
-    r = np.zeros((nb, n_loc))
+    # the element-average weight row: the mean of the reconstruction is
+    # fixed to avg times the local vector
     avg = np.zeros((nb, n_loc))
     if k == 0:
-        dists = els.face_dists[rows]
-        r[:, nc:] = 0.5 * dists * lengths
-        avg = r / area
+        avg[:, nc:] = 0.5 * els.face_dists[rows] * lengths / area
     else:
-        r[:, :nc] = m_cell
         avg[:, :nc] = m_cell / area
 
-    K = np.zeros((nb, dr + 1, dr + 1))
-    K[:, :dr, :dr] = G
-    K[:, :dr, dr] = m_rec
-    K[:, dr, :dr] = m_rec
-    rhs = np.concatenate([B, r[:, None, :]], axis=1)
+    # G P = B with the mean-value condition m^T P = |T| avg.  B's columns
+    # vanish on constants, so the multiplier of the saddle form is zero and
+    # P also solves the SPD system (G + a a^T) P = B + a avg, a = m/|T|; the
+    # 1/|T| keeps the constant direction O(1), where m m^T ~ h^4
+    a = m_rec / area
     try:
-        P = np.linalg.solve(K, rhs)[:, :dr]
+        L = np.linalg.cholesky(G + a[:, :, None] * a[:, None, :])
     except np.linalg.LinAlgError as exc:
         raise HhoError(
             f"{pb._elements(ids)}: singular reconstruction system"
         ) from exc
+    inv_L = pb._tri_inv(L)
+    P = _mT(inv_L) @ (inv_L @ (B + a[:, :, None] * avg[:, None, :]))
 
     # stabilization: difference to the interpolate of the reconstruction,
     # kept in factored form S = R^T R so energies of near-kernel vectors
-    # are evaluated without catastrophic cancellation
+    # are evaluated without catastrophic cancellation.  With M = L L^T,
+    # the rows L^T (I - M^-1 X P) are L^T - L^-1 X P
     factor_rows = []
     if k >= 1:
         try:
             L_cell = np.linalg.cholesky(M_cell)
         except np.linalg.LinAlgError as exc:
             raise HhoError(f"{pb._elements(ids)}: singular cell mass matrix") from exc
-        Pi_cell = np.linalg.solve(M_cell, pb._moment_gram(mu, "mass", cellb, rec))
-        D = -Pi_cell @ P
-        D[:, :, :nc] += np.eye(nc)
-        factor_rows.append(_mT(L_cell) @ D / hT)
-    Pi_f = np.linalg.solve(M_f, _wgram(Vf, fw, Vr_f))
-    D = (-Pi_f @ P[:, None]).reshape(nb, nf * kf, n_loc)
-    D[:, :, nc:] += np.eye(nf * kf)
-    L_f = np.linalg.cholesky(M_f)
-    D = (_mT(L_f) @ D.reshape(nb, nf, kf, n_loc)).reshape(nb, nf * kf, n_loc)
+        D = -pb._tri_inv(L_cell) @ pb._moment_gram(mu, "mass", cellb, rec) @ P
+        D[:, :, :nc] += _mT(L_cell)
+        factor_rows.append(D / hT)
+    # face masses are |F| M0 = (sqrt|F| L0)(sqrt|F| L0)^T
+    L0, inv_L0, _ = pb._face_mass_factors(k)
+    sq = np.sqrt(lengths)[..., None, None]
+    D = -(inv_L0 @ _wgram(Vf, fw, Vr_f) @ P[:, None]) / sq
+    D = D.reshape(nb, nf * kf, n_loc)
+    f0 = kf * np.arange(nf)[:, None, None]
+    i = np.arange(kf)
+    D[:, f0 + i[:, None], nc + f0 + i] += sq * L0.T
     factor_rows.append(D / np.sqrt(hT))
     R = np.concatenate(factor_rows, axis=1)
     S = _sym(_mT(R) @ R)
@@ -323,8 +323,8 @@ def _eta_bounds(ops):
     except np.linalg.LinAlgError as exc:
         raise fail("norm Gram singular off the kernel") from exc
     # eigenvalues of L^-1 Aq L^-T are those of the pencil (Aq, Nq)
-    X = np.linalg.solve(L, _mT(Q) @ A @ Q)
-    lam = np.linalg.eigvalsh(_sym(np.linalg.solve(L, _mT(X))))
+    W = pb._tri_inv(L) @ _mT(Q)
+    lam = np.linalg.eigvalsh(_sym(W @ A @ _mT(W)))
     if np.any(lam[..., 0] <= 0):
         raise fail(f"non-coercive local form (lam={lam[..., 0].min():.3e})")
     return lam[..., [0, -1]]

@@ -226,9 +226,18 @@ class PolyMesh:
     def __init__(self, vertices, loops):
         counts = np.array([len(lp) for lp in loops], dtype=int)
         corner_ptr = np.concatenate([[0], np.cumsum(counts)])
-        corners = np.fromiter(
-            itertools.chain.from_iterable(loops), dtype=int, count=corner_ptr[-1]
-        )
+        try:
+            corners = np.fromiter(
+                itertools.chain.from_iterable(loops), dtype=int, count=corner_ptr[-1]
+            )
+        except OverflowError:
+            # an id past int64 is out of range; -1 lets _check_loops name
+            # the element, in order with its other checks
+            corners = np.fromiter(
+                (v if -2**63 <= v < 2**63 else -1
+                 for v in itertools.chain.from_iterable(loops)),
+                dtype=int, count=corner_ptr[-1],
+            )
         self._setup(vertices, corner_ptr, corners)
 
     @classmethod
@@ -444,19 +453,24 @@ def _orient(p, q, r):
 
 
 def _polygon_geometry(verts, ptr, corners):
-    """Area, centroid and diameter of every CCW corner loop."""
+    """Area, centroid and diameter of every CCW corner loop.
+
+    The shoelace sums run on coordinates relative to the first corner:
+    on absolute ones their cancellation grows like eps |x|^2, not eps h^2.
+    """
     n = len(ptr) - 1
     area, diameter = np.empty(n), np.empty(n)
     centroid = np.empty((n, 2))
     for ids, rows in _corner_groups(ptr):
         poly = verts[corners[rows]]
-        x, y = poly[..., 0], poly[..., 1]
+        origin = poly[:, 0]
+        x, y = np.moveaxis(poly - origin[:, None], -1, 0)
         xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         cross = x * yn - xn * y
         a = 0.5 * cross.sum(axis=1)
         area[ids] = a
-        centroid[ids, 0] = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
-        centroid[ids, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
+        centroid[ids, 0] = origin[:, 0] + np.sum((x + xn) * cross, axis=1) / (6.0 * a)
+        centroid[ids, 1] = origin[:, 1] + np.sum((y + yn) * cross, axis=1) / (6.0 * a)
         diff = poly[:, :, None, :] - poly[:, None, :, :]
         dist2 = np.einsum("bijk,bijk->bij", diff, diff)
         diameter[ids] = np.sqrt(dist2.max(axis=(1, 2)))

@@ -214,9 +214,23 @@ def _cell_bases(mesh, elem_ids, degree, mu):
     basis = CellBasis(center, scale, degree)
     if degree >= ORTHONORMALIZE_FROM:
         L = _mass_cholesky(_moment_gram(mu, "mass", basis, basis), elem_ids, degree)
-        inv_L = np.linalg.solve(L, np.eye(basis.dim))
-        basis = CellBasis(center, scale, degree, transform=inv_L)
+        basis = CellBasis(center, scale, degree, transform=_tri_inv(L))
     return basis
+
+
+def _tri_inv(L):
+    """Inverses of a stack (..., n, n) of lower-triangular matrices.
+
+    Forward substitution over the rows of L X = I: row i of X is
+    (e_i - L[i, :i] X[:i]) / L[i, i], and X[:i] is zero right of column i.
+    """
+    n = L.shape[-1]
+    X = np.zeros(L.shape)
+    for i in range(n):
+        X[..., i, :i] = -(L[..., i:i + 1, :i] @ X[..., :i, :i])[..., 0, :]
+        X[..., i, i] = 1.0
+        X[..., i, :i + 1] /= L[..., i, i, None]
+    return X
 
 
 def _mass_cholesky(M, elem_ids, degree):
@@ -243,6 +257,19 @@ def face_mass(length, degree):
     pq = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
     length = np.asarray(length, dtype=float)[..., None, None]
     return np.where(pq % 2 == 0, length / (pq + 1.0), 0.0)
+
+
+@lru_cache(maxsize=None)
+def _face_mass_factors(degree):
+    """Read-only Cholesky factor L0 of the unit-length face mass M0, its
+    inverse and M0^-1.  A face of length |F| has the mass |F| M0, so its
+    factor is sqrt(|F|) L0."""
+    L0 = np.linalg.cholesky(face_mass(1.0, degree))
+    inv_L0 = _tri_inv(L0)
+    inv_M0 = inv_L0.T @ inv_L0
+    for X in (L0, inv_L0, inv_M0):
+        X.setflags(write=False)
+    return L0, inv_L0, inv_M0
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +332,10 @@ def _moment_gram(mu, kind, left, right):
     """Gram of two bases on the elements of ``mu`` (see ``_gram_map``), with
     both transforms applied: (B, left.dim, right.dim)."""
     W = _gram_map(kind, left.degree, right.degree, mu.shape[-1])
-    gram = (mu @ W).reshape(len(mu), left.dim, right.dim)
+    # a lone row would go to BLAS gemv, which rounds unlike the gemm of a
+    # larger stack: pad it, so an element's bytes do not depend on its stack
+    rows = mu if len(mu) > 1 else np.concatenate([mu, mu])
+    gram = (rows @ W)[:len(mu)].reshape(len(mu), left.dim, right.dim)
     if kind != "mass":
         gram /= left.scale[:, None, None] ** 2
     if left.transform is not None:
@@ -336,9 +366,10 @@ def l2_project_cell(mesh, elem_ids, degree, v, order=None):
     points, weights = cell_quadratures(mesh, ids, order or default_cell_order(degree))
     V = basis.eval(points)
     L = _mass_cholesky(np.swapaxes(V * weights[..., None], -1, -2) @ V, ids, degree)
+    inv_L = _tri_inv(L)
     vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
-    y = np.linalg.solve(L, np.einsum("bp,bpi->bi", vw, V)[..., None])
-    coeffs = np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+    y = inv_L @ np.einsum("bp,bpi->bi", vw, V)[..., None]
+    coeffs = (np.swapaxes(inv_L, -1, -2) @ y)[..., 0]
     return coeffs.reshape(np.shape(elem_ids) + (basis.dim,))
 
 
@@ -347,12 +378,12 @@ def l2_project_face(mesh, face_ids, degree, v, order=None):
 
     ``face_ids`` may have any shape S; the result has shape S + (degree+1,).
     Every face rule maps the same reference nodes s, so the basis values
-    are shared and the mass matrix has a closed form.
+    are shared and the mass matrix is |F| M0 (see ``_face_mass_factors``).
     """
     order = order or default_cell_order(degree)
     s, _ = face_rule(order)
     points, weights = face_quadratures(mesh, face_ids, order)
     vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
     rhs = vw @ s[:, None] ** np.arange(degree + 1)
-    M = face_mass(mesh.faces.length[face_ids], degree)
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
+    inv_M0 = _face_mass_factors(degree)[2]
+    return rhs @ inv_M0 / mesh.faces.length[face_ids][..., None]

@@ -279,6 +279,21 @@ def test_non_finite_mesh_file_is_a_config_error(tmp_path, capsys, token):
     assert capsys.readouterr().err.startswith("FAILURE kind=config")
 
 
+@pytest.mark.parametrize("vertex", ["99999999999999999999", "-99999999999999999999",
+                                    str(2**63)])
+def test_vertex_id_past_int64_is_a_config_error(tmp_path, capsys, vertex):
+    path = tmp_path / "mesh.txt"
+    path.write_text(
+        "POLYMESH2D 1\nVERTICES 4\n0 0\n1 0\n1 1\n0 1\n"
+        f"ELEMENTS 2\n3 0 1 2\n3 0 2 {vertex}\n"
+    )
+    code = cli.main(["solve", "--mesh", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith('FAILURE kind=config detail="element 1: vertex id out of range')
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args, detail",
     [

@@ -206,6 +206,19 @@ def test_rejects_non_finite_coordinate(token):
         PolyMesh([(0, 0), (1, 0), (float(token), 1), (0, 1)], [[0, 1, 2, 3]])
 
 
+def test_geometry_is_translation_invariant():
+    # the shoelace sums of absolute coordinates cancel like eps |x|^2: at
+    # offset 200 this quad failed its pyramid check
+    grid = generate("cartesian", 1)
+    verts = grid.vertices + 0.2 * (np.random.default_rng(1).random((4, 2)) - 0.5)
+    loops = [grid.elements.corners.tolist()]
+    ref = PolyMesh(verts, loops).elements
+    for offset in (0.0, 200.0, -1e4, 1e3, 1e4):
+        els = PolyMesh(verts + offset, loops).elements
+        assert np.abs(els.area - ref.area).max() <= 1e-12, offset
+        assert np.abs(els.centroid - offset - ref.centroid).max() <= 1e-12, offset
+
+
 def test_rejects_non_star_shaped():
     # deep L-shaped hexagon: centroid lies past the reentrant side's line
     verts = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]

@@ -203,6 +203,21 @@ def test_moment_grams_match_the_fan_quadrature():
             assert np.abs(pb._moment_integrals(mu, left) - ints).max() <= 1e-12 * np.abs(ints).max()
 
 
+@pytest.mark.parametrize("batch", [1, 50])
+def test_tri_inv_matches_the_inverse(batch):
+    rng = np.random.default_rng(batch)
+    for n in range(1, 17):
+        A = rng.standard_normal((batch, n, n))
+        L = np.linalg.cholesky(A @ np.swapaxes(A, 1, 2) + n * np.eye(n))
+        want = np.linalg.inv(L)
+        got = pb._tri_inv(L)
+        assert got.shape == L.shape
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), n
+        assert np.all(np.triu(got, 1) == 0.0)
+        assert pb._tri_inv(L[0]).tobytes() == got[0].tobytes()
+
+
 def test_projection_reproduces_polynomials():
     for mesh, e in random_polygons():
         for deg in (0, 1, 2, 3):
