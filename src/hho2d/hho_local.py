@@ -308,9 +308,14 @@ def _eta_bounds(ops):
     z = ops.constant_vector()
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     for X in (A, N):
-        # X is symmetric: its spectral norm is its largest |eigenvalue|
-        if np.any(np.linalg.norm(X @ z[..., None], axis=(-2, -1))
-                  > KERNEL_TOL * np.abs(np.linalg.eigvalsh(X)).max(axis=-1)):
+        # X is symmetric: its spectral norm is its largest |eigenvalue|, and
+        # at least its largest |diagonal entry|, which clears most elements
+        defect = np.linalg.norm(X @ z[..., None], axis=(-2, -1))
+        diag = np.abs(np.diagonal(X, axis1=-2, axis2=-1)).max(axis=-1)
+        left = defect > KERNEL_TOL * diag
+        if np.any(left) and np.any(
+            defect[left] > KERNEL_TOL * np.abs(np.linalg.eigvalsh(X[left])).max(axis=-1)
+        ):
             raise fail("constants are not in the shared kernel")
     # Householder reflection mapping z to -+e_0: its other columns are an
     # orthonormal basis of the complement of z

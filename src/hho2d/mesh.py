@@ -36,10 +36,13 @@ Indexing or iterating either table gives read-only ``Face``/``Element``
 views of single rows.  ``mesh.batches`` lists the element ids in the
 stacks that every element kernel runs on: equal corner and face counts,
 at most ``STACK_FACES`` faces each.  Construction costs time linear in
-the mesh size: the hanging vertices of each side come from a uniform
-bucket grid, where only the vertices inside the side's slightly widened
-bounding box get the exact on-segment test, and the loop checks and the
-geometry run per group of elements with one corner count.
+the mesh size.  A side that another element repeats in reverse (its
+twin) is a face as it stands.  The other sides, on the boundary and next
+to hanging vertices, look for hanging vertices among their own ends, in
+a uniform bucket grid where only the vertices inside the side's slightly
+widened bounding box get the exact on-segment test; when some vertex is
+no element's corner, every side is searched for every vertex.  The loop
+checks and the geometry run per group of elements with one corner count.
 """
 
 from __future__ import annotations
@@ -349,15 +352,21 @@ class MeshFamily:
 def _build(verts, corner_ptr, corners):
     """Checked CCW corner loops, then the face and element tables."""
     _check_loops(verts, corner_ptr, corners)
-    area, centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
+    area, local_centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
     u, v, piece_ptr, lengths = _split_sides(verts, corner_ptr, corners, diameter)
     elem = np.repeat(np.arange(len(area)), np.diff(piece_ptr))
     face_ids, faces = _number_faces(verts, u, v, elem)
 
-    # element-side geometry, in traversal order
-    d = verts[v] - verts[u]
+    # element-side geometry, in traversal order; the face distances, like
+    # the shoelace sums, are taken relative to each element's first corner,
+    # so their rounding does not grow with the distance from the origin
+    first = verts[corners[corner_ptr[:-1]]]
+    centroid = first + local_centroid
+    pu, pv = verts[u], verts[v]
+    d = pv - pu
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    mids = 0.5 * (verts[u] + verts[v])
+    mids = 0.5 * (pu + pv)
+    local_mids = 0.5 * ((pu - first[elem]) + (pv - first[elem]))
     elements = ElementTable(
         corner_ptr=corner_ptr,
         corners=corners,
@@ -365,7 +374,7 @@ def _build(verts, corner_ptr, corners):
         face_ids=face_ids,
         face_signs=np.where(u < v, 1, -1),
         face_normals=normals,
-        face_dists=_dot(mids - centroid[elem], normals),
+        face_dists=_dot(local_mids - local_centroid[elem], normals),
         face_lengths=lengths,
         face_midpoints=mids,
         area=area,
@@ -421,10 +430,12 @@ def _check_loops(verts, ptr, corners):
         apart = (j != i + 1) & ((j + 1) % p != i)  # sides without a shared end
         a, b = poly[:, i[apart]], poly[:, (i[apart] + 1) % p]
         c, d = poly[:, j[apart]], poly[:, (j[apart] + 1) % p]
-        crossed[ids] = (
-            (_orient(a, b, c) * _orient(a, b, d) < 0)
-            & (_orient(c, d, a) * _orient(c, d, b) < 0)
-        ).any(axis=1)
+        # signs, not the product of two orientations, which underflows below
+        # coordinates of about 1e-77 and overflows above 1e77
+        ab_c, ab_d, cd_a, cd_b = np.sign(
+            [_orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)]
+        )
+        crossed[ids] = ((ab_c * ab_d < 0) & (cd_a * cd_b < 0)).any(axis=1)
     if crossed.any():
         raise MeshError(f"element {np.argmax(crossed)}: non-simple polygon")
 
@@ -453,7 +464,8 @@ def _orient(p, q, r):
 
 
 def _polygon_geometry(verts, ptr, corners):
-    """Area, centroid and diameter of every CCW corner loop.
+    """Area, centroid relative to the first corner, and diameter of every
+    CCW corner loop.
 
     The shoelace sums run on coordinates relative to the first corner:
     on absolute ones their cancellation grows like eps |x|^2, not eps h^2.
@@ -463,14 +475,13 @@ def _polygon_geometry(verts, ptr, corners):
     centroid = np.empty((n, 2))
     for ids, rows in _corner_groups(ptr):
         poly = verts[corners[rows]]
-        origin = poly[:, 0]
-        x, y = np.moveaxis(poly - origin[:, None], -1, 0)
+        x, y = np.moveaxis(poly - poly[:, :1], -1, 0)
         xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         cross = x * yn - xn * y
         a = 0.5 * cross.sum(axis=1)
         area[ids] = a
-        centroid[ids, 0] = origin[:, 0] + np.sum((x + xn) * cross, axis=1) / (6.0 * a)
-        centroid[ids, 1] = origin[:, 1] + np.sum((y + yn) * cross, axis=1) / (6.0 * a)
+        centroid[ids, 0] = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
+        centroid[ids, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
         diff = poly[:, :, None, :] - poly[:, None, :, :]
         dist2 = np.einsum("bijk,bijk->bij", diff, diff)
         diameter[ids] = np.sqrt(dist2.max(axis=(1, 2)))
@@ -482,6 +493,19 @@ def _split_sides(verts, ptr, corners, diameter):
 
     Returns the pieces ``(u, v)`` in element, side and chain order, the CSR
     offsets of each element's pieces, and the piece lengths.
+
+    When every vertex is the corner of some element, a side (u, v) with a
+    twin, the side (v, u) of another element with each of the two
+    occurring once, is a face as it stands: on a mesh whose elements do
+    not overlap, a vertex inside it would lie inside one of the two
+    elements.  Only the sides without a twin are searched, and only for
+    their own ends, since a vertex whose sides all have twins is the centre
+    of a closed fan of elements.  This is exact on such meshes where no two
+    vertices lie within ``tol`` of each other; elements that overlap, or
+    that touch themselves, may keep a twin side whole where a search over
+    every vertex would split it.  A vertex that no
+    element uses may lie inside any side, so then every side is searched
+    for every vertex.
     """
     counts = np.diff(ptr)
     va = corners
@@ -494,7 +518,16 @@ def _split_sides(verts, ptr, corners, diameter):
     length = np.sqrt(_dot(d, d))
     short = length <= tol
 
-    side, mid = _hanging_vertices(verts, va, vb, tol, ~short)
+    search, candidates = ~short, None
+    used = np.zeros(len(verts), dtype=bool)
+    used[corners] = True
+    if used.all():
+        lone = ~_twins(va, vb, len(verts))
+        search &= lone
+        end = np.zeros(len(verts), dtype=bool)
+        end[va[lone]] = end[vb[lone]] = True
+        candidates = np.flatnonzero(end)
+    side, mid = _hanging_vertices(verts, va, vb, tol, search, candidates)
     u = np.insert(va, side + 1, mid)  # each side: va, then its hanging vertices
     v = np.insert(vb, side, mid)      # each side: its hanging vertices, then vb
     per_side = np.bincount(side, minlength=len(va)) + 1
@@ -516,15 +549,33 @@ def _split_sides(verts, ptr, corners, diameter):
     return u, v, side_ptr[ptr], lengths
 
 
-def _hanging_vertices(verts, va, vb, tol, live):
-    """(side, vertex) of every vertex inside a live side, by side, then along it.
+def _twins(va, vb, n):
+    """Sides (u, v) that occur once among all sides, as does (v, u): the
+    sides whose vertex pair is shared by exactly one other side, which runs
+    the other way."""
+    key = np.minimum(va, vb) * n + np.maximum(va, vb)
+    order = np.argsort(key)
+    key, up = key[order], (va < vb)[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    s = start[np.diff(start, append=len(key)) == 2]
+    s = s[up[s] != up[s + 1]]
+    twin = np.zeros(len(va), dtype=bool)
+    twin[order[s]] = twin[order[s + 1]] = True
+    return twin
+
+
+def _hanging_vertices(verts, va, vb, tol, live, candidates):
+    """(side, vertex) of every vertex inside a live side, by side, then along
+    it, then by id.
 
     A vertex w lies inside side a-b when its offset from the line is at
     most ``tol`` and its position along the side is within ``tol`` of the
-    closed segment; a and b themselves are excluded.  The vertices sit in
-    the buckets of a uniform grid whose cell is the median side length
-    (spatial hashing, Teschner et al., VMV 2003), and each side tests only
-    the vertices of the buckets its tol-widened segment crosses, taking in
+    closed segment; a and b themselves are excluded.  Only the vertex ids in
+    ``candidates`` are tested (every vertex when None; ``_split_sides``
+    passes the ends of the sides without a twin).  They sit in the buckets
+    of a uniform grid whose cell is the median side length (spatial
+    hashing, Teschner et al., VMV 2003), and each side tests only the
+    vertices of the buckets its tol-widened segment crosses, taking in
     every bucket row just the columns the segment covers.  Of those, the
     side's own ends and the vertices outside its widened bounding box are
     dropped before the exact test, which they could not pass.
@@ -537,19 +588,20 @@ def _hanging_vertices(verts, va, vb, tol, live):
     L2 = _dot(d, d)
     L = np.sqrt(L2)
 
-    # buckets in CSR form: vertex ids sorted by bucket key
-    origin = verts.min(axis=0)
-    extent = (verts.max(axis=0) - origin).max()
+    # buckets in CSR form: candidate ids sorted by bucket key
+    ids = np.arange(len(verts)) if candidates is None else candidates
+    pts = verts[ids]
+    origin = pts.min(axis=0)
+    extent = (pts.max(axis=0) - origin).max()
     cell = max(np.median(L[sides]), extent / 2**20)  # at most 2^20 columns
-    grid = (verts - origin) / cell
-    col, row = np.floor(grid).astype(np.int64).T
+    col, row = np.floor((pts - origin) / cell).astype(np.int64).T
     n_cols, n_rows = col.max() + 1, row.max() + 1
     key = row * n_cols + col
-    by_key = np.argsort(key, kind="stable")
-    keys = key[by_key]
+    order = np.argsort(key, kind="stable")
+    keys, by_key = key[order], ids[order]
 
     # (side, bucket row) pairs, then the columns the side covers in each row
-    ga, gb = grid[va[sides]], grid[vb[sides]]
+    ga, gb = (a[sides] - origin) / cell, (b[sides] - origin) / cell
     pad = 2.0 * tol[sides] / cell + 1e-8  # rounding of grid coordinates
     y0 = np.floor(np.minimum(ga[:, 1], gb[:, 1]) - pad).clip(0, n_rows - 1)
     y1 = np.floor(np.maximum(ga[:, 1], gb[:, 1]) + pad).clip(0, n_rows - 1)
@@ -593,7 +645,7 @@ def _hanging_vertices(verts, va, vb, tol, live):
         & (along > -tol[s])
         & (along < L[s] + tol[s])
     )
-    order = np.lexsort((t[on], s[on]))
+    order = np.lexsort((w[on], t[on], s[on]))
     return s[on][order], w[on][order]
 
 

@@ -213,10 +213,14 @@ def test_geometry_is_translation_invariant():
     verts = grid.vertices + 0.2 * (np.random.default_rng(1).random((4, 2)) - 0.5)
     loops = [grid.elements.corners.tolist()]
     ref = PolyMesh(verts, loops).elements
-    for offset in (0.0, 200.0, -1e4, 1e3, 1e4):
+    # and from 1e5 on, face distances of absolute midpoints and centroids
+    # failed it; past 1e4 the bound allows for the rounding of the offset
+    for offset in (0.0, 200.0, -1e4, 1e3, 1e4, 1e5, 1e6):
         els = PolyMesh(verts + offset, loops).elements
-        assert np.abs(els.area - ref.area).max() <= 1e-12, offset
-        assert np.abs(els.centroid - offset - ref.centroid).max() <= 1e-12, offset
+        tol = 1e-12 if abs(offset) <= 1e4 else 1e-12 + 64 * np.finfo(float).eps * offset
+        assert np.abs(els.area - ref.area).max() <= tol, offset
+        assert np.abs(els.centroid - offset - ref.centroid).max() <= tol, offset
+        assert np.abs(els.face_dists - ref.face_dists).max() <= tol, offset
 
 
 def test_rejects_non_star_shaped():
@@ -224,6 +228,16 @@ def test_rejects_non_star_shaped():
     verts = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]
     with pytest.raises(MeshError, match="star-shaped"):
         PolyMesh(verts, [[0, 1, 2, 3, 4, 5]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [10.0**e for e in range(-120, 121, 20)])
+def test_crossing_sides_are_found_at_any_scale(scale):
+    # the product of two orientations underflows below about 1e-77 and
+    # overflows above 1e77; their signs do neither
+    verts = scale * np.array([(0, 0), (4, 0), (4, 3), (1, -1), (0, 3)], dtype=float)
+    with pytest.raises(MeshError, match=r"^element 0: non-simple polygon$"):
+        PolyMesh(verts, [[0, 1, 2, 3, 4]])
 
 
 def test_rejects_duplicate_vertex_as_zero_length_face():
@@ -575,6 +589,62 @@ def test_bucketed_search_matches_scan_past_the_ends(factor, end, angle, scale):
         with pytest.raises(MeshError) as info:
             PolyMesh(verts, loops)
         assert str(info.value) == expected
+
+
+@SEARCH
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_twin_sides_match_scan_on_jittered_grids(n, seed):
+    # every interior side has a twin, so only the boundary is searched
+    mesh = load_mesh(_jittered_document(n, seed))
+    assert mesh.n_faces == 2 * n * (n + 1)
+    assert_faces_match_scan(mesh)
+
+
+def test_unused_vertex_splits_a_shared_side():
+    # (1, 0.5) is no element's corner: both copies of the side it lies in
+    # are split, though each is the other's twin
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
+    mesh = PolyMesh(verts, [[0, 1, 2, 3], [1, 4, 5, 2]])
+    assert [el.n_faces for el in mesh.elements] == [5, 5]
+    assert mesh.n_faces == 8
+    assert_faces_match_scan(mesh)
+
+
+def _searched(build, monkeypatch):
+    """(sides searched, all sides, candidate vertex ids) of ``build()``."""
+    calls = []
+    search = hm._hanging_vertices
+
+    def spy(verts, va, vb, tol, live, candidates):
+        calls.append((np.count_nonzero(live), len(va), candidates))
+        return search(verts, va, vb, tol, live, candidates)
+
+    monkeypatch.setattr(hm, "_hanging_vertices", spy)
+    mesh = build()
+    monkeypatch.undo()
+    (call,) = calls
+    return mesh, call
+
+
+def test_search_takes_only_sides_without_a_twin(monkeypatch):
+    doc = _jittered_document(32, 7)
+    mesh, (live, total, candidates) = _searched(lambda: load_mesh(doc), monkeypatch)
+    on_boundary = ((mesh.vertices == 0) | (mesh.vertices == 1)).any(axis=1)
+    assert (live, total) == (128, 4096)
+    assert candidates.tolist() == np.flatnonzero(on_boundary).tolist()
+
+    # 16 boundary sides; the 4 sides of the neighbours of the refined cell
+    # and the 8 outer sides of its children
+    grid = generate("cartesian", 4)
+    mesh, (live, total, candidates) = _searched(
+        lambda: refine_nonconforming(grid, [5]), monkeypatch)
+    assert (live, total, len(candidates)) == (28, 76, 24)
+    assert_faces_match_scan(mesh)
+
+    _, (live, total, candidates) = _searched(
+        lambda: PolyMesh([(0, 0), (1, 0), (1, 1), (0, 1), (5, 5)], [[0, 1, 2, 3]]),
+        monkeypatch)
+    assert (live, total, candidates) == (4, 4, None)
 
 
 # ---------------------------------------------------------------------------
