@@ -21,7 +21,7 @@ block and the element block with one numpy call each.  Where that pass
 cannot vouch for its result (a malformed line, a number spelled in a way
 numpy reads differently from ``float``/``int``), the line-by-line reader
 runs instead and raises ``MeshError`` naming the offending line.  The
-tokenized reader and ``generate`` hand a corner table (CSR offsets and
+tokenized reader and the generators hand a corner table (CSR offsets and
 corner ids) straight to the constructor; ``PolyMesh(vertices, loops)``,
 which the line reader uses, turns its loops into one first.
 
@@ -32,7 +32,7 @@ across threads.
 A mesh is stored as read-only arrays.  ``mesh.faces`` (a ``FaceTable``)
 has one row per face id; ``mesh.elements`` (an ``ElementTable``) has one
 row per element, with the corner loops and the face loops in CSR form.
-Indexing or iterating either table gives read-only ``Face``/``Element``
+Indexing or iterating the element table gives read-only ``Element``
 views of single rows.  ``mesh.batches`` lists the element ids in the
 stacks that every element kernel runs on: equal corner and face counts,
 at most ``STACK_FACES`` faces each.  Construction costs time linear in
@@ -72,20 +72,6 @@ class MeshError(Exception):
 
 
 @dataclass(frozen=True)
-class Face:
-    """Read-only view of one row of a ``FaceTable``."""
-
-    id: int
-    v0: int
-    v1: int
-    elems: tuple
-    boundary: bool
-    length: float
-    midpoint: np.ndarray
-    tangent: np.ndarray  # unit vector, from v0 to v1 (global orientation)
-
-
-@dataclass(frozen=True)
 class Element:
     """Read-only view of one row of an ``ElementTable``."""
 
@@ -108,10 +94,7 @@ class Element:
 
 @dataclass(frozen=True, eq=False)
 class FaceTable:
-    """The faces as read-only arrays, one row per face id.
-
-    ``table[f]`` is a ``Face`` view of row f.
-    """
+    """The faces as read-only arrays, one row per face id."""
 
     v0: np.ndarray        # (nF,) smaller end vertex id
     v1: np.ndarray        # (nF,) larger end vertex id
@@ -122,23 +105,6 @@ class FaceTable:
 
     def __len__(self):
         return len(self.v0)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, f):
-        f = range(len(self))[f]
-        elems = tuple(int(e) for e in self.elems[f] if e >= 0)
-        return Face(
-            id=f,
-            v0=int(self.v0[f]),
-            v1=int(self.v1[f]),
-            elems=elems,
-            boundary=len(elems) == 1,
-            length=float(self.length[f]),
-            midpoint=self.midpoint[f],
-            tangent=self.tangent[f],
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +377,8 @@ def _check_loops(verts, ptr, corners):
 
     zero_area = np.zeros(n, dtype=bool)
     for ids, rows in _corner_groups(ptr):
-        x, y = np.moveaxis(verts[corners[rows]], -1, 0)
+        poly = verts[corners[rows]]
+        x, y = np.moveaxis(poly - poly[:, :1], -1, 0)  # relative, as in _polygon_geometry
         xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         area = 0.5 * np.sum(x * yn - xn * y, axis=1)
         zero_area[ids] = np.abs(area) < 1e-300
@@ -904,47 +871,66 @@ def refine_nonconforming(mesh, marked):
 
     Neighbors are left untouched; the hanging nodes introduced on their
     sides are resolved by the face-splitting rule, so the result is again a
-    valid polygonal mesh.
+    valid polygonal mesh.  ``marked`` may repeat ids and list them in any
+    order; the smallest id that is out of range or not refinable is named.
     """
-    marked = set(int(e) for e in marked)
-    for e in marked:
-        if e < 0 or e >= mesh.n_elements:
+    els = mesh.elements
+    counts = np.diff(els.corner_ptr)
+    ids = sorted({_index(e, "marked element") for e in marked})
+    for e in ids:
+        if not 0 <= e < len(counts):
             raise MeshError(f"marked element {e} out of range")
-        if len(mesh.elements[e].vertex_loop) not in (3, 4):
+        if counts[e] not in (3, 4):
             raise MeshError(f"element {e}: only triangles/quads can be refined")
+    ids = np.array(ids, dtype=int)
+    p = counts[ids]
 
-    verts = [tuple(v) for v in mesh.vertices]
-    key2id = {_pt_key(v): i for i, v in enumerate(verts)}
+    # the new points of each marked element, in element order: its side
+    # midpoints, then a quad's centre
+    n_new = p + (p == 4)
+    new = np.empty((n_new.sum(), 2))
+    groups = []
+    for q, children in ((3, _TRIANGLE_CHILDREN), (4, _QUAD_CHILDREN)):
+        k = np.flatnonzero(p == q)
+        loop = els.corners[els.corner_ptr[ids[k], None] + np.arange(q)]
+        xy = mesh.vertices[loop]
+        pts = [0.5 * (xy + np.roll(xy, -1, axis=1))]
+        if q == 4:
+            pts.append(0.25 * (xy[:, 0] + xy[:, 1] + xy[:, 2] + xy[:, 3])[:, None])
+        at = (np.cumsum(n_new) - n_new)[k, None] + np.arange(q + (q == 4))
+        new[at] = np.concatenate(pts, axis=1)
+        groups.append((k, loop, at, children))
 
-    def vertex_id(p):
-        key = _pt_key(p)
-        if key not in key2id:
-            key2id[key] = len(verts)
-            verts.append((p[0], p[1]))
-        return key2id[key]
+    # a new point equal to a mesh vertex takes its (largest) id, the others
+    # ids from n_vertices on by first appearance; points are equal when their
+    # bits are, which keeps -0.0 apart from 0.0
+    nv = len(mesh.vertices)
+    bits = np.concatenate([mesh.vertices[::-1], new]).view(np.int64)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    fresh = np.sort(first[first >= nv])
+    vid = np.where(first >= nv, nv + np.searchsorted(fresh, first), nv - 1 - first)
+    new_id = vid[inverse[nv:]]
+    verts = np.concatenate([mesh.vertices, new[fresh - nv]])
 
-    loops = []
-    for el in mesh.elements:
-        loop = list(el.vertex_loop)
-        if el.id not in marked:
-            loops.append(loop)
-            continue
-        pts = mesh.vertices[loop]
-        mid = [vertex_id(0.5 * (pts[i] + pts[(i + 1) % len(loop)]))
-               for i in range(len(loop))]
-        if len(loop) == 3:
-            v0, v1, v2 = loop
-            m01, m12, m20 = mid
-            loops += [[v0, m01, m20], [m01, v1, m12],
-                      [m20, m12, v2], [m01, m12, m20]]
-        else:
-            v0, v1, v2, v3 = loop
-            m01, m12, m23, m30 = mid
-            c = vertex_id(0.25 * (pts[0] + pts[1] + pts[2] + pts[3]))
-            loops += [[v0, m01, c, m30], [m01, v1, m12, c],
-                      [c, m12, v2, m23], [m30, c, m23, v3]]
+    # each marked element gives way to its four children
+    split = np.zeros(len(counts), dtype=bool)
+    split[ids] = True
+    reps = np.where(split, 4, 1)
+    out = reps * counts
+    corners = np.empty(out.sum(), dtype=int)
+    corners[np.repeat(~split, out)] = els.corners[np.repeat(~split, counts)]
+    start = np.cumsum(out) - out
+    for k, loop, at, children in groups:
+        row = np.concatenate([loop, new_id[at]], axis=1)
+        corners[start[ids[k], None] + np.arange(children.size)] = row[:, children.ravel()]
+    ptr = np.concatenate([[0], np.cumsum(np.repeat(counts, reps))])
+    return _compacted(verts, ptr, corners)
 
-    return PolyMesh(*_compact(np.array(verts), loops))
+
+# children of a marked element as positions in its row of local vertices:
+# the corners, the side midpoints (side i runs from corner i), a quad's centre
+_TRIANGLE_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+_QUAD_CHILDREN = np.array([[0, 4, 8, 7], [4, 1, 5, 8], [8, 5, 2, 6], [7, 8, 6, 3]])
 
 
 def agglomerate(fine, target):
@@ -962,12 +948,12 @@ def agglomerate(fine, target):
     _check_cartesian(fine, n)
 
     if np.isscalar(target):
-        b = int(target)
+        b = _index(target, "block size")
         if b < 1 or n % b != 0:
             raise MeshError(f"block size {b} does not divide grid size {n}")
         blocks = [(i, j, b, b) for j in range(0, n, b) for i in range(0, n, b)]
     else:
-        blocks = [tuple(int(x) for x in blk) for blk in target]
+        blocks = [[_index(x, "block field") for x in blk] for blk in target]
 
     covered = np.zeros((n, n), dtype=bool)
     for i0, j0, w, h in blocks:
@@ -979,12 +965,11 @@ def agglomerate(fine, target):
     if not covered.all():
         raise MeshError("blocks do not cover the fine grid")
 
-    vid = lambda i, j: j * (n + 1) + i
-    loops = [
-        [vid(i0, j0), vid(i0 + w, j0), vid(i0 + w, j0 + h), vid(i0, j0 + h)]
-        for i0, j0, w, h in blocks
-    ]
-    return PolyMesh(*_compact(np.asarray(fine.vertices), loops))
+    i0, j0, w, h = np.array(blocks).T
+    i1, j1 = i0 + w, j0 + h
+    # grid vertex (i, j) has id j (n + 1) + i
+    corners = np.column_stack([j0, j0, j1, j1]) * (n + 1) + np.column_stack([i0, i1, i1, i0])
+    return _compacted(fine.vertices, np.arange(0, corners.size + 1, 4), corners.ravel())
 
 
 def _check_cartesian(mesh, n):
@@ -1008,15 +993,19 @@ def _check_cartesian(mesh, n):
         raise MeshError(f"element {e}: {message}")
 
 
-def _pt_key(p):
-    return (float(p[0]).hex(), float(p[1]).hex())
+def _index(value, what):
+    """``value`` as an int, by ``operator.index``: floats and strings are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MeshError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _compact(verts, loops):
-    """Drop vertices not referenced by any loop; reindex the loops."""
-    used = sorted({v for lp in loops for v in lp})
-    remap = {old: new for new, old in enumerate(used)}
-    return verts[used], [[remap[v] for v in lp] for lp in loops]
+def _compacted(verts, corner_ptr, corners):
+    """The mesh of a corner table without the vertices no corner uses, the
+    others renumbered in id order."""
+    used, corners = np.unique(corners, return_inverse=True)
+    return PolyMesh._from_corners(verts[used], corner_ptr, corners)
 
 
 # ---------------------------------------------------------------------------

@@ -245,14 +245,14 @@ def test_criterion_06_magic_formula():
     vals[interior] = rng.standard_normal(len(interior))
     el = next(
         el for el in mesh.elements
-        if any(not mesh.faces[f].boundary for f in el.face_ids)
+        if any(mesh.faces.elems[f, 1] >= 0 for f in el.face_ids)
     )
-    iloc = next(i for i, f in enumerate(el.face_ids) if not mesh.faces[f].boundary)
+    iloc = next(i for i, f in enumerate(el.face_ids) if mesh.faces.elems[f, 1] >= 0)
     fid = int(el.face_ids[iloc])
     bad = [f.copy() for f in fluxes]
     bad[el.id][iloc] *= -1.0
     r_bad = cl.magic_residual(mesh, bad, vals)
-    expected = -2.0 * mesh.faces[fid].length * fluxes[el.id][iloc] * vals[fid]
+    expected = -2.0 * mesh.faces.length[fid] * fluxes[el.id][iloc] * vals[fid]
     detected = abs(r_bad) > 1e-8 and np.isclose(r_bad, expected, rtol=1e-12)
     checks.append(("negative-control", detected, abs(r_bad)))
 

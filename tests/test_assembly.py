@@ -199,7 +199,7 @@ def test_gather_scatter_roundtrip():
     el = mesh.elements[0]
     nc = hl.cell_block_dim(2)
     for i, fid in enumerate(el.face_ids):
-        if mesh.faces[fid].boundary:
+        if mesh.faces.elems[fid, 1] < 0:
             assert np.all(local[nc + 3 * i:nc + 3 * (i + 1)] == 0.0)
 
 

@@ -43,7 +43,7 @@ def test_load_single_square():
     mesh = load_mesh(UNIT_SQUARE_DOC)
     assert mesh.n_elements == 1
     assert mesh.n_faces == 4
-    assert all(f.boundary for f in mesh.faces)
+    assert (mesh.faces.elems[:, 1] < 0).all()
 
 
 def test_load_2x2_counts():
@@ -84,7 +84,7 @@ def test_refine_empty_mark_is_identity():
     ref = refine_nonconforming(mesh, [])
     assert ref.n_elements == mesh.n_elements
     assert ref.n_faces == mesh.n_faces
-    keys = lambda m: sorted((f.v0, f.v1) for f in m.faces)
+    keys = lambda m: sorted(zip(m.faces.v0.tolist(), m.faces.v1.tolist()))
     assert keys(ref) == keys(mesh)
 
 
@@ -175,9 +175,8 @@ def test_serialization_roundtrip_bit_exact():
     again = load_mesh(doc)
     assert dump_mesh(again) == doc
     assert again.n_faces == mesh.n_faces
-    assert [(f.v0, f.v1, f.elems) for f in again.faces] == [
-        (f.v0, f.v1, f.elems) for f in mesh.faces
-    ]
+    for name in ("v0", "v1", "elems"):
+        assert getattr(again.faces, name).tolist() == getattr(mesh.faces, name).tolist()
 
 
 def test_load_rejects_malformed_documents():
@@ -213,9 +212,10 @@ def test_geometry_is_translation_invariant():
     verts = grid.vertices + 0.2 * (np.random.default_rng(1).random((4, 2)) - 0.5)
     loops = [grid.elements.corners.tolist()]
     ref = PolyMesh(verts, loops).elements
-    # and from 1e5 on, face distances of absolute midpoints and centroids
-    # failed it; past 1e4 the bound allows for the rounding of the offset
-    for offset in (0.0, 200.0, -1e4, 1e3, 1e4, 1e5, 1e6):
+    # from 1e5 on, face distances of absolute midpoints and centroids failed
+    # it, and from 1e8 on the loop area of absolute coordinates read zero;
+    # past 1e4 the bound allows for the rounding of the offset
+    for offset in (0.0, 200.0, -1e4, 1e3, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12):
         els = PolyMesh(verts + offset, loops).elements
         tol = 1e-12 if abs(offset) <= 1e4 else 1e-12 + 64 * np.finfo(float).eps * offset
         assert np.abs(els.area - ref.area).max() <= tol, offset
@@ -439,7 +439,7 @@ def assert_faces_match_scan(mesh):
     )
     faces = mesh.faces
     assert list(zip(faces.v0.tolist(), faces.v1.tolist())) == keys
-    assert [f.elems for f in faces] == adj
+    assert [tuple(e for e in row if e >= 0) for row in faces.elems.tolist()] == adj
     assert [
         (el.face_ids.tolist(), el.face_signs.tolist()) for el in mesh.elements
     ] == elems
