@@ -12,6 +12,9 @@ map gives one (B, n_local) index array per stack, and the scatter, the
 static condensation and its recovery run stack by stack.  A global entry
 sums the contributions of at most the two elements next to a face, so
 the assembled bytes do not depend on the order of the stacks.
+
+The full assembled matrix is what ``solve`` factors, and the reference that
+``--dump-matrix``, ``hho2d check`` and criterion 12 (condensation agreement) use.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ class AssemblyError(Exception):
 class SolverError(Exception):
     """Factorization failure or iterative non-convergence."""
 
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.iterations = iterations
         self.residual = residual
 
 
@@ -86,7 +88,6 @@ def build_dof_map(mesh, k):
 class GlobalHhoVector:
     """Flat coefficient vector plus the gather/scatter logic."""
 
-    mesh: object
     dofmap: DofMap
     data: np.ndarray
 
@@ -105,8 +106,8 @@ class GlobalHhoVector:
         np.add.at(self.data, idx[keep], np.asarray(local_flat)[keep])
 
     @classmethod
-    def zeros(cls, mesh, dofmap):
-        return cls(mesh=mesh, dofmap=dofmap, data=np.zeros(dofmap.total))
+    def zeros(cls, dofmap):
+        return cls(dofmap=dofmap, data=np.zeros(dofmap.total))
 
 
 def build_local_operators(mesh, k):
@@ -136,7 +137,7 @@ def assemble(mesh, k, f, ops=None, rhs_order=None):
     if ops is None:
         ops = build_local_operators(mesh, k)
     order = rhs_order if rhs_order is not None else 2 * k + 4
-    rhs = GlobalHhoVector.zeros(mesh, dofmap)
+    rhs = GlobalHhoVector.zeros(dofmap)
     for op in ops:
         rhs.scatter_add(op.elem_id, _local_loads(mesh, k, f, op, order))
     matrix = _scatter_blocks(
@@ -243,29 +244,31 @@ def solve(system, method="direct"):
     A, b = system.matrix, system.rhs
     x = np.zeros(system.dofmap.total)
     if system.dofmap.total == 0:
-        vec = GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=x)
-        return vec, SolveInfo(method="empty", residual=0.0)
-    if np.linalg.norm(b) == 0.0:
-        vec = GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=x)
-        return vec, SolveInfo(method=method, residual=0.0)
-
-    if method == "cg":
-        x, info = _cg_solve(A, b)
+        info = SolveInfo(method="empty", residual=0.0)
+    elif np.linalg.norm(b) == 0.0:
+        info = SolveInfo(method=method, residual=0.0)
     else:
-        failure = "direct solve failed"
-        try:
-            lu = _factor(A)
-            x = lu.solve(b)
-            # one step of iterative refinement: error measures compare x with
-            # the interpolate, from which it differs by 1e-3 of |x| or less
-            x += lu.solve(residual(A, x, b))
-        except RuntimeError as exc:  # x stays zero: residual 1
-            failure = f"direct factorization failed ({exc})"
-        info = _solve_info("direct", A, x, b)
-        if not info.residual <= RESIDUAL_TOL:
-            raise SolverError(f"{failure}: {info}", residual=info.residual)
-    vec = GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=x)
-    return vec, info
+        x, info = _cg_solve(A, b) if method == "cg" else _direct(A, b)
+    return GlobalHhoVector(dofmap=system.dofmap, data=x), info
+
+
+def _direct(A, b):
+    """Sparse direct solve of A x = b refined once; ``SolverError`` when the
+    factor fails or the relative residual stays above RESIDUAL_TOL."""
+    x = np.zeros(len(b))
+    failure = "direct solve failed"
+    try:
+        lu = _factor(A)
+        x = lu.solve(b)
+        # one step of iterative refinement: error measures compare x with
+        # the interpolate, from which it differs by 1e-3 of |x| or less
+        x += lu.solve(residual(A, x, b))
+    except RuntimeError as exc:  # x stays zero: residual 1
+        failure = f"direct factorization failed ({exc})"
+    info = _solve_info("direct", A, x, b)
+    if not info.residual <= RESIDUAL_TOL:
+        raise SolverError(f"{failure}: {info}", residual=info.residual)
+    return x, info
 
 
 def residual(A, x, b):
@@ -294,7 +297,6 @@ def _cg_solve(A, b):
     if flag != 0 or not info.residual <= 10 * RESIDUAL_TOL:
         raise SolverError(
             f"conjugate gradients failed after {count[0]} iterations ({info})",
-            iterations=count[0],
             residual=info.residual,
         )
     return x, info
@@ -311,9 +313,7 @@ class CondensedSystem:
     full: SparseSpdSystem
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    recovery: list            # (elem ids, Acc^-1, Acf, b_cell) per element stack
-    nnz_before: int
-    nnz_after: int
+    recovery: list            # (elem ids, L^-1, W, g) per stack: x_c = L^-T (g - W x_f)
 
     @property
     def n_reduced(self):
@@ -321,20 +321,22 @@ class CondensedSystem:
 
     def expand(self, face_solution):
         """Recover the full solution from the face-only one."""
-        sys = self.full
-        data = np.zeros(sys.dofmap.total)
-        data[:sys.dofmap.n_face_dofs] = face_solution
-        vec = GlobalHhoVector(mesh=sys.mesh, dofmap=sys.dofmap, data=data)
-        nc = hl.cell_block_dim(sys.k)
-        for ids, Acc_inv, Acf, b_cell in self.recovery:
+        dofmap = self.full.dofmap
+        data = np.zeros(dofmap.total)
+        data[:dofmap.n_face_dofs] = face_solution
+        vec = GlobalHhoVector(dofmap=dofmap, data=data)
+        nc = hl.cell_block_dim(self.full.k)
+        for ids, inv_L, W, g in self.recovery:
             xf = vec.local_flat(ids)[:, nc:, None]
-            x_cell = Acc_inv @ (b_cell[..., None] - Acf @ xf)
-            data[sys.dofmap.indices(ids)[:, :nc]] = x_cell[..., 0]
+            x_cell = np.swapaxes(inv_L, 1, 2) @ (g - W @ xf)
+            data[dofmap.indices(ids)[:, :nc]] = x_cell[..., 0]
         return vec
 
 
 def static_condense(system):
-    """Eliminate cell blocks through local Schur complements (k >= 1)."""
+    """Eliminate cell blocks through local Schur complements (k >= 1): with
+    A_cc = L L^T, W = L^-1 A_cf and g = L^-1 b_c, each element adds
+    A_ff - W^T W and -W^T g to the face system."""
     if system.k < 1:
         raise AssemblyError("static condensation needs cell unknowns (k >= 1)")
     nc = hl.cell_block_dim(system.k)
@@ -346,45 +348,41 @@ def static_condense(system):
     for op in system.ops:
         idx = system.dofmap.indices(op.elem_id)
         Acc = op.stiff[:, :nc, :nc]
-        Acf = op.stiff[:, :nc, nc:]
-        Aff = op.stiff[:, nc:, nc:]
         try:
-            Acc_inv = np.linalg.inv(Acc)
+            L = np.linalg.cholesky(Acc)
         except np.linalg.LinAlgError as exc:
-            # inv fails on an exactly zero LU pivot, where slogdet's sign is 0
-            e = op.elem_id[np.argmax(np.linalg.slogdet(Acc)[0] == 0)]
-            raise AssemblyError(
-                f"element {e}: singular cell block (coercivity violated)"
-            ) from exc
-        Afc = np.swapaxes(Acf, 1, 2)
-        b_cell = system.rhs[idx[:, :nc]]
-        S_loc = Aff - Afc @ Acc_inv @ Acf
-        b_loc = (-Afc @ (Acc_inv @ b_cell[..., None]))[..., 0]
+            # name the first element whose block fails on its own
+            for e, block in zip(op.elem_id, Acc):
+                try:
+                    np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    raise AssemblyError(f"element {e}: cell block not positive "
+                                        "definite (coercivity violated)") from exc
+            raise
+        inv_L = pb._tri_inv(L)
+        W = inv_L @ op.stiff[:, :nc, nc:]
+        g = inv_L @ system.rhs[idx[:, :nc], None]
+        Wt = np.swapaxes(W, 1, 2)
         face_idx = idx[:, nc:]
         keep = face_idx >= 0
-        blocks.append((face_idx, S_loc))
-        np.add.at(rhs, face_idx[keep], b_loc[keep])
-        recovery.append((op.elem_id, Acc_inv, Acf, b_cell))
+        blocks.append((face_idx, op.stiff[:, nc:, nc:] - Wt @ W))
+        np.add.at(rhs, face_idx[keep], -(Wt @ g)[..., 0][keep])
+        recovery.append((op.elem_id, inv_L, W, g))
     rhs += system.rhs[:nf_dofs]  # face loads (zero for this scheme's RHS)
 
-    matrix = _scatter_blocks(blocks, nf_dofs)
     return CondensedSystem(
         full=system,
-        matrix=matrix,
+        matrix=_scatter_blocks(blocks, nf_dofs),
         rhs=rhs,
         recovery=recovery,
-        nnz_before=system.matrix.nnz,
-        nnz_after=matrix.nnz,
     )
 
 
 def solve_condensed(condensed):
+    """``solve``'s direct path on the face system, then cell recovery."""
     if condensed.n_reduced == 0:
         return condensed.expand(np.zeros(0)), SolveInfo("empty", 0.0)
-    xf = _factor(condensed.matrix).solve(condensed.rhs)
-    info = _solve_info("direct", condensed.matrix, xf, condensed.rhs)
-    if not info.residual <= RESIDUAL_TOL * 10:
-        raise SolverError(f"condensed solve lost accuracy ({info})", residual=info.residual)
+    xf, info = _direct(condensed.matrix, condensed.rhs)
     return condensed.expand(xf), info
 
 
@@ -393,17 +391,13 @@ def solve_condensed(condensed):
 
 
 class NormGram:
-    """Assembled Gram of the discrete energy norm on the zero-boundary space."""
+    """Assembled Gram of the discrete energy norm on the zero-boundary space
+    of an assembled system."""
 
-    def __init__(self, mesh, k, ops=None, dofmap=None):
-        self.mesh = mesh
-        self.k = k
-        self.dofmap = dofmap or build_dof_map(mesh, k)
-        if ops is None:
-            ops = build_local_operators(mesh, k)
-        self.ops = ops
+    def __init__(self, system):
+        self.dofmap = system.dofmap
         self.matrix = _scatter_blocks(
-            ((self.dofmap.indices(op.elem_id), op.norm_gram) for op in ops),
+            ((self.dofmap.indices(op.elem_id), op.norm_gram) for op in system.ops),
             self.dofmap.total,
         )
         self._lu = None

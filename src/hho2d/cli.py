@@ -197,7 +197,7 @@ def run_solve(config):
     solution, info = asm.solve(system, method=config.solver)
     # wall time is irreproducible; --determinism promises identical output
     elapsed = 0.0 if config.determinism else time.perf_counter() - t0
-    norm_gram = asm.NormGram(mesh, config.k, ops=system.ops, dofmap=system.dofmap)
+    norm_gram = asm.NormGram(system)
     print(f"mesh: {mesh.n_elements} elements, {mesh.n_faces} faces, h = {mesh.h:.6e}")
     print(f"degree k = {config.k}, case = {config.case}, unknowns = {system.dofmap.total}")
     print(f"solver = {info.method}, {info}")

@@ -876,7 +876,7 @@ def refine_nonconforming(mesh, marked):
     """
     els = mesh.elements
     counts = np.diff(els.corner_ptr)
-    ids = sorted({_index(e, "marked element") for e in marked})
+    ids = sorted({_index(e, "marked element") for e in _items(marked, "marked elements")})
     for e in ids:
         if not 0 <= e < len(counts):
             raise MeshError(f"marked element {e} out of range")
@@ -953,7 +953,8 @@ def agglomerate(fine, target):
             raise MeshError(f"block size {b} does not divide grid size {n}")
         blocks = [(i, j, b, b) for j in range(0, n, b) for i in range(0, n, b)]
     else:
-        blocks = [[_index(x, "block field") for x in blk] for blk in target]
+        blocks = [[_index(x, "block field") for x in _items(blk, "block", 4)]
+                  for blk in _items(target, "block list")]
 
     covered = np.zeros((n, n), dtype=bool)
     for i0, j0, w, h in blocks:
@@ -999,6 +1000,17 @@ def _index(value, what):
         return operator.index(value)
     except TypeError:
         raise MeshError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _items(value, what, size=None):
+    """The items of the container ``value``, ``size`` of them if given."""
+    try:
+        items = list(value)
+    except TypeError:
+        raise MeshError(f"{what} must be a sequence, got {value!r}") from None
+    if size is not None and len(items) != size:
+        raise MeshError(f"{what} must have {size} fields, got {value!r}")
+    return items
 
 
 def _compacted(verts, corner_ptr, corners):

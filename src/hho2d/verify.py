@@ -141,7 +141,7 @@ def interpolate_global(system, interp):
         idx = system.dofmap.indices(ids)
         keep = idx >= 0
         data[idx[keep]] = iu[keep]
-    return asm.GlobalHhoVector(mesh=system.mesh, dofmap=system.dofmap, data=data)
+    return asm.GlobalHhoVector(dofmap=system.dofmap, data=data)
 
 
 def _total(parts):
@@ -214,9 +214,7 @@ def mesh_eta(system):
 
 
 class PowerIterationError(Exception):
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
+    """Power iteration broke down or did not converge."""
 
 
 def l2_mass_matrix(system):
@@ -244,30 +242,24 @@ def poincare_constant(system, norm_gram=None):
     if system.dofmap.total == 0:
         raise asm.AssemblyError("empty system has no Poincare constant")
     if norm_gram is None:
-        norm_gram = asm.NormGram(
-            system.mesh, system.k, ops=system.ops, dofmap=system.dofmap
-        )
+        norm_gram = asm.NormGram(system)
     M = l2_mass_matrix(system)
     rng = np.random.default_rng(2718)
     x = rng.standard_normal(system.dofmap.total)
     lam = 0.0
-    history = []
     for it in range(1, POWER_MAXITER + 1):
         y = norm_gram.apply_inverse(M @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
-            raise PowerIterationError("mass matrix annihilated the iterate", history)
+            raise PowerIterationError("mass matrix annihilated the iterate")
         x = y / ny
         num = x @ (M @ x)
         den = x @ (norm_gram.matrix @ x)
         lam_new = num / den
-        history.append(lam_new)
         if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
             return float(np.sqrt(lam_new)), it
         lam = lam_new
-    raise PowerIterationError(
-        f"power iteration stagnated after {POWER_MAXITER} iterations", history
-    )
+    raise PowerIterationError(f"power iteration stagnated after {POWER_MAXITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +405,7 @@ def study(family, k, case, determinism=False):
         t0 = time.perf_counter()
         system = asm.assemble(mesh, k, case.f)
         solution, info = asm.solve(system)
-        norm_gram = asm.NormGram(mesh, k, ops=system.ops, dofmap=system.dofmap)
+        norm_gram = asm.NormGram(system)
         interp = local_interpolates(mesh, k, case.u)
         row = StudyRow(
             h=mesh.h,

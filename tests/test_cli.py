@@ -343,7 +343,7 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     from hho2d import assembly as asm
 
     def boom(*args, **kwargs):
-        raise asm.SolverError("forced failure", iterations=3, residual=1.0)
+        raise asm.SolverError("forced failure", residual=1.0)
 
     monkeypatch.setattr(cli.asm, "solve", boom)
     code = cli.main(["solve", "--mesh", "cartesian:2", "--k", "1"])

@@ -201,6 +201,18 @@ def test_agglomerate_refuses_non_integers(target, message):
         agglomerate(generate("cartesian", 4), target)
 
 
+@pytest.mark.parametrize("build, arg, message", [
+    (agglomerate, [(0, 0, 1)], r"block must have 4 fields, got \(0, 0, 1\)"),
+    (agglomerate, [(0, 0, 4, 4, 1)], r"block must have 4 fields, got \(0, 0, 4, 4, 1\)"),
+    (agglomerate, [1, 2], "block must be a sequence, got 1"),
+    (agglomerate, None, "block list must be a sequence, got None"),
+    (refine_nonconforming, 3, "marked elements must be a sequence, got 3"),
+])
+def test_generators_refuse_malformed_containers(build, arg, message):
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        build(generate("cartesian", 4), arg)
+
+
 def test_agglomerate_accepts_integer_types():
     fine = generate("cartesian", 4)
     blocks = np.array([(0, 0, 4, 2), (0, 2, 4, 2)])

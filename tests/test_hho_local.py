@@ -370,19 +370,20 @@ def ref_condense_expand(system, ops, table, face_solution):
     rhs = np.zeros(nf_dofs)
     for op, idx in zip(ops, table):
         Acc, Acf, Aff = op.stiff[:nc, :nc], op.stiff[:nc, nc:], op.stiff[nc:, nc:]
-        Acc_inv = np.linalg.inv(Acc)
-        b_cell = system.rhs[idx[:nc]]
+        inv_L = pb._tri_inv(np.linalg.cholesky(Acc))
+        W = inv_L @ Acf
+        g = inv_L @ system.rhs[idx[:nc]]
         face_idx = idx[nc:]
         keep = face_idx >= 0
-        blocks.append((face_idx, Aff - Acf.T @ Acc_inv @ Acf))
-        np.add.at(rhs, face_idx[keep], (-Acf.T @ (Acc_inv @ b_cell))[keep])
-        recovery.append((Acc_inv, Acf, b_cell))
+        blocks.append((face_idx, Aff - W.T @ W))
+        np.add.at(rhs, face_idx[keep], -(W.T @ g)[keep])
+        recovery.append((inv_L, W, g))
     rhs += system.rhs[:nf_dofs]
-    vec = asm.GlobalHhoVector.zeros(system.mesh, system.dofmap)
+    vec = asm.GlobalHhoVector.zeros(system.dofmap)
     vec.data[:nf_dofs] = face_solution
-    for e, (idx, (Acc_inv, Acf, b_cell)) in enumerate(zip(table, recovery)):
+    for e, (idx, (inv_L, W, g)) in enumerate(zip(table, recovery)):
         xf = vec.local_flat(e)[nc:]
-        vec.data[idx[:nc]] = Acc_inv @ (b_cell - Acf @ xf)
+        vec.data[idx[:nc]] = inv_L.T @ (g - W @ xf)
     return ref_scatter_blocks(blocks, nf_dofs), rhs, vec.data
 
 
@@ -558,10 +559,10 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
         table = [dm.indices(e) for e in range(mesh.n_elements)]
         assert same_bytes(
             system.matrix, ref_scatter_blocks(zip(table, (op.stiff for op in views)), dm.total))
-        gram = asm.NormGram(mesh, k, ops=batched, dofmap=dm)
+        gram = asm.NormGram(system)
         assert same_bytes(
             gram.matrix, ref_scatter_blocks(zip(table, (op.norm_gram for op in views)), dm.total))
-        rhs = asm.GlobalHhoVector.zeros(mesh, dm)
+        rhs = asm.GlobalHhoVector.zeros(dm)
         loads = [asm._local_loads(mesh, k, f, op, 2 * k + 4) for op in batched]
         for e, load in enumerate(per_element(mesh, loads)):
             rhs.scatter_add(e, load)
@@ -612,12 +613,15 @@ def test_singular_element_inside_a_batch_is_named():
     stiff[9] += np.eye(stack.n_local)
     with pytest.raises(hl.CoercivityViolationError, match=r"^element 9: constants"):
         hl.eta_bounds(dataclasses.replace(stack, stiff=stiff))
-    # a zeroed cell block inside a stack, at static condensation
+    # a zeroed cell block inside a stack, at static condensation, and a
+    # negated one: nonsingular but indefinite, so an inverse would accept it
     for k in (1, 2, 3):
-        system = asm.assemble(mesh, k, lambda p: np.ones(len(p)))
-        nc = hl.cell_block_dim(k)
-        stiff = system.ops[0].stiff.copy()
-        stiff[9, :nc, :nc] = 0.0
-        system.ops[0] = dataclasses.replace(system.ops[0], stiff=stiff)
-        with pytest.raises(asm.AssemblyError, match=r"^element 9: singular cell block"):
-            asm.static_condense(system)
+        for scale in (0.0, -1.0):
+            system = asm.assemble(mesh, k, lambda p: np.ones(len(p)))
+            nc = hl.cell_block_dim(k)
+            stiff = system.ops[0].stiff.copy()
+            stiff[9, :nc, :nc] *= scale
+            system.ops[0] = dataclasses.replace(system.ops[0], stiff=stiff)
+            with pytest.raises(asm.AssemblyError,
+                               match=r"^element 9: cell block not positive definite"):
+                asm.static_condense(system)

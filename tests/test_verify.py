@@ -80,7 +80,7 @@ def test_consistency_vanishes_for_global_polynomial():
     case = vf.CASES["bubble"]
     mesh = generate("cartesian", 2)
     system = asm.assemble(mesh, 3, case.f, rhs_order=12)
-    gram = asm.NormGram(mesh, 3, ops=system.ops, dofmap=system.dofmap)
+    gram = asm.NormGram(system)
     interp = vf.local_interpolates(mesh, 3, case.u)
     moments = vf.consistency_moments(system, interp)
     iu = vf.interpolate_global(system, interp)
@@ -134,7 +134,7 @@ def test_poincare_constant_identity_oracle():
     # brute-force oracle on a small mesh: dense generalized eigenproblem
     mesh = generate("cartesian", 3)
     system = asm.assemble(mesh, 1, vf.CASES["sine"].f)
-    gram = asm.NormGram(mesh, 1, ops=system.ops, dofmap=system.dofmap)
+    gram = asm.NormGram(system)
     cp, iters = vf.poincare_constant(system, norm_gram=gram)
     import scipy.linalg
 
