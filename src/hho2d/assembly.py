@@ -127,7 +127,7 @@ class SparseSpdSystem:
     ops: list                # one LocalOperators stack per mesh batch
 
 
-def assemble(mesh, k, f, ops=None, rhs_order=None):
+def assemble(mesh, k, f, ops=None):
     """Assemble stiffness and load for the homogeneous Dirichlet problem.
 
     The load tests the source against the piecewise cell value: the cell
@@ -136,10 +136,9 @@ def assemble(mesh, k, f, ops=None, rhs_order=None):
     dofmap = build_dof_map(mesh, k)
     if ops is None:
         ops = build_local_operators(mesh, k)
-    order = rhs_order if rhs_order is not None else 2 * k + 4
     rhs = GlobalHhoVector.zeros(dofmap)
     for op in ops:
-        rhs.scatter_add(op.elem_id, _local_loads(mesh, k, f, op, order))
+        rhs.scatter_add(op.elem_id, _local_loads(mesh, k, f, op))
     matrix = _scatter_blocks(
         ((dofmap.indices(op.elem_id), op.stiff) for op in ops), dofmap.total
     )
@@ -174,9 +173,9 @@ def _scatter_blocks(blocks, n):
     ).tocsr()
 
 
-def _local_loads(mesh, k, f, op, order):
+def _local_loads(mesh, k, f, op):
     """Load vectors (B, n_local) of one operator stack, one source evaluation."""
-    points, weights = pb.cell_quadratures(mesh, op.elem_id, order)
+    points, weights = pb.cell_quadratures(mesh, op.elem_id, 2 * k + 4)
     fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
     if k == 0:
         return fw.sum(axis=1)[:, None] * op.avg_weights

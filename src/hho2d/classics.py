@@ -67,7 +67,7 @@ def cr_basis_gradients(mesh, elem_id):
     return grads if np.ndim(elem_id) else grads[0]
 
 
-def cr_assemble(mesh, f, order=6):
+def cr_assemble(mesh, f):
     """Assemble the broken-gradient stiffness and load for face averages."""
     fids = _triangle_faces(mesh)
     interior = mesh.interior_face_ids()
@@ -86,7 +86,7 @@ def cr_assemble(mesh, f, order=6):
     loads = np.empty((mesh.n_elements, 3))
     mids = mesh.faces.midpoint[fids]
     for ids in mesh.batches:
-        points, weights = pb.cell_quadratures(mesh, ids, order)
+        points, weights = pb.cell_quadratures(mesh, ids, 6)
         fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
         # basis value at x: 1 - 2*hat_opp(x) = affine through the gradients
         rel = points[:, None] - mids[ids][:, :, None]
@@ -97,14 +97,14 @@ def cr_assemble(mesh, f, order=6):
     return CrSystem(mesh=mesh, matrix=matrix, rhs=rhs, face_index=face_index)
 
 
-def cr_energy_error(mesh, face_values, grad_u, order=8):
+def cr_energy_error(mesh, face_values, grad_u):
     """Broken-gradient error of a Crouzeix-Raviart field vs an exact slope."""
     fids = _triangle_faces(mesh)
     grads = cr_basis_gradients(mesh, np.arange(mesh.n_elements))
     gh = np.einsum("ei,eid->ed", face_values[fids], grads)
     total = 0.0
     for ids in mesh.batches:
-        points, weights = pb.cell_quadratures(mesh, ids, order)
+        points, weights = pb.cell_quadratures(mesh, ids, 8)
         diff = grad_u(points.reshape(-1, 2)).reshape(points.shape) - gh[ids][:, None]
         total += np.einsum("bpd,bp,bpd->", diff, weights, diff)
     return float(np.sqrt(total))
@@ -142,13 +142,13 @@ class RtnField:
         return np.split(flux, els.face_ptr[1:-1])
 
 
-def rtn_interpolate(mesh, tau, order=8):
+def rtn_interpolate(mesh, tau):
     """Match the exact face flux integrals of ``tau`` on every triangle."""
     fids = _triangle_faces(mesh)
     els = mesh.elements
     normals = els.face_normals.reshape(-1, 3, 2)
     lengths = els.face_lengths.reshape(-1, 3, 1)
-    points, weights = pb.face_quadratures(mesh, fids, order)
+    points, weights = pb.face_quadratures(mesh, fids, 8)
     values = tau(points.reshape(-1, 2)).reshape(points.shape)
     b = np.einsum("eiq,eiqd,eid->ei", weights, values, normals)
     A = lengths * np.concatenate([normals, els.face_dists.reshape(-1, 3, 1)], axis=-1)
@@ -197,10 +197,10 @@ def _face_sum(mesh, flux, face_values):
     return float(np.sum(els.face_lengths * flux * face_values[els.face_ids]))
 
 
-def gradient_fluxes(mesh, grad, order=8):
+def gradient_fluxes(mesh, grad):
     """Face-average normal fluxes of an analytic gradient field."""
     els = mesh.elements
-    points, weights = pb.face_quadratures(mesh, els.face_ids, order)
+    points, weights = pb.face_quadratures(mesh, els.face_ids, 10)
     values = grad(points.reshape(-1, 2)).reshape(points.shape)
     flux = np.einsum("fq,fqd,fd->f", weights, values, els.face_normals) / els.face_lengths
     return np.split(flux, els.face_ptr[1:-1])

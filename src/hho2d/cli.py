@@ -63,7 +63,7 @@ class RunConfig:
             raise ConfigError("agglomeration block must be >= 1")
 
 
-def resolve_mesh(source, frac=0.25, block=2):
+def resolve_mesh(source):
     """Turn a mesh source spec into a PolyMesh."""
     parts = source.split(":")
     kind = parts[0]
@@ -74,13 +74,13 @@ def resolve_mesh(source, frac=0.25, block=2):
             return vf.generate("triangular", _positive_int(parts[1]))
         if kind == "nonconf" and len(parts) in (2, 3):
             n = _positive_int(parts[1])
-            f = float(parts[2]) if len(parts) == 3 else frac
+            f = float(parts[2]) if len(parts) == 3 else RunConfig.frac
             if not 0 < f <= 1:
                 raise ConfigError("nonconf fraction must be in (0, 1]")
             return vf.nonconforming_mesh(n, f)
         if kind == "agglo" and len(parts) in (2, 3):
             n = _positive_int(parts[1])
-            b = int(parts[2]) if len(parts) == 3 else block
+            b = int(parts[2]) if len(parts) == 3 else RunConfig.block
             return vf.agglomerated_mesh(n, b)
     except (ValueError, MeshError) as exc:
         raise ConfigError(f"bad generator spec {source!r}: {exc}") from exc
@@ -190,7 +190,7 @@ def main(argv=None):
 
 
 def run_solve(config):
-    mesh = resolve_mesh(config.mesh_source, config.frac, config.block)
+    mesh = resolve_mesh(config.mesh_source)
     case = vf.CASES[config.case]
     t0 = time.perf_counter()
     system = asm.assemble(mesh, config.k, case.f)
@@ -231,7 +231,7 @@ def run_study(config):
 
 
 def run_check(config):
-    mesh = resolve_mesh(config.mesh_source, config.frac, config.block)
+    mesh = resolve_mesh(config.mesh_source)
     k = config.k
     failures = []
 
@@ -282,7 +282,7 @@ def run_check(config):
         report("coercivity-bounds", False, str(exc))
 
     case = vf.CASES[config.case]
-    fluxes = cl.gradient_fluxes(mesh, case.grad, order=10)
+    fluxes = cl.gradient_fluxes(mesh, case.grad)
     values = np.zeros(mesh.n_faces)
     interior = mesh.interior_face_ids()
     values[interior] = rng.standard_normal(len(interior))

@@ -2,11 +2,12 @@
 
 A mesh is a flat list of vertices plus a list of elements given as
 counter-clockwise vertex loops.  Faces are never listed explicitly: every
-element side is split at mesh vertices lying in its interior (hanging
-nodes), and two elements share a face exactly when they emit the same
-sub-segment.  Meshes with hanging nodes (non-conforming refinement,
-agglomerated Cartesian blocks) therefore look like ordinary polygonal
-meshes with a few extra faces.
+element side is split at the corners of other elements lying in its
+interior (hanging nodes), and two elements share a face exactly when they
+emit the same sub-segment.  Meshes with hanging nodes (non-conforming
+refinement, agglomerated Cartesian blocks) therefore look like ordinary
+polygonal meshes with a few extra faces.  A vertex that is no element's
+corner keeps its id and its line in ``dump_mesh`` but splits no side.
 
 Text format (line oriented, ``#`` starts a comment)::
 
@@ -40,9 +41,8 @@ the mesh size.  A side that another element repeats in reverse (its
 twin) is a face as it stands.  The other sides, on the boundary and next
 to hanging vertices, look for hanging vertices among their own ends, in
 a uniform bucket grid where only the vertices inside the side's slightly
-widened bounding box get the exact on-segment test; when some vertex is
-no element's corner, every side is searched for every vertex.  The loop
-checks and the geometry run per group of elements with one corner count.
+widened bounding box get the exact on-segment test.  The loop checks and
+the geometry run per group of elements with one corner count.
 """
 
 from __future__ import annotations
@@ -456,23 +456,21 @@ def _polygon_geometry(verts, ptr, corners):
 
 
 def _split_sides(verts, ptr, corners, diameter):
-    """Split every element side at the mesh vertices inside it.
+    """Split every element side at the corners of other elements inside it.
 
     Returns the pieces ``(u, v)`` in element, side and chain order, the CSR
     offsets of each element's pieces, and the piece lengths.
 
-    When every vertex is the corner of some element, a side (u, v) with a
-    twin, the side (v, u) of another element with each of the two
-    occurring once, is a face as it stands: on a mesh whose elements do
-    not overlap, a vertex inside it would lie inside one of the two
-    elements.  Only the sides without a twin are searched, and only for
-    their own ends, since a vertex whose sides all have twins is the centre
+    A side (u, v) with a twin, the side (v, u) of another element with each
+    of the two occurring once, is a face as it stands: on a mesh whose
+    elements do not overlap, a corner inside it would lie inside one of the
+    two elements.  Only the sides without a twin are searched, and only for
+    their own ends, since a corner whose sides all have twins is the centre
     of a closed fan of elements.  This is exact on such meshes where no two
-    vertices lie within ``tol`` of each other; elements that overlap, or
-    that touch themselves, may keep a twin side whole where a search over
-    every vertex would split it.  A vertex that no
-    element uses may lie inside any side, so then every side is searched
-    for every vertex.
+    corners lie within ``tol`` of each other; elements that overlap, or that
+    touch themselves, may keep a twin side whole where a search over every
+    corner would split it.  A vertex that is no element's corner splits no
+    side.
     """
     counts = np.diff(ptr)
     va = corners
@@ -485,16 +483,10 @@ def _split_sides(verts, ptr, corners, diameter):
     length = np.sqrt(_dot(d, d))
     short = length <= tol
 
-    search, candidates = ~short, None
-    used = np.zeros(len(verts), dtype=bool)
-    used[corners] = True
-    if used.all():
-        lone = ~_twins(va, vb, len(verts))
-        search &= lone
-        end = np.zeros(len(verts), dtype=bool)
-        end[va[lone]] = end[vb[lone]] = True
-        candidates = np.flatnonzero(end)
-    side, mid = _hanging_vertices(verts, va, vb, tol, search, candidates)
+    lone = ~_twins(va, vb, len(verts))
+    end = np.zeros(len(verts), dtype=bool)
+    end[va[lone]] = end[vb[lone]] = True
+    side, mid = _hanging_vertices(verts, va, vb, tol, lone & ~short, np.flatnonzero(end))
     u = np.insert(va, side + 1, mid)  # each side: va, then its hanging vertices
     v = np.insert(vb, side, mid)      # each side: its hanging vertices, then vb
     per_side = np.bincount(side, minlength=len(va)) + 1
@@ -532,20 +524,18 @@ def _twins(va, vb, n):
 
 
 def _hanging_vertices(verts, va, vb, tol, live, candidates):
-    """(side, vertex) of every vertex inside a live side, by side, then along
-    it, then by id.
+    """(side, vertex) of every vertex of ``candidates`` inside a live side,
+    by side, then along it, then by id.
 
     A vertex w lies inside side a-b when its offset from the line is at
     most ``tol`` and its position along the side is within ``tol`` of the
-    closed segment; a and b themselves are excluded.  Only the vertex ids in
-    ``candidates`` are tested (every vertex when None; ``_split_sides``
-    passes the ends of the sides without a twin).  They sit in the buckets
-    of a uniform grid whose cell is the median side length (spatial
-    hashing, Teschner et al., VMV 2003), and each side tests only the
-    vertices of the buckets its tol-widened segment crosses, taking in
-    every bucket row just the columns the segment covers.  Of those, the
-    side's own ends and the vertices outside its widened bounding box are
-    dropped before the exact test, which they could not pass.
+    closed segment; a and b themselves are excluded.  ``_split_sides``
+    passes the ends of the sides without a twin as ``candidates``.  They sit
+    in the buckets of a uniform grid whose cell is the median side length
+    (spatial hashing, Teschner et al., VMV 2003), and each side tests only
+    the vertices of the buckets its padded bounding box covers.  Of those,
+    the side's own ends and the vertices outside its widened bounding box
+    are dropped before the exact test, which they could not pass.
     """
     sides = np.flatnonzero(live)
     if len(sides) == 0:
@@ -556,8 +546,7 @@ def _hanging_vertices(verts, va, vb, tol, live, candidates):
     L = np.sqrt(L2)
 
     # buckets in CSR form: candidate ids sorted by bucket key
-    ids = np.arange(len(verts)) if candidates is None else candidates
-    pts = verts[ids]
+    pts = verts[candidates]
     origin = pts.min(axis=0)
     extent = (pts.max(axis=0) - origin).max()
     cell = max(np.median(L[sides]), extent / 2**20)  # at most 2^20 columns
@@ -565,29 +554,19 @@ def _hanging_vertices(verts, va, vb, tol, live, candidates):
     n_cols, n_rows = col.max() + 1, row.max() + 1
     key = row * n_cols + col
     order = np.argsort(key, kind="stable")
-    keys, by_key = key[order], ids[order]
+    keys, by_key = key[order], candidates[order]
 
-    # (side, bucket row) pairs, then the columns the side covers in each row
+    # (side, bucket row) pairs over each side's padded bounding box, then
+    # the run of bucket keys of its columns in each row
     ga, gb = (a[sides] - origin) / cell, (b[sides] - origin) / cell
-    pad = 2.0 * tol[sides] / cell + 1e-8  # rounding of grid coordinates
-    y0 = np.floor(np.minimum(ga[:, 1], gb[:, 1]) - pad).clip(0, n_rows - 1)
-    y1 = np.floor(np.maximum(ga[:, 1], gb[:, 1]) + pad).clip(0, n_rows - 1)
-    rows_per_side = (y1 - y0).astype(np.int64) + 1
-    k = np.repeat(np.arange(len(sides)), rows_per_side)
-    r = _ranges(y0.astype(np.int64), rows_per_side)
-    gak, dg, padk = ga[k], (gb - ga)[k], pad[k]
-    with np.errstate(all="ignore"):  # level sides: masked below
-        s0 = (r - padk - gak[:, 1]) / dg[:, 1]
-        s1 = (r + 1 + padk - gak[:, 1]) / dg[:, 1]
-    level = dg[:, 1] == 0
-    s_lo = np.where(level, 0.0, np.minimum(s0, s1).clip(0.0, 1.0))
-    s_hi = np.where(level, 1.0, np.maximum(s0, s1).clip(0.0, 1.0))
-    x_lo = gak[:, 0] + s_lo * dg[:, 0]
-    x_hi = gak[:, 0] + s_hi * dg[:, 0]
-    c0 = np.floor(np.minimum(x_lo, x_hi) - padk).clip(0, n_cols - 1).astype(np.int64)
-    c1 = np.floor(np.maximum(x_lo, x_hi) + padk).clip(0, n_cols - 1).astype(np.int64)
-    first = np.searchsorted(keys, r * n_cols + c0, side="left")
-    stop = np.searchsorted(keys, r * n_cols + c1, side="right")
+    pad = (2.0 * tol[sides] / cell + 1e-8)[:, None]  # rounding of grid coordinates
+    top = [n_cols - 1, n_rows - 1]
+    c0, y0 = np.floor(np.minimum(ga, gb) - pad).clip(0, top).astype(np.int64).T
+    c1, y1 = np.floor(np.maximum(ga, gb) + pad).clip(0, top).astype(np.int64).T
+    k = np.repeat(np.arange(len(sides)), y1 - y0 + 1)
+    r = _ranges(y0, y1 - y0 + 1)
+    first = np.searchsorted(keys, r * n_cols + c0[k], side="left")
+    stop = np.searchsorted(keys, r * n_cols + c1[k], side="right")
     s = sides[np.repeat(k, stop - first)]
     w = by_key[_ranges(first, stop - first)]
 
@@ -597,7 +576,7 @@ def _hanging_vertices(verts, va, vb, tol, live, candidates):
     # more where its squared offset underflows); the margin covers that and
     # the rounding of the box itself with room to spare.
     s, w = _keep((w != va[s]) & (w != vb[s]), s, w)
-    margin = 4.0 * tol + 2.0 * np.finfo(float).eps * np.abs(verts).max() + 1e-150
+    margin = 4.0 * tol + 2.0 * np.finfo(float).eps * np.abs(pts).max() + 1e-150
     lo = np.minimum(a, b) - margin[:, None]
     hi = np.maximum(a, b) + margin[:, None]
     p = verts[w]

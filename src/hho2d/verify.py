@@ -106,6 +106,8 @@ def nonconforming_mesh(n, frac=0.25):
 
 def agglomerated_mesh(n, block=2):
     """Left half coarsened into block x block squares, right half fine."""
+    if block < 1:
+        raise MeshError("agglomeration block must be >= 1")
     if n % (2 * block) != 0:
         raise MeshError("agglomerated mesh needs block | n/2")
     blocks = [
@@ -159,13 +161,12 @@ def energy_error(ops, solution, interp):
     return float(np.sqrt(max(_total(err2), 0.0)))
 
 
-def l2_error_cell_value(system, solution, case, order=None):
+def l2_error_cell_value(system, solution, case):
     """L2 distance between the exact solution and the piecewise cell value."""
     mesh, k = system.mesh, system.k
-    order = order if order is not None else 2 * k + 6
     err2 = []
     for op in system.ops:
-        points, weights = pb.cell_quadratures(mesh, op.elem_id, order)
+        points, weights = pb.cell_quadratures(mesh, op.elem_id, 2 * k + 6)
         loc = solution.local_flat(op.elem_id)
         if k >= 1:
             V = op.cell_basis.eval(points)
@@ -195,10 +196,10 @@ def stab_energy(ops, interp):
     return float(np.sqrt(_total(parts)))
 
 
-def source_l2_norm(mesh, case, order=10):
+def source_l2_norm(mesh, case):
     parts = []
     for ids in mesh.batches:
-        points, weights = pb.cell_quadratures(mesh, ids, order)
+        points, weights = pb.cell_quadratures(mesh, ids, 10)
         f = case.f(points.reshape(-1, 2)).reshape(weights.shape)
         parts.append(np.sum(weights * f**2, axis=1))
     return float(np.sqrt(_total(parts)))
@@ -270,13 +271,13 @@ EOC_POINTS = 3  # eoc_fit fits the finest levels
 ROUNDOFF_RATIO = 1e-8  # stab_consist <= this * consist_dual is roundoff
 
 
-def eoc_fit(hs, errors, points=EOC_POINTS):
+def eoc_fit(hs, errors):
     """Least-squares slope of log(error) vs log(h) on the finest points."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if len(hs) < 2:
         return float("nan")
-    take = min(points, len(hs))
+    take = min(EOC_POINTS, len(hs))
     h, e = hs[-take:], errors[-take:]
     if np.any(e <= 0):
         return float("nan")

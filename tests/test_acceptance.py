@@ -230,7 +230,7 @@ def test_criterion_06_magic_formula():
 
     grad = vf.CASES["sine"].grad
     for mesh in (vf.nonconforming_mesh(4), vf.agglomerated_mesh(8, 2)):
-        fluxes = cl.gradient_fluxes(mesh, grad, order=10)
+        fluxes = cl.gradient_fluxes(mesh, grad)
         vals = np.zeros(mesh.n_faces)
         interior = mesh.interior_face_ids()
         vals[interior] = rng.standard_normal(len(interior))

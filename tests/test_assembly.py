@@ -162,12 +162,12 @@ def test_rhs_matches_cell_value_functional():
     rng = np.random.default_rng(5)
     for k in (0, 1):
         mesh = generate("cartesian", 2)
-        system = asm.assemble(mesh, k, SINE.f, rhs_order=10)
+        system = asm.assemble(mesh, k, SINE.f)
         v = rng.standard_normal(system.dofmap.total)
         vec = asm.GlobalHhoVector(dofmap=system.dofmap, data=v)
         total = 0.0
         for el, op in element_views(mesh, system.ops):
-            (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 10)
+            (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 2 * k + 4)
             loc = vec.local_flat(el.id)
             if k >= 1:
                 vals = op.cell_basis.eval(points) @ loc[: hl.cell_block_dim(k)]

@@ -319,6 +319,16 @@ def test_bad_agglomerated_spec_keeps_its_message(capsys):
         "agglomerated mesh needs block | n/2\"\n")
 
 
+@pytest.mark.parametrize("spec", ["agglo:8:0", "agglo:8:-2"])
+def test_agglomeration_block_below_one_is_a_config_error(capsys, spec):
+    assert cli.main(["solve", "--mesh", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"FAILURE kind=config detail=\"bad generator spec '{spec}': "
+        "agglomeration block must be >= 1\"\n")
+    assert "Traceback" not in err
+
+
 def test_bad_degree_exit_code(capsys):
     code = cli.main(["solve", "--mesh", "cartesian:2", "--k", "7"])
     assert code == 2
@@ -328,7 +338,7 @@ def test_check_failure_exit_code(monkeypatch, capsys):
     # force one suite to fail by breaking the flux computation
     from hho2d import classics as cl
 
-    def broken_fluxes(mesh, grad, order=8):
+    def broken_fluxes(mesh, grad):
         return [np.ones(el.n_faces) for el in mesh.elements]
 
     monkeypatch.setattr(cli.cl, "gradient_fluxes", broken_fluxes)

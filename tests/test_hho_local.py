@@ -563,7 +563,7 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
         assert same_bytes(
             gram.matrix, ref_scatter_blocks(zip(table, (op.norm_gram for op in views)), dm.total))
         rhs = asm.GlobalHhoVector.zeros(dm)
-        loads = [asm._local_loads(mesh, k, f, op, 2 * k + 4) for op in batched]
+        loads = [asm._local_loads(mesh, k, f, op) for op in batched]
         for e, load in enumerate(per_element(mesh, loads)):
             rhs.scatter_add(e, load)
         assert same_bytes(system.rhs, rhs.data)

@@ -241,9 +241,12 @@ def test_crossing_sides_are_found_at_any_scale(scale):
 
 
 def test_rejects_duplicate_vertex_as_zero_length_face():
-    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (1, 0)]  # vertex 4 duplicates 1
-    with pytest.raises(MeshError, match="zero-length"):
-        PolyMesh(verts, [[0, 4, 2, 3]])
+    # vertex 4 duplicates 1; each is a corner of one of the two squares
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (1, 0), (2, 0), (2, 1)]
+    with pytest.raises(
+        MeshError, match=r"^element 0: zero-length face 1-4 after splitting$"
+    ):
+        PolyMesh(verts, [[0, 4, 2, 3], [1, 5, 6, 2]])
 
 
 def test_regularity_report():
@@ -360,12 +363,13 @@ CONSTRUCTION_ERRORS = {
     "more than two adjacent elements": (
         ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, -1), (0.5, -0.5)],
          [[0, 1, 2, 3], [0, 4, 1], [0, 5, 1]]), (0, 1)),
-    # two unused vertices just outside both ends of the side 4-5, whose
-    # length is the diameter: the middle piece is longer than the diameter
+    # the top corners of a triangle below the side 4-5, whose length is the
+    # diameter, sit just outside both its ends: the middle piece is longer
+    # than the diameter
     "face longer than diameter": (
         ([(0, 0), (1, 0), (1, 1), (0, 1), (3, 0), (5, 0), (4, 0.6),
-          (3 - _NUDGE, -_NUDGE), (5 + _NUDGE, -_NUDGE)],
-         [[0, 1, 2, 3], [4, 5, 6]]), 1),
+          (3 - _NUDGE, -_NUDGE), (5 + _NUDGE, -_NUDGE), (4, -1)],
+         [[0, 1, 2, 3], [4, 5, 6], [7, 9, 8]]), 1),
 }
 
 
@@ -391,9 +395,11 @@ def scan_faces(verts, loops):
 
     The quadratic reference for ``PolyMesh``: returns the face keys in id
     order, the adjacent elements of each face, and each element's face ids
-    and signs.
+    and signs.  Only the vertices that are some element's corner are tested.
     """
     idx = np.arange(len(verts))
+    corner = np.zeros(len(verts), dtype=bool)
+    corner[np.concatenate(loops)] = True
     face_key = {}          # (min vid, max vid) -> face index
     face_adj = []          # face index -> adjacent element ids
     elem_chains = []       # per element: list of (va, vb) in traversal order
@@ -410,7 +416,7 @@ def scan_faces(verts, loops):
             L = np.sqrt(L2)
             t = (verts - a) @ d / L2
             off = verts - (a + t[:, None] * d)
-            on = (np.einsum("ij,ij->i", off, off) <= tol * tol) & (
+            on = corner & (np.einsum("ij,ij->i", off, off) <= tol * tol) & (
                 t * L > -tol
             ) & (t * L < L + tol)
             on[va] = on[vb] = False
@@ -600,14 +606,42 @@ def test_twin_sides_match_scan_on_jittered_grids(n, seed):
     assert_faces_match_scan(mesh)
 
 
-def test_unused_vertex_splits_a_shared_side():
-    # (1, 0.5) is no element's corner: both copies of the side it lies in
-    # are split, though each is the other's twin
+def test_unused_vertex_splits_no_side():
+    # (1, 0.5) is no element's corner: it stays a vertex, and the side it
+    # lies in stays one face
     verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
     mesh = PolyMesh(verts, [[0, 1, 2, 3], [1, 4, 5, 2]])
-    assert [el.n_faces for el in mesh.elements] == [5, 5]
-    assert mesh.n_faces == 8
+    assert [el.n_faces for el in mesh.elements] == [4, 4]
+    assert mesh.n_faces == 7
+    assert len(load_mesh(dump_mesh(mesh)).vertices) == 7
     assert_faces_match_scan(mesh)
+
+
+@SEARCH
+@given(split_quad_meshes(),
+       st.lists(st.tuples(st.sampled_from(["side", "corner", "outside"]),
+                          st.integers(0, 2**16), st.floats(0.0, 1.0)),
+                min_size=1, max_size=8))
+def test_unused_vertices_leave_the_tables_unchanged(mesh, extras):
+    # vertices no element uses, appended on sides, at corner positions and
+    # outside the domain, change no face or element array
+    els = mesh.elements
+    loops = np.split(els.corners, els.corner_ptr[1:-1])
+    verts = mesh.vertices
+    extra = []
+    for kind, j, t in extras:
+        loop = loops[j % len(loops)]
+        i = j // len(loops) % len(loop)
+        a, b = verts[loop[i]], verts[loop[(i + 1) % len(loop)]]
+        extra.append({"side": (1 - t) * a + t * b, "corner": a,
+                      "outside": (-1 - 3 * t, 2 + 1e6 * t)}[kind])
+    grown = PolyMesh(np.concatenate([verts, extra]), loops)
+    assert grown.vertices[:len(verts)].tobytes() == verts.tobytes()
+    for table, ref in ((grown.faces, mesh.faces), (grown.elements, els)):
+        for name, arr in vars(ref).items():
+            got = getattr(table, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                arr.dtype, arr.shape, arr.tobytes()), name
 
 
 def _searched(build, monkeypatch):
@@ -641,10 +675,11 @@ def test_search_takes_only_sides_without_a_twin(monkeypatch):
     assert (live, total, len(candidates)) == (28, 76, 24)
     assert_faces_match_scan(mesh)
 
+    # an unused vertex is no candidate
     _, (live, total, candidates) = _searched(
         lambda: PolyMesh([(0, 0), (1, 0), (1, 1), (0, 1), (5, 5)], [[0, 1, 2, 3]]),
         monkeypatch)
-    assert (live, total, candidates) == (4, 4, None)
+    assert (live, total, candidates.tolist()) == (4, 4, [0, 1, 2, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ def test_family_builders():
         vf.build_family("unknown", [2])
     with pytest.raises(MeshError, match="block"):
         vf.agglomerated_mesh(6, 2)
+    for block in (0, -2):
+        with pytest.raises(MeshError, match="^agglomeration block must be >= 1$"):
+            vf.build_family("agglomerated", [8], block=block)
     with pytest.raises(MeshError, match="even"):
         vf.rectangle_mesh(3)
 
@@ -79,7 +82,7 @@ def test_consistency_vanishes_for_global_polynomial():
     # consistency functional collapses to quadrature noise
     case = vf.CASES["bubble"]
     mesh = generate("cartesian", 2)
-    system = asm.assemble(mesh, 3, case.f, rhs_order=12)
+    system = asm.assemble(mesh, 3, case.f)
     gram = asm.NormGram(system)
     interp = vf.local_interpolates(mesh, 3, case.u)
     moments = vf.consistency_moments(system, interp)
