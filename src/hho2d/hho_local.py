@@ -33,11 +33,25 @@ batch axis in what they return: one ``LocalOperators`` and one
 (B, n_local) array per stack.  The bytes of an element's operators do not
 depend on where its group is cut.  One element id gives the unbatched
 forms.
+
+Elements of a stack with the same build inputs share one build.  The
+inputs of an element are every array the build reads of it, all relative
+to the element: its face midpoints minus its centroid, its face tangents
+and lengths, its face distances and normals, its diameter and its area.
+Elements whose inputs are equal byte for byte form a class; the operators
+are built once, on the class's first element, and gathered back to the
+stack (``LocalOperators.classes``).  Since the build reads nothing else and
+an element's bytes do not depend on its stack, every element gets exactly
+the bytes of its own build.  ``eta_bounds`` and the static condensation
+also run once per class.  Translated copies of a few shapes (Cartesian,
+nonconforming and agglomerated meshes) share most builds; on a jittered
+mesh every element is its own class and the stack is built as it is.
+Elements equal only up to scaling do not share: their bytes would differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,7 +76,8 @@ class LocalOperators:
 
     Built for one element, or for a stack of B elements: then ``elem_id`` is
     a (B,) array, every array field and both bases have a leading batch axis,
-    and ``ops[b]`` is element b's operators (a slice gives a sub-stack).
+    and ``ops[b]`` is element b's operators (a slice gives a sub-stack,
+    without a class map).
     """
 
     elem_id: int | np.ndarray
@@ -75,10 +90,26 @@ class LocalOperators:
     avg_weights: np.ndarray  # row giving the element-mean cell value
     recon_basis: pb.CellBasis
     cell_basis: pb.CellBasis | None
+    # class map of a stack: classes[b] is the position of the first element
+    # whose build inputs equal element b's bitwise; None when all differ
+    classes: np.ndarray | None = None
 
     def __getitem__(self, b):
-        parts = {f.name: getattr(self, f.name) for f in fields(self)}
+        parts = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "classes"}
         return LocalOperators(**{n: v if n == "k" or v is None else v[b] for n, v in parts.items()})
+
+    def class_split(self, *arrays):
+        """Indices (first, inverse) for work done once per class: X[first]
+        holds the first element of each class, and R[inverse] gathers
+        per-class results R back to the stack.  None without a map, or when
+        one of ``arrays`` (stacked fields) differs bitwise from its class's
+        first element, as in a stack edited after its build."""
+        if self.classes is None:
+            return None
+        for X in arrays:
+            if not np.array_equal(X.view(np.uint64), X[self.classes].view(np.uint64)):
+                return None
+        return _class_index(self.classes)
 
     @property
     def n_local(self):
@@ -144,10 +175,67 @@ def local_operators(mesh, elem_id, k):
     """
     if k < 0:
         raise HhoError("polynomial degree must be >= 0")
-    return _on_ids(lambda ids: _build(mesh, ids, k), elem_id)
+    return _on_ids(lambda ids: _build_classes(mesh, ids, k), elem_id)
+
+
+def _classes(mesh, ids):
+    """Class map of a stack (see ``LocalOperators.classes``), or None.
+
+    An element's row is every array ``_build`` reads of it: the face frames
+    of its moments (``pb._face_frames``), its face lengths, distances and
+    normals, its diameter and its area.  Rows are compared byte for byte,
+    after a cheap test on the areas: all distinct, no two rows are equal.
+    """
+    els = mesh.elements
+    area = els.area[ids]
+    if len(np.unique(area)) == len(ids):
+        return None
+    rows = els.face_rows(ids)
+    parts = (*pb._face_frames(mesh, ids), els.face_lengths[rows], els.face_dists[rows],
+             np.take(els.face_normals, rows, axis=0), els.diameter[ids], area)
+    table = np.concatenate([p.reshape(len(ids), -1) for p in parts], axis=1)
+    # sort the rows as opaque bytes: equal rows become neighbours, the
+    # first of each run its smallest position
+    order = np.argsort(table.view(np.dtype((np.void, table.shape[1] * 8)))[:, 0], kind="stable")
+    bits = table.view(np.uint64)[order]
+    start = np.ones(len(ids), dtype=bool)
+    start[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    if start.all():
+        return None
+    classes = np.empty(len(ids), dtype=int)
+    classes[order] = order[start][np.cumsum(start) - 1]
+    return classes
+
+
+def _class_index(classes):
+    """(first, inverse) of a class map: the ascending positions of the
+    classes' first elements, and the class of every element."""
+    first = np.flatnonzero(classes == np.arange(len(classes)))
+    return first, np.searchsorted(first, classes)
+
+
+def _build_classes(mesh, ids, k):
+    """``_build`` on the first element of each class of the stack ``ids``,
+    gathered back to the stack; every element gets the bytes of its own
+    build, since ``_build`` reads nothing outside an element's row."""
+    classes = _classes(mesh, ids)
+    if classes is None:
+        return _build(mesh, ids, k)
+    first, inverse = _class_index(classes)
+    ops = _build(mesh, ids[first], k)[inverse]
+    els = mesh.elements
+
+    def basis(b):
+        return None if b is None else pb.CellBasis(
+            els.centroid[ids], els.diameter[ids], b.degree, b.transform)
+
+    return replace(ops, elem_id=ids, recon_basis=basis(ops.recon_basis),
+                   cell_basis=basis(ops.cell_basis), classes=classes)
 
 
 def _build(mesh, ids, k):
+    """The operators of the stack ``ids``.  They read only the element rows
+    of ``_classes``: an input read here must join those rows."""
     els = mesh.elements
     rows = els.face_rows(ids)
     nb, nf = rows.shape
@@ -297,7 +385,16 @@ def eta_bounds(ops):
     array (B, 2); the per-element equivalence constant is
     max(1/lam_min, lam_max).
     """
-    return _stacked(_eta_bounds, ops, np.size(ops.elem_id))
+    return _stacked(_eta_by_class, ops, np.size(ops.elem_id))
+
+
+def _eta_by_class(ops):
+    """``_eta_bounds`` once per class of the stack, gathered back."""
+    split = ops.class_split(ops.stiff, ops.norm_gram, ops.constant_vector())
+    if split is None:
+        return _eta_bounds(ops)
+    first, inverse = split
+    return _eta_bounds(ops[first])[inverse]
 
 
 def _eta_bounds(ops):

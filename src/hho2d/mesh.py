@@ -317,8 +317,14 @@ class MeshFamily:
 
 def _build(verts, corner_ptr, corners):
     """Checked CCW corner loops, then the face and element tables."""
-    _check_loops(verts, corner_ptr, corners)
-    area, local_centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
+    # past about 1e100 the centroid moments, and past 1e150 the loop areas,
+    # overflow: the inf or nan they leave is refused before it spreads
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_loops(verts, corner_ptr, corners)
+        area, local_centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
+    finite = np.isfinite(np.column_stack([area, local_centroid, diameter])).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"element {np.argmin(finite)}: non-finite geometry")
     u, v, piece_ptr, lengths = _split_sides(verts, corner_ptr, corners, diameter)
     elem = np.repeat(np.arange(len(area)), np.diff(piece_ptr))
     face_ids, faces = _number_faces(verts, u, v, elem)

@@ -11,11 +11,15 @@ Cell integrals of polynomials come from one table of monomial moments
 int_T z^a per stack of elements, computed on the faces through Euler's
 identity for homogeneous functions (Chin, Lasserre and Sukumar, Comput.
 Mech. 2015); mass, gradient and Laplacian Grams of the bases, and the
-degree >= 4 orthonormalization, are gathers from it.  Integrands that are
-not polynomials (loads, interpolation, errors) use the cell quadrature: it
-fans the (star-shaped) polygon into triangles from its centroid and
-applies a positive-weight conical product rule on each.  Face quadrature
-is plain Gauss-Legendre along the segment.
+degree >= 4 orthonormalization, are gathers from it.  Its face nodes are
+mapped relative to the element centroid, so the table reads only
+element-relative inputs, and translated copies of an element whose inputs
+round alike get the same bytes.  Integrands that are not polynomials
+(loads, interpolation, errors) use the cell quadrature: it fans the
+(star-shaped) polygon into triangles from its centroid and applies a
+positive-weight conical product rule on each.  Face quadrature is plain
+Gauss-Legendre along the segment.  Point maps and power tables are filled
+one coordinate plane at a time.
 
 The builders (``cell_quadratures``, ``face_quadratures``, ``cell_bases``)
 and the L2 projections work on a stack of elements or faces at once, with
@@ -80,14 +84,18 @@ def cell_quadratures(mesh, elem_ids, order):
     if order < 0:
         raise BasisError("quadrature order must be >= 0")
     els = mesh.elements
-    c = els.centroid[elem_ids][:, None, None, :]
+    c = els.centroid[elem_ids]
     corners = mesh.vertices[els.corners[els.corner_rows(elem_ids)]]
-    a = corners[:, :, None, :] - c                  # (B, p, 1, 2)
+    a = corners - c[:, None]                        # (B, p, 2)
     b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
     det = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
     ref_pts, ref_w = _triangle_rule(order)
-    points = c + (ref_pts[:, :1] * a + ref_pts[:, 1:] * b)
-    weights = ref_w * det
+    # one pass per coordinate over (B, p, m) planes
+    points = np.empty(det.shape + ref_w.shape + (2,))
+    for d in range(2):
+        points[..., d] = c[:, None, None, d] + (
+            ref_pts[:, 0] * a[..., d, None] + ref_pts[:, 1] * b[..., d, None])
+    weights = ref_w * det[..., None]
     points = points.reshape(len(a), -1, 2)
     weights = weights.reshape(len(a), -1)
     points.setflags(write=False)
@@ -103,10 +111,13 @@ def face_quadratures(mesh, face_ids, order):
     """
     s, w = face_rule(order)
     ids = np.asarray(face_ids, dtype=int)
-    mid = mesh.faces.midpoint[ids][..., None, :]
-    tangent = mesh.faces.tangent[ids][..., None, :]
+    mid = mesh.faces.midpoint[ids]
+    tangent = mesh.faces.tangent[ids]
     length = mesh.faces.length[ids][..., None]
-    points = mid + (0.5 * length)[..., None] * (s[:, None] * tangent)
+    half = 0.5 * length
+    points = np.empty(length.shape[:-1] + s.shape + (2,))
+    for d in range(2):
+        points[..., d] = mid[..., d, None] + half * (s * tangent[..., d, None])
     weights = w * 0.5 * length
     points.setflags(write=False)
     weights.setflags(write=False)
@@ -154,21 +165,13 @@ class CellBasis:
         transform = None if self.transform is None else self.transform[b]
         return CellBasis(self.center[b], self.scale[b], self.degree, transform)
 
-    def _powers(self, points):
-        """Tables z^0 .. z^degree of both scaled coordinates, (..., P, degree+1)."""
+    def _raw(self, points):
         pts = np.asarray(points, dtype=float)
         if self.center.ndim == 1:
             pts = np.atleast_2d(pts)
-        z = (pts - self._center) / self._scale
-        pw = np.ones(z.shape[:-1] + (2, self.degree + 1))
-        for i in range(1, self.degree + 1):
-            pw[..., i] = pw[..., i - 1] * z
-        return pw[..., 0, :], pw[..., 1, :]
-
-    def _raw(self, points):
-        px, py = self._powers(points)
-        a, b = self.exponents[:, 0], self.exponents[:, 1]
-        return px[..., a] * py[..., b]
+        scale = np.expand_dims(self.scale, -1)
+        z = [(pts[..., d] - self.center[..., d, None]) / scale for d in range(2)]
+        return _monomials(z, self.degree)
 
     def _apply(self, V):
         return V if self.transform is None else V @ np.swapaxes(self.transform, -1, -2)
@@ -191,6 +194,21 @@ class CellBasis:
         gx = a * Z[..., _mono_index(np.maximum(a - 1, 0), b)] / self._scale
         gy = b * Z[..., _mono_index(a, np.maximum(b - 1, 0))] / self._scale
         return np.stack([self._apply(gx), self._apply(gy)], axis=-1)
+
+
+def _monomials(z, degree):
+    """Raw monomials z^a, |a| <= ``degree``, in ``monomial_exponents`` order,
+    of the coordinate planes z = (z_x, z_y) of one shape S: S + (n_mono,).
+    The power tables are filled one plane at a time."""
+    e = np.array(monomial_exponents(degree))
+    powers = []
+    for zd in z:
+        pw = np.empty(zd.shape + (degree + 1,))
+        pw[..., 0] = 1.0
+        for i in range(1, degree + 1):
+            pw[..., i] = pw[..., i - 1] * zd
+        powers.append(pw)
+    return powers[0][..., e[:, 0]] * powers[1][..., e[:, 1]]
 
 
 def _mono_index(a, b):
@@ -285,20 +303,37 @@ def _cell_moments(mesh, elem_ids, degree):
         int_T z^a = 1/(2 + |a|) sum_F d_F int_F z^a,
 
     d_F the centroid-to-face distance; the Gauss rule of order ``degree``
-    integrates each face term exactly.  Elements share a face count.
-    Returns the moments (B, n_mono), in ``monomial_exponents(degree)``
-    order, and the monomial table Z (B, nf * m, n_mono) at the m nodes of
-    every face, faces in loop order, for the bases' ``from_monomials``.
+    integrates each face term exactly.  Its nodes are mapped relative to
+    the centroid, z = ((m_F - x_T) + (|F|/2) s t_F)/h_T, so the moments read
+    only the element-relative inputs of ``_face_frames``, the face distances
+    and h_T.  Elements share a face count.  Returns the moments (B, n_mono),
+    in ``monomial_exponents(degree)`` order, and the monomial table Z
+    (B, nf * m, n_mono) at the m nodes of every face, faces in loop order,
+    for the bases' ``from_monomials``.
     """
     els = mesh.elements
     rows = els.face_rows(elem_ids)
-    points, weights = face_quadratures(mesh, els.face_ids[rows], degree)
     nb = len(rows)
-    weights = (weights * els.face_dists[rows][..., None]).reshape(nb, 1, -1)
-    monos = CellBasis(els.centroid[elem_ids], els.diameter[elem_ids], degree)
-    Z = monos._raw(points.reshape(nb, -1, 2))
-    mu = (weights @ Z)[:, 0] / (2.0 + monos.exponents.sum(axis=1))
+    rel, tangent, length = _face_frames(mesh, elem_ids)
+    s, w = face_rule(degree)
+    half = 0.5 * length[..., None]
+    weights = (w * half * els.face_dists[rows][..., None]).reshape(nb, 1, -1)
+    hT = els.diameter[elem_ids][:, None, None]
+    z = [((rel[..., d, None] + half * (s * tangent[..., d, None])) / hT).reshape(nb, -1)
+         for d in range(2)]
+    Z = _monomials(z, degree)
+    mu = (weights @ Z)[:, 0] / (2.0 + np.array(monomial_exponents(degree)).sum(axis=1))
     return mu, Z
+
+
+def _face_frames(mesh, elem_ids):
+    """Face midpoints relative to the centroid, face tangents (both
+    (B, nf, 2)) and face lengths (B, nf) of a stack sharing a face count."""
+    els, faces = mesh.elements, mesh.faces
+    face_ids = els.face_ids[els.face_rows(elem_ids)]
+    # np.take gathers rows of pairs several times faster than fancy indexing
+    rel = np.take(faces.midpoint, face_ids, axis=0) - els.centroid[elem_ids][:, None]
+    return rel, np.take(faces.tangent, face_ids, axis=0), faces.length[face_ids]
 
 
 @lru_cache(maxsize=None)

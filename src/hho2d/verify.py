@@ -95,6 +95,8 @@ def build_family(tag, levels, frac=0.25, block=2):
 
 def nonconforming_mesh(n, frac=0.25):
     """Cartesian grid with a scattered fraction of cells split in four."""
+    if not 0 < frac <= 1:
+        raise MeshError("nonconforming fraction must be in (0, 1]")
     mesh = generate("cartesian", n)
     stride = max(1, int(round(1.0 / frac)))
     marked = [

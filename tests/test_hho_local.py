@@ -524,9 +524,12 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
         assert np.shape(got) == np.shape(want)
         return np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), floor)
 
+    shared = False
     for mesh in meshes:
         batched = asm.build_local_operators(mesh, k)
         assert [op.elem_id.tolist() for op in batched] == [b.tolist() for b in mesh.batches]
+        # eta and the condensation below run once per class on these stacks
+        shared |= any(op.classes is not None for op in batched)
         views = per_element(mesh, batched)
         for e, op in enumerate(views):
             ref = hl.local_operators(mesh, e, k)
@@ -583,6 +586,47 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
             assert same_bytes(condensed.matrix, matrix)
             assert same_bytes(condensed.rhs, crhs)
             assert same_bytes(condensed.expand(xf).data, data)
+    assert shared
+
+
+def counting_build(monkeypatch):
+    """Record the ids and the result of every ``hl._build`` call."""
+    calls = []
+    build = hl._build
+
+    def counted(mesh, ids, k):
+        calls.append((ids, build(mesh, ids, k)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hl, "_build", counted)
+    return calls
+
+
+def test_equal_elements_are_built_once(monkeypatch):
+    mesh = generate("cartesian", 16)
+    calls = counting_build(monkeypatch)
+    (stack,) = asm.build_local_operators(mesh, 1)
+    built = sum(len(ids) for ids, _ in calls)
+    assert stack.classes is not None
+    assert built == len(np.unique(stack.classes)) < mesh.n_elements // 16
+    # a member of a class reads its own centroid, and a sub-stack has no map
+    view = stack[5]
+    assert same_bytes(view.cell_basis.center, mesh.elements.centroid[5])
+    assert stack[2:9].classes is None and view.classes is None
+
+
+def test_distinct_elements_take_the_stack_path(monkeypatch):
+    grid = generate("cartesian", 8)
+    verts = grid.vertices.copy()
+    inner = np.all((verts > 0) & (verts < 1), axis=1)
+    verts[inner] += 0.3 / 8 * (np.random.default_rng(3).random((inner.sum(), 2)) - 0.5)
+    mesh = PolyMesh(verts, grid.elements.corners.reshape(-1, 4).tolist())
+    calls = counting_build(monkeypatch)
+    stacks = asm.build_local_operators(mesh, 2)
+    # every element is its own class: _build sees the stacks, and its
+    # result is returned as it is, with no gather
+    assert [ids.tolist() for ids, _ in calls] == [ids.tolist() for ids in mesh.batches]
+    assert all(op is out and op.classes is None for op, (_, out) in zip(stacks, calls))
 
 
 def test_singular_element_inside_a_batch_is_named():

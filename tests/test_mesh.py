@@ -223,6 +223,18 @@ def test_geometry_is_translation_invariant():
         assert np.abs(els.face_dists - ref.face_dists).max() <= tol, offset
 
 
+@pytest.mark.parametrize("scale", [1e110, 1e120, 1e150, 1e160, 1e300])
+def test_overflowing_geometry_is_refused(scale):
+    # the centroid moments overflow from about 1e110 on, the loop area from
+    # 1e160 on; neither may build an inf centroid or nan face distances
+    grid = generate("cartesian", 1)
+    verts = grid.vertices + 0.2 * (np.random.default_rng(1).random((4, 2)) - 0.5)
+    loops = [grid.elements.corners.tolist()]
+    assert np.isfinite(PolyMesh(verts * 1e100, loops).elements.face_dists).all()
+    with pytest.raises(MeshError, match=r"^element 0: non-finite geometry$"):
+        PolyMesh(verts * scale, loops)
+
+
 def test_rejects_non_star_shaped():
     # deep L-shaped hexagon: centroid lies past the reentrant side's line
     verts = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)]

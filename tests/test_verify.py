@@ -68,6 +68,14 @@ def test_family_builders():
         vf.rectangle_mesh(3)
 
 
+@pytest.mark.parametrize("frac", [0.0, -1.0, 5.0, 1.0 + 1e-12, float("nan"), float("inf")])
+def test_nonconforming_fraction_is_checked(frac):
+    with pytest.raises(MeshError, match=r"^nonconforming fraction must be in \(0, 1\]$"):
+        vf.nonconforming_mesh(4, frac)
+    with pytest.raises(MeshError, match=r"^nonconforming fraction must be in \(0, 1\]$"):
+        vf.build_family("nonconforming", [4], frac=frac)
+
+
 def test_energy_error_zero_for_interpolate():
     mesh = generate("cartesian", 2)
     system = asm.assemble(mesh, 1, vf.CASES["sine"].f)
