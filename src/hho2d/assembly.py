@@ -346,15 +346,12 @@ def static_condense(system):
     recovery = []
     for op in system.ops:
         idx = system.dofmap.indices(op.elem_id)
-        # the dense work runs once per class of the stack, then gathers
-        first, inverse = op.class_split(op.stiff) or (slice(None), slice(None))
-        stiff = op.stiff[first]
-        Acc = stiff[:, :nc, :nc]
+        Acc = op.stiff[:, :nc, :nc]
         try:
             L = np.linalg.cholesky(Acc)
         except np.linalg.LinAlgError as exc:
             # name the first element whose block fails on its own
-            for e, block in zip(op.elem_id[first], Acc):
+            for e, block in zip(op.elem_id, Acc):
                 try:
                     np.linalg.cholesky(block)
                 except np.linalg.LinAlgError:
@@ -362,14 +359,12 @@ def static_condense(system):
                                         "definite (coercivity violated)") from exc
             raise
         inv_L = pb._tri_inv(L)
-        W = inv_L @ stiff[:, :nc, nc:]
-        schur = stiff[:, nc:, nc:] - np.swapaxes(W, 1, 2) @ W
-        inv_L, W, schur = inv_L[inverse], W[inverse], schur[inverse]
+        W = inv_L @ op.stiff[:, :nc, nc:]
         g = inv_L @ system.rhs[idx[:, :nc], None]
         Wt = np.swapaxes(W, 1, 2)
         face_idx = idx[:, nc:]
         keep = face_idx >= 0
-        blocks.append((face_idx, schur))
+        blocks.append((face_idx, op.stiff[:, nc:, nc:] - Wt @ W))
         np.add.at(rhs, face_idx[keep], -(Wt @ g)[..., 0][keep])
         recovery.append((op.elem_id, inv_L, W, g))
     rhs += system.rhs[:nf_dofs]  # face loads (zero for this scheme's RHS)

@@ -35,23 +35,26 @@ depend on where its group is cut.  One element id gives the unbatched
 forms.
 
 Elements of a stack with the same build inputs share one build.  The
-inputs of an element are every array the build reads of it, all relative
-to the element: its face midpoints minus its centroid, its face tangents
-and lengths, its face distances and normals, its diameter and its area.
-Elements whose inputs are equal byte for byte form a class; the operators
+inputs of an element are its row of ``_BuildInputs``, all relative to the
+element: its face midpoints minus its centroid, its face tangents and
+lengths, its face distances and normals, its diameter and its area.  The
+build takes nothing else (it works in the element's own frame, centroid
+at the origin, and the bases are placed at the centroids afterwards).
+Elements whose rows are equal byte for byte form a class; the operators
 are built once, on the class's first element, and gathered back to the
-stack (``LocalOperators.classes``).  Since the build reads nothing else and
-an element's bytes do not depend on its stack, every element gets exactly
-the bytes of its own build.  ``eta_bounds`` and the static condensation
-also run once per class.  Translated copies of a few shapes (Cartesian,
-nonconforming and agglomerated meshes) share most builds; on a jittered
-mesh every element is its own class and the stack is built as it is.
-Elements equal only up to scaling do not share: their bytes would differ.
+stack (``LocalOperators.classes``).  Since an element's bytes do not
+depend on its stack, every element gets exactly the bytes of its own
+build.  ``eta_bounds`` also runs once per class.  Translated copies of a
+few shapes (Cartesian, nonconforming and agglomerated meshes) share most
+builds; on a jittered mesh every element is its own class and the stack
+is built as it is.  Elements equal only up to scaling do not share: their
+bytes would differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,19 +100,6 @@ class LocalOperators:
     def __getitem__(self, b):
         parts = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "classes"}
         return LocalOperators(**{n: v if n == "k" or v is None else v[b] for n, v in parts.items()})
-
-    def class_split(self, *arrays):
-        """Indices (first, inverse) for work done once per class: X[first]
-        holds the first element of each class, and R[inverse] gathers
-        per-class results R back to the stack.  None without a map, or when
-        one of ``arrays`` (stacked fields) differs bitwise from its class's
-        first element, as in a stack edited after its build."""
-        if self.classes is None:
-            return None
-        for X in arrays:
-            if not np.array_equal(X.view(np.uint64), X[self.classes].view(np.uint64)):
-                return None
-        return _class_index(self.classes)
 
     @property
     def n_local(self):
@@ -178,31 +168,51 @@ def local_operators(mesh, elem_id, k):
     return _on_ids(lambda ids: _build_classes(mesh, ids, k), elem_id)
 
 
-def _classes(mesh, ids):
+class _BuildInputs(NamedTuple):
+    """Every per-element array the local build reads, for a stack of B
+    elements with nf faces each, all relative to the element.  ``_build``
+    takes nothing else, and ``_classes`` compares these rows."""
+
+    rel: np.ndarray       # face midpoints minus the centroid, (B, nf, 2)
+    tangent: np.ndarray   # face tangents, (B, nf, 2)
+    length: np.ndarray    # face lengths, (B, nf)
+    dist: np.ndarray      # centroid-to-face distances, (B, nf)
+    normal: np.ndarray    # outward face normals, (B, nf, 2)
+    diameter: np.ndarray  # (B,)
+    area: np.ndarray      # (B,)
+
+    def take(self, idx):
+        return _BuildInputs(*(a[idx] for a in self))
+
+
+def _build_inputs(mesh, ids):
+    """The ``_BuildInputs`` of the stack ``ids``."""
+    els = mesh.elements
+    rows = els.face_rows(ids)
+    return _BuildInputs(*pb._face_frames(mesh, ids), els.face_dists[rows],
+                       np.take(els.face_normals, rows, axis=0), els.diameter[ids],
+                       els.area[ids])
+
+
+def _classes(inputs):
     """Class map of a stack (see ``LocalOperators.classes``), or None.
 
-    An element's row is every array ``_build`` reads of it: the face frames
-    of its moments (``pb._face_frames``), its face lengths, distances and
-    normals, its diameter and its area.  Rows are compared byte for byte,
-    after a cheap test on the areas: all distinct, no two rows are equal.
+    The rows of ``inputs`` are compared byte for byte, after a cheap test
+    on the areas: all distinct, no two rows are equal.
     """
-    els = mesh.elements
-    area = els.area[ids]
-    if len(np.unique(area)) == len(ids):
+    nb = len(inputs.area)
+    if len(np.unique(inputs.area)) == nb:
         return None
-    rows = els.face_rows(ids)
-    parts = (*pb._face_frames(mesh, ids), els.face_lengths[rows], els.face_dists[rows],
-             np.take(els.face_normals, rows, axis=0), els.diameter[ids], area)
-    table = np.concatenate([p.reshape(len(ids), -1) for p in parts], axis=1)
+    table = np.concatenate([a.reshape(nb, -1) for a in inputs], axis=1)
     # sort the rows as opaque bytes: equal rows become neighbours, the
     # first of each run its smallest position
     order = np.argsort(table.view(np.dtype((np.void, table.shape[1] * 8)))[:, 0], kind="stable")
     bits = table.view(np.uint64)[order]
-    start = np.ones(len(ids), dtype=bool)
+    start = np.ones(nb, dtype=bool)
     start[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     if start.all():
         return None
-    classes = np.empty(len(ids), dtype=int)
+    classes = np.empty(nb, dtype=int)
     classes[order] = order[start][np.cumsum(start) - 1]
     return classes
 
@@ -216,47 +226,46 @@ def _class_index(classes):
 
 def _build_classes(mesh, ids, k):
     """``_build`` on the first element of each class of the stack ``ids``,
-    gathered back to the stack; every element gets the bytes of its own
-    build, since ``_build`` reads nothing outside an element's row."""
-    classes = _classes(mesh, ids)
+    gathered back to the stack, with the bases placed at the centroids."""
+    inputs = _build_inputs(mesh, ids)
+    classes = _classes(inputs)
     if classes is None:
-        return _build(mesh, ids, k)
-    first, inverse = _class_index(classes)
-    ops = _build(mesh, ids[first], k)[inverse]
-    els = mesh.elements
+        ops = _build(inputs, ids, k)
+    else:
+        first, inverse = _class_index(classes)
+        ops = _build(inputs.take(first), ids[first], k)[inverse]
+    centroid = mesh.elements.centroid[ids]
 
-    def basis(b):
-        return None if b is None else pb.CellBasis(
-            els.centroid[ids], els.diameter[ids], b.degree, b.transform)
+    def place(b):
+        return None if b is None else pb.CellBasis(centroid, b.scale, b.degree, b.transform)
 
-    return replace(ops, elem_id=ids, recon_basis=basis(ops.recon_basis),
-                   cell_basis=basis(ops.cell_basis), classes=classes)
+    return replace(ops, elem_id=ids, recon_basis=place(ops.recon_basis),
+                   cell_basis=place(ops.cell_basis), classes=classes)
 
 
-def _build(mesh, ids, k):
-    """The operators of the stack ``ids``.  They read only the element rows
-    of ``_classes``: an input read here must join those rows."""
-    els = mesh.elements
-    rows = els.face_rows(ids)
-    nb, nf = rows.shape
+def _build(inputs, ids, k):
+    """The operators of the stack ``ids`` from its ``_BuildInputs``, in each
+    element's own frame: the bases are centered at the origin."""
+    nb, nf = inputs.length.shape
     nc = cell_block_dim(k)
     kf = k + 1
     n_loc = nc + nf * kf
-    hT = els.diameter[ids][:, None, None]
-    area = els.area[ids][:, None]
-    normals = els.face_normals[rows]
+    hT = inputs.diameter[:, None, None]
+    area = inputs.area[:, None]
+    origin = np.zeros((nb, 2))
 
     # every cell integral is of a polynomial of degree <= 2k+2: a gather
     # from the moments of the scaled monomials, one table per stack; Z holds
     # those monomials at the nodes of the face rule of order 2k+2
-    mu, Z = pb._cell_moments(mesh, ids, 2 * k + 2)
-    rec = pb._cell_bases(mesh, ids, k + 1, mu)
+    mu, Z = pb._moments(inputs.rel, inputs.tangent, inputs.length, inputs.dist,
+                        inputs.diameter, 2 * k + 2)
+    rec = pb._cell_bases(origin, inputs.diameter, k + 1, mu, ids)
     dr = rec.dim
     G = _sym(pb._moment_gram(mu, "grad", rec, rec))
     m_rec = pb._moment_integrals(mu, rec)
 
     if k >= 1:
-        cellb = pb._cell_bases(mesh, ids, k - 1, mu)
+        cellb = pb._cell_bases(origin, inputs.diameter, k - 1, mu, ids)
         M_cell = _sym(pb._moment_gram(mu, "mass", cellb, cellb))
         G_cell = _sym(pb._moment_gram(mu, "grad", cellb, cellb))
         m_cell = pb._moment_integrals(mu, cellb)
@@ -268,11 +277,11 @@ def _build(mesh, ids, k):
     s, sw = pb.face_rule(2 * k + 2)
     nq = len(s)
     Vf = s[:, None] ** np.arange(kf)
-    lengths = els.face_lengths[rows]
+    lengths = inputs.length
     fw = sw * 0.5 * lengths[..., None]  # (B, nf, m)
     Vr_f = rec.from_monomials(Z).reshape(nb, nf, nq, dr)
     Dr_f = rec.grad_from_monomials(Z).reshape(nb, nf, nq, dr, 2)
-    n = normals[:, :, None, None, :]
+    n = inputs.normal[:, :, None, None, :]
     flux = Dr_f[..., 0] * n[..., 0] + Dr_f[..., 1] * n[..., 1]
 
     # right-hand side of the reconstruction system, one column per local dof
@@ -287,7 +296,7 @@ def _build(mesh, ids, k):
     # fixed to avg times the local vector
     avg = np.zeros((nb, n_loc))
     if k == 0:
-        avg[:, nc:] = 0.5 * els.face_dists[rows] * lengths / area
+        avg[:, nc:] = 0.5 * inputs.dist * lengths / area
     else:
         avg[:, :nc] = m_cell / area
 
@@ -389,11 +398,14 @@ def eta_bounds(ops):
 
 
 def _eta_by_class(ops):
-    """``_eta_bounds`` once per class of the stack, gathered back."""
-    split = ops.class_split(ops.stiff, ops.norm_gram, ops.constant_vector())
-    if split is None:
+    """``_eta_bounds`` once per class of the stack, gathered back.  A stack
+    whose pencil differs bitwise from its class's first element (edited
+    after its build) is measured whole, with no gather."""
+    c = ops.classes
+    if c is None or any(not np.array_equal(X.view(np.uint64), X[c].view(np.uint64))
+                        for X in (ops.stiff, ops.norm_gram, ops.constant_vector())):
         return _eta_bounds(ops)
-    first, inverse = split
+    first, inverse = _class_index(c)
     return _eta_bounds(ops[first])[inverse]
 
 

@@ -153,12 +153,10 @@ class CellBasis:
         # or None for the plain monomial basis
         self.transform = transform
         if self.center.ndim == 1:
-            self.scale = float(scale)
-            self._center, self._scale = self.center, self.scale
+            self.scale = self._scale = float(scale)
         else:
             self.scale = np.asarray(scale, dtype=float)
-            # shaped to broadcast against stacked points and values
-            self._center = self.center[:, None, :]
+            # shaped to broadcast against stacked values
             self._scale = self.scale[:, None, None]
 
     def __getitem__(self, b):
@@ -219,16 +217,16 @@ def _mono_index(a, b):
 
 def cell_bases(mesh, elem_ids, degree):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
+    els = mesh.elements
     orthonormal = degree >= ORTHONORMALIZE_FROM
     mu = _cell_moments(mesh, elem_ids, 2 * degree)[0] if orthonormal else None
-    return _cell_bases(mesh, elem_ids, degree, mu)
+    return _cell_bases(els.centroid[elem_ids], els.diameter[elem_ids], degree, mu, elem_ids)
 
 
-def _cell_bases(mesh, elem_ids, degree, mu):
-    """``cell_bases`` given the moments ``mu`` of the elements up to degree
-    2 * ``degree`` at least (unused, and may be None, below degree 4)."""
-    center = mesh.elements.centroid[elem_ids]
-    scale = mesh.elements.diameter[elem_ids]
+def _cell_bases(center, scale, degree, mu, elem_ids):
+    """``cell_bases`` at the centers and scales of the elements ``elem_ids``,
+    given their moments ``mu`` up to degree 2 * ``degree`` at least (unused,
+    and may be None, below degree 4)."""
     basis = CellBasis(center, scale, degree)
     if degree >= ORTHONORMALIZE_FROM:
         L = _mass_cholesky(_moment_gram(mu, "mass", basis, basis), elem_ids, degree)
@@ -306,19 +304,26 @@ def _cell_moments(mesh, elem_ids, degree):
     integrates each face term exactly.  Its nodes are mapped relative to
     the centroid, z = ((m_F - x_T) + (|F|/2) s t_F)/h_T, so the moments read
     only the element-relative inputs of ``_face_frames``, the face distances
-    and h_T.  Elements share a face count.  Returns the moments (B, n_mono),
+    and h_T (see ``_moments``).  Elements share a face count.
+    """
+    els = mesh.elements
+    dist = els.face_dists[els.face_rows(elem_ids)]
+    return _moments(*_face_frames(mesh, elem_ids), dist, els.diameter[elem_ids], degree)
+
+
+def _moments(rel, tangent, length, dist, diameter, degree):
+    """``_cell_moments`` of B elements from their face midpoints relative
+    to the centroid and face tangents (B, nf, 2), face lengths and
+    distances (B, nf) and diameters (B,).  Returns the moments (B, n_mono),
     in ``monomial_exponents(degree)`` order, and the monomial table Z
     (B, nf * m, n_mono) at the m nodes of every face, faces in loop order,
     for the bases' ``from_monomials``.
     """
-    els = mesh.elements
-    rows = els.face_rows(elem_ids)
-    nb = len(rows)
-    rel, tangent, length = _face_frames(mesh, elem_ids)
+    nb = len(rel)
     s, w = face_rule(degree)
     half = 0.5 * length[..., None]
-    weights = (w * half * els.face_dists[rows][..., None]).reshape(nb, 1, -1)
-    hT = els.diameter[elem_ids][:, None, None]
+    weights = (w * half * dist[..., None]).reshape(nb, 1, -1)
+    hT = diameter[:, None, None]
     z = [((rel[..., d, None] + half * (s * tangent[..., d, None])) / hT).reshape(nb, -1)
          for d in range(2)]
     Z = _monomials(z, degree)

@@ -528,7 +528,7 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
     for mesh in meshes:
         batched = asm.build_local_operators(mesh, k)
         assert [op.elem_id.tolist() for op in batched] == [b.tolist() for b in mesh.batches]
-        # eta and the condensation below run once per class on these stacks
+        # eta runs once per class on these stacks
         shared |= any(op.classes is not None for op in batched)
         views = per_element(mesh, batched)
         for e, op in enumerate(views):
@@ -594,8 +594,8 @@ def counting_build(monkeypatch):
     calls = []
     build = hl._build
 
-    def counted(mesh, ids, k):
-        calls.append((ids, build(mesh, ids, k)))
+    def counted(inputs, ids, k):
+        calls.append((ids, build(inputs, ids, k)))
         return calls[-1][1]
 
     monkeypatch.setattr(hl, "_build", counted)
@@ -624,9 +624,13 @@ def test_distinct_elements_take_the_stack_path(monkeypatch):
     calls = counting_build(monkeypatch)
     stacks = asm.build_local_operators(mesh, 2)
     # every element is its own class: _build sees the stacks, and its
-    # result is returned as it is, with no gather
+    # arrays are returned as they are, with no gather
     assert [ids.tolist() for ids, _ in calls] == [ids.tolist() for ids in mesh.batches]
-    assert all(op is out and op.classes is None for op, (_, out) in zip(stacks, calls))
+    for op, (ids, out) in zip(stacks, calls):
+        assert op.classes is None
+        assert all(getattr(op, name) is getattr(out, name)
+                   for name in ("recon", "stab", "stab_factor", "stiff", "norm_gram"))
+        assert same_bytes(op.cell_basis.center, mesh.elements.centroid[ids])
 
 
 def test_singular_element_inside_a_batch_is_named():
