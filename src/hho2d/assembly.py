@@ -29,6 +29,8 @@ from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d.mesh import _frozen, _rows
 
+K_MAX = 3  # the highest polynomial degree the solver and the CLI accept
+
 
 class AssemblyError(Exception):
     """Inconsistent global system (kernel leak, bad degree, ...)."""
@@ -66,8 +68,9 @@ class DofMap:
 
 
 def build_dof_map(mesh, k):
-    if not 0 <= k <= 3:
-        raise AssemblyError("polynomial degree must be in {0, 1, 2, 3}")
+    if not 0 <= k <= K_MAX:
+        degrees = ", ".join(map(str, range(K_MAX + 1)))
+        raise AssemblyError(f"polynomial degree must be in {{{degrees}}}")
     interior = mesh.interior_face_ids()
     face_offset = np.full(mesh.n_faces, -1, dtype=int)
     face_offset[interior] = (k + 1) * np.arange(len(interior))

@@ -49,8 +49,9 @@ class RunConfig:
     block: int = 2
 
     def __post_init__(self):
-        if self.k not in (0, 1, 2, 3):
-            raise ConfigError(f"degree k must be in {{0,1,2,3}}, got {self.k}")
+        if self.k not in range(asm.K_MAX + 1):
+            degrees = ",".join(map(str, range(asm.K_MAX + 1)))
+            raise ConfigError(f"degree k must be in {{{degrees}}}, got {self.k}")
         if self.case not in vf.CASES:
             raise ConfigError(f"unknown case {self.case!r}")
         if self.solver not in ("direct", "cg"):
@@ -87,7 +88,11 @@ def resolve_mesh(source):
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"mesh source {source!r}: no such file or generator")
-    return load_mesh(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"mesh source {source!r}: {exc}") from exc
+    return load_mesh(text)
 
 
 def _positive_int(token):

@@ -17,14 +17,11 @@ Text format (line oriented, ``#`` starts a comment)::
     ELEMENTS <m>
     <p> <v0> ... <v{p-1}>    # CCW vertex loop
 
-``load_mesh`` tokenizes the whole document at once and converts the vertex
-block and the element block with one numpy call each.  Where that pass
-cannot vouch for its result (a malformed line, a number spelled in a way
-numpy reads differently from ``float``/``int``), the line-by-line reader
-runs instead and raises ``MeshError`` naming the offending line.  The
-tokenized reader and the generators hand a corner table (CSR offsets and
-corner ids) straight to the constructor; ``PolyMesh(vertices, loops)``,
-which the line reader uses, turns its loops into one first.
+``load_mesh`` tokenizes the whole document at once, converts the vertex
+block and the element block with one numpy call each, and names the first
+malformed line in a ``MeshError``.  The reader and the generators hand a
+corner table (CSR offsets and corner ids) straight to the constructor;
+``PolyMesh(vertices, loops)`` turns its loops into one first.
 
 Vertex loops must be simple polygons, star-shaped with respect to their
 centroid.  All meshes are immutable after construction and safe to share
@@ -666,14 +663,19 @@ def _frozen(arr):
 
 
 def load_mesh(text):
-    """Parse the POLYMESH2D text format and build the mesh."""
-    table = _read_tokens(text)
-    if table is None:
-        return PolyMesh(*_read_lines(text))
-    return PolyMesh._from_corners(*table)
+    """Parse the POLYMESH2D text format and build the mesh.
+
+    The document is read in one tokenization, with one numpy conversion for
+    the vertex block and one for the element block.  Numbers are read as
+    Python's ``float`` and ``int`` read them, and the header counts are
+    checked against the rows present before anything is allocated.  A
+    malformed document raises ``MeshError`` naming its first bad line.
+    """
+    return PolyMesh._from_corners(*_read_tokens(text))
 
 
-# the bytes each part of a document may hold on the tokenized path
+# the bytes a document may hold without a rewrite, and the bytes numpy reads
+# in a block of numbers as float and int read them
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n"
 _FLOAT_BYTES = b"0123456789.eE+- \t\n"
 _INT_BYTES = b"0123456789+- \t\n"
@@ -682,139 +684,121 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _read_tokens(text):
-    """(vertices, corner_ptr, corners) of a well-formed document, from one
-    tokenization of the whole text and one numpy conversion per block.
+    """(vertices, corner_ptr, corners) of a document; raises ``MeshError``
+    naming the first malformed line.
 
-    Returns None wherever it cannot show that the result equals the line
-    reader's: a malformed document, characters other than printable ASCII,
-    tabs and line feeds (a CR only before a LF), or number spellings that
-    numpy reads differently from ``float``/``int`` (``1_0``, ``nan``,
-    integers that do not fit int64).  ``load_mesh`` then runs the line
-    reader, which raises its error or reads the document as before.
+    Lines are those of ``str.splitlines`` and tokens those of ``str.split``.
+    A document of printable ASCII, tabs and LF or CRLF line ends is split
+    on its bytes as it stands.  Any other is first rewritten, without its
+    comments and with its tokens joined by single spaces, line for line,
+    and the same byte pass reads the result.  A block whose tokens numpy
+    reads as ``float``/``int`` do is converted in one numpy call; any other
+    token by token with ``float``/``int``.
     """
-    if not text.isascii():
-        return None
-    raw = text.encode()
+    raw = text.encode("utf-8", "surrogatepass")
     if "\r" in text:  # str.splitlines breaks once at a CRLF
         raw = raw.replace(b"\r\n", b"\n")
-    if raw.translate(None, _PLAIN):
-        return None
-    if "#" in text:
+    if not text.isascii() or raw.translate(None, _PLAIN):
+        raw = "\n".join(
+            " ".join(ln.split("#", 1)[0].split()) for ln in text.splitlines()
+        ).encode("utf-8", "surrogatepass")
+    elif "#" in text:
         raw = _COMMENT.sub(b"", raw)
     c = np.frombuffer(raw, dtype=np.uint8)
-    # tokens raw[start:stop], and the first token of each line that has one
+    # tokens raw[start:stop], the first token after each line break, and
+    # the non-empty lines, each with the tokens ptr[i]:ptr[i + 1]
     blank = (c == 32) | (c == 10) | (c == 9)
     edges = np.flatnonzero(np.diff(blank, prepend=True, append=True))
     start, stop = edges[0::2], edges[1::2]
-    tok_line = np.searchsorted(np.flatnonzero(c == 10), start)
-    first = np.flatnonzero(np.diff(tok_line, prepend=-1))
-    n_tokens = np.diff(first, append=len(start))
-    word = lambda i: raw[start[i]:stop[i]]
+    after_break = np.searchsorted(start, np.flatnonzero(c == 10))
+    bounds = np.concatenate([[0], after_break, [len(start)]])
+    ptr = np.append(bounds[np.flatnonzero(np.diff(bounds))], len(start))
+    n_tokens = np.diff(ptr)
+    n_lines = len(n_tokens)
+    word = lambda t: raw[start[t]:stop[t]].decode("utf-8", "surrogatepass")
 
-    def count(line, label):
-        """n of a '<label> <n>' line, n >= 1, or None."""
-        if len(first) <= line or n_tokens[line] != 2 or word(first[line]) != label:
-            return None
-        try:
-            value = int(word(first[line] + 1))
-        except ValueError:
-            return None
-        return value if value >= 1 else None
-
-    def block(lines, chars, dtype):
-        """Every token of ``lines`` as one array, or None."""
-        t0 = first[lines.start]
-        t1 = first[lines.stop - 1] + n_tokens[lines.stop - 1]
-        chunk = raw[start[t0]:stop[t1 - 1]]
-        if chunk.translate(None, chars):
-            return None
-        try:
-            values = np.fromstring(chunk, dtype=dtype, sep=" ")
-        except ValueError:
-            return None
-        return values if len(values) == t1 - t0 else None
-
-    if len(first) < 2 or n_tokens[0] != 2 or (word(0), word(1)) != (b"POLYMESH2D", b"1"):
-        return None
-    n = count(1, b"VERTICES")
-    m = n and count(n + 2, b"ELEMENTS")
-    if not m or len(first) != n + 3 + m or (n_tokens[2:n + 2] != 2).any():
-        return None
-    verts = block(range(2, n + 2), _FLOAT_BYTES, float)
-    flat = block(range(n + 3, n + 3 + m), _INT_BYTES, np.int64)
-    if verts is None or flat is None:
-        return None
-    if flat.max() == _INT64.max or flat.min() == _INT64.min:  # maybe clipped
-        return None
-    head = first[n + 3:] - first[n + 3]  # the corner count of each loop
-    p = flat[head]
-    if (p < 3).any() or (n_tokens[n + 3:] != p + 1).any():
-        return None
-    corners = np.delete(flat, head)
-    return verts.reshape(n, 2), np.concatenate([[0], np.cumsum(p)]), corners
-
-
-def _read_lines(text):
-    """(vertices, loops) of the document, read line by line; raises
-    ``MeshError`` naming the first malformed line."""
-    tokens = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.append((ln, line.split()))
-    if not tokens:
-        raise MeshError("empty mesh document")
-
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
+    def fail(i, message):
+        """Raise ``message`` at non-empty line i; past the last one, the
+        document ended early."""
+        if i >= n_lines:
             raise MeshError("unexpected end of mesh document")
-        t = tokens[pos]
-        pos += 1
-        return t
+        line = np.searchsorted(after_break, ptr[i], side="right") + 1
+        raise MeshError(f"line {line}: {message}")
 
-    ln, head = take()
-    if head != ["POLYMESH2D", "1"]:
-        raise MeshError(f"line {ln}: expected header 'POLYMESH2D 1'")
-    ln, vhead = take()
-    if len(vhead) != 2 or vhead[0] != "VERTICES":
-        raise MeshError(f"line {ln}: expected 'VERTICES <n>'")
-    n = _parse_int(vhead[1], ln, minimum=1)
-    verts = np.empty((n, 2))
-    for i in range(n):
-        ln, fields = take()
-        if len(fields) != 2:
-            raise MeshError(f"line {ln}: expected '<x> <y>'")
+    def count(i, label, symbol):
+        """n of the '<label> <n>' line i, n >= 1."""
+        if i >= n_lines or n_tokens[i] != 2 or word(ptr[i]) != label:
+            fail(i, f"expected '{label} <{symbol}>'")
+        token = word(ptr[i] + 1)
         try:
-            verts[i] = [float(fields[0]), float(fields[1])]
-        except ValueError as exc:
-            raise MeshError(f"line {ln}: bad coordinate") from exc
-    ln, ehead = take()
-    if len(ehead) != 2 or ehead[0] != "ELEMENTS":
-        raise MeshError(f"line {ln}: expected 'ELEMENTS <m>'")
-    m = _parse_int(ehead[1], ln, minimum=1)
-    loops = []
-    for _ in range(m):
-        ln, fields = take()
-        p = _parse_int(fields[0], ln, minimum=3)
-        if len(fields) != p + 1:
-            raise MeshError(f"line {ln}: expected {p} vertex ids")
-        loops.append([_parse_int(t, ln) for t in fields[1:]])
-    if pos != len(tokens):
-        raise MeshError(f"line {tokens[pos][0]}: trailing content")
-    return verts, loops
+            value = int(token)
+        except ValueError:
+            fail(i, f"expected integer, got {token!r}")
+        if value < 1:
+            fail(i, f"value {value} below 1")
+        return value
+
+    def numbers(t0, t1, chars, dtype, convert):
+        """Tokens t0..t1-1 as one array, and where ``convert`` reads them."""
+        ok = np.ones(t1 - t0, dtype=bool)
+        chunk = raw[start[t0]:stop[t1 - 1]] if t1 > t0 else b""
+        # numpy reads a lone sign as 0, or as the sign of the next token
+        lone_sign = (b"+" in chunk or b"-" in chunk) and (
+            (stop[t0:t1] - start[t0:t1] == 1) & np.isin(c[start[t0:t1]], (43, 45))).any()
+        if not chunk.translate(None, chars) and not lone_sign:
+            try:
+                values = np.fromstring(chunk, dtype=dtype, sep=" ")
+            except ValueError:
+                values = ()
+            if len(values) == t1 - t0 and not (  # numpy clips past int64
+                    dtype is np.int64 and len(values)
+                    and (values.max() == _INT64.max or values.min() == _INT64.min)):
+                return values, ok
+        values = np.zeros(t1 - t0, dtype=dtype)
+        for t in range(t0, t1):
+            try:
+                values[t - t0] = convert(word(t))
+            except ValueError:
+                ok[t - t0] = False
+        return values, ok
+
+    if n_lines == 0:
+        raise MeshError("empty mesh document")
+    if n_tokens[0] != 2 or (word(0), word(1)) != ("POLYMESH2D", "1"):
+        fail(0, "expected header 'POLYMESH2D 1'")
+    n = count(1, "VERTICES", "n")
+    rows = min(n, n_lines - 2)
+    short = np.flatnonzero(n_tokens[2:2 + rows] != 2)
+    good = short[0] if len(short) else rows
+    xy, ok = numbers(ptr[2], ptr[2 + good], _FLOAT_BYTES, float, float)
+    if not ok.all():
+        fail(2 + np.argmin(ok) // 2, "bad coordinate")
+    if good < n:
+        fail(2 + good, "expected '<x> <y>'")
+
+    m = count(n + 2, "ELEMENTS", "m")
+    e0, e1 = n + 3, min(n + 3 + m, n_lines)  # the loop lines present
+    flat, ok = numbers(ptr[e0], ptr[e1], _INT_BYTES, np.int64, _int64)
+    head = ptr[e0:e1] - ptr[e0]  # the corner count of each loop
+    p = flat[head]
+    few, wrong = p < 3, n_tokens[e0:e1] - 1 != p
+    if not ok.all() or few.any() or wrong.any():
+        # the first loop failing a check, and its first check failed, in order
+        r, check = _first_failure(~ok[head], few, wrong, ~np.logical_and.reduceat(ok, head))
+        token = word(ptr[e0 + r] + (np.argmin(ok[head[r]:]) if check == 3 else 0))
+        if check in (0, 3):
+            fail(e0 + r, f"expected integer, got {token!r}")
+        p = int(token)
+        fail(e0 + r, f"value {p} below 3" if check == 1 else f"expected {p} vertex ids")
+    if n_lines != n + 3 + m:
+        fail(n + 3 + m, "trailing content")
+    return xy.reshape(n, 2), np.concatenate([[0], np.cumsum(p)]), np.delete(flat, head)
 
 
-def _parse_int(token, ln, minimum=None):
-    try:
-        value = int(token)
-    except ValueError as exc:
-        raise MeshError(f"line {ln}: expected integer, got {token!r}") from exc
-    if minimum is not None and value < minimum:
-        raise MeshError(f"line {ln}: value {value} below {minimum}")
-    return value
+def _int64(token):
+    """``int(token)``, an id past int64 clipped to its range: out of range
+    all the same, it is named by ``_check_loops``."""
+    return min(max(int(token), _INT64.min), _INT64.max)
 
 
 def dump_mesh(mesh):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from hho2d import assembly as asm
 from hho2d import cli
 from hho2d.mesh import dump_mesh, generate
 
@@ -34,6 +35,14 @@ def test_resolve_mesh_errors():
 def test_run_config_validation():
     with pytest.raises(cli.ConfigError):
         cli.RunConfig(command="solve", k=5)
+    # both degree guards read K_MAX, and keep their texts
+    k = asm.K_MAX + 1
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.RunConfig(command="solve", k=k)
+    assert str(exc.value) == "degree k must be in {0,1,2,3}, got 4"
+    with pytest.raises(asm.AssemblyError) as exc:
+        asm.build_dof_map(generate("cartesian", 1), k)
+    assert str(exc.value) == "polynomial degree must be in {0, 1, 2, 3}"
     with pytest.raises(cli.ConfigError):
         cli.RunConfig(command="solve", case="nope")
     with pytest.raises(cli.ConfigError):
@@ -291,6 +300,33 @@ def test_vertex_id_past_int64_is_a_config_error(tmp_path, capsys, vertex):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith('FAILURE kind=config detail="element 1: vertex id out of range')
+    assert "Traceback" not in err
+
+
+def test_oversized_vertex_count_is_a_config_error(tmp_path, capsys):
+    # the count is checked against the rows present: no array of that size
+    path = tmp_path / "mesh.txt"
+    path.write_text(
+        "POLYMESH2D 1\nVERTICES 99999999999999999999\n0 0\n1 0\n1 1\n0 1\n"
+        "ELEMENTS 1\n4 0 1 2 3\n"
+    )
+    code = cli.main(["solve", "--mesh", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == 'FAILURE kind=config detail="line 7: bad coordinate"\n'
+
+
+@pytest.mark.parametrize("unreadable", ["bad-utf8", "directory"])
+def test_unreadable_mesh_source_is_a_config_error(tmp_path, capsys, unreadable):
+    path = tmp_path / "mesh.txt"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"POLYMESH2D 1\nVERTICES \xff\n")
+    code = cli.main(["solve", "--mesh", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILURE kind=config detail=\"mesh source '{path}': ")
     assert "Traceback" not in err
 
 

@@ -695,7 +695,70 @@ def test_search_takes_only_sides_without_a_twin(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the tokenized reader against the line reader
+# the reader against the line-by-line reader it replaced
+
+
+def _read_lines(text):
+    """(vertices, loops) of the document, read line by line; raises
+    ``MeshError`` naming the first malformed line."""
+    tokens = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            tokens.append((ln, line.split()))
+    if not tokens:
+        raise MeshError("empty mesh document")
+
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise MeshError("unexpected end of mesh document")
+        t = tokens[pos]
+        pos += 1
+        return t
+
+    ln, head = take()
+    if head != ["POLYMESH2D", "1"]:
+        raise MeshError(f"line {ln}: expected header 'POLYMESH2D 1'")
+    ln, vhead = take()
+    if len(vhead) != 2 or vhead[0] != "VERTICES":
+        raise MeshError(f"line {ln}: expected 'VERTICES <n>'")
+    n = _parse_int(vhead[1], ln, minimum=1)
+    verts = []  # not np.empty((n, 2)): n may be far larger than the document
+    for i in range(n):
+        ln, fields = take()
+        if len(fields) != 2:
+            raise MeshError(f"line {ln}: expected '<x> <y>'")
+        try:
+            verts.append([float(fields[0]), float(fields[1])])
+        except ValueError as exc:
+            raise MeshError(f"line {ln}: bad coordinate") from exc
+    ln, ehead = take()
+    if len(ehead) != 2 or ehead[0] != "ELEMENTS":
+        raise MeshError(f"line {ln}: expected 'ELEMENTS <m>'")
+    m = _parse_int(ehead[1], ln, minimum=1)
+    loops = []
+    for _ in range(m):
+        ln, fields = take()
+        p = _parse_int(fields[0], ln, minimum=3)
+        if len(fields) != p + 1:
+            raise MeshError(f"line {ln}: expected {p} vertex ids")
+        loops.append([_parse_int(t, ln) for t in fields[1:]])
+    if pos != len(tokens):
+        raise MeshError(f"line {tokens[pos][0]}: trailing content")
+    return np.array(verts), loops
+
+
+def _parse_int(token, ln, minimum=None):
+    try:
+        value = int(token)
+    except ValueError as exc:
+        raise MeshError(f"line {ln}: expected integer, got {token!r}") from exc
+    if minimum is not None and value < minimum:
+        raise MeshError(f"line {ln}: value {value} below {minimum}")
+    return value
 
 
 def _outcome(build):
@@ -709,7 +772,7 @@ def _outcome(build):
 
 
 def reference_load(text):
-    return PolyMesh(*hm._read_lines(text))
+    return PolyMesh(*_read_lines(text))
 
 
 SMALL_MESHES = [
@@ -734,7 +797,7 @@ def mutated_documents(draw):
         j = draw(st.integers(0, len(fields) - 1))
         kind = draw(st.sampled_from(
             ["truncate", "count", "token", "add", "remove", "comment", "blank",
-             "tab", "crlf", "cr"]))
+             "tab", "crlf", "cr", "space", "line end"]))
         if kind == "truncate":
             text = text[:draw(st.integers(0, len(text)))]
             continue
@@ -760,8 +823,12 @@ def mutated_documents(draw):
             lines[i] = "\t" + lines[i].replace(" ", draw(st.sampled_from(["\t", " \t ", "  "])))
         elif kind == "crlf":
             lines[i] += "\r"
-        else:
+        elif kind == "cr":
             lines[i] = lines[i].replace(" ", "\r", 1)
+        elif kind == "space":
+            lines[i] = lines[i].replace(" ", draw(st.sampled_from(["\xa0", "\u3000"])), 1)
+        else:
+            lines[i] += draw(st.sampled_from(["\u2028", "\x85", "\v", "\f"]))
         text = "\n".join(lines)
     return text
 
@@ -806,7 +873,7 @@ def test_tokenized_reader_reads_coordinates_bit_exactly(coords):
     )
     verts, corner_ptr, corners = hm._read_tokens(doc)
     assert verts.tobytes() == np.array(coords, dtype=float).tobytes()
-    assert verts.tobytes() == hm._read_lines(doc)[0].tobytes()
+    assert verts.tobytes() == _read_lines(doc)[0].tobytes()
     assert corner_ptr.tolist() == [0, 3] and corners.tolist() == [0, 1, 2]
 
 
@@ -846,21 +913,28 @@ def _decorated(text):
     return "\r\n".join(out) + "\r\n# end\r\n"
 
 
+def _last_row_token(text, header, token):
+    """The document with the last token of the last row before the line
+    ``header`` (or of the last line) replaced."""
+    lines = text.splitlines()
+    i = lines.index(header) - 1 if header else len(lines) - 1
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " " + token
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("doc", [
     pytest.param(lambda: _jittered_document(32, 7), id="jittered32"),
     pytest.param(lambda: _decorated(dump_mesh(hanging_node_mesh())), id="decorated"),
     *[pytest.param(lambda tag=tag: dump_mesh(build_family(tag, [8]).meshes[0]), id=tag)
       for tag in ("cartesian", "triangular", "nonconforming", "agglomerated", "rectangles")],
+    pytest.param(lambda: _last_row_token(_jittered_document(32, 7), "ELEMENTS 1024", "x"),
+                 id="jittered32-bad-vertex"),
+    pytest.param(lambda: _last_row_token(_jittered_document(32, 7), None, "-"),
+                 id="jittered32-bad-element"),
 ])
-def test_well_formed_documents_take_the_tokenized_path(doc, monkeypatch):
+def test_well_formed_documents_take_the_tokenized_path(doc):
     text = doc()
-    reference = reference_load(text)
-
-    def refuse(text):
-        raise AssertionError("the line reader ran on a well-formed document")
-
-    monkeypatch.setattr(hm, "_read_lines", refuse)
-    assert _outcome(lambda: load_mesh(text)) == _outcome(lambda: reference)
+    assert _outcome(lambda: load_mesh(text)) == _outcome(lambda: reference_load(text))
 
 
 # ---------------------------------------------------------------------------
