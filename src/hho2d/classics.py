@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from hho2d import polybasis as pb
 from hho2d.assembly import _factor
-from hho2d.mesh import MeshError, _first_failure
+from hho2d.mesh import MeshError, _raise_first_failure
 
 
 @dataclass
@@ -45,10 +45,8 @@ class CrSystem:
 def _triangle_faces(mesh):
     """Face ids (n_elements, 3) of a conforming triangulation."""
     els = mesh.elements
-    failed = _first_failure(np.diff(els.corner_ptr) != 3, np.diff(els.face_ptr) != 3)
-    if failed is not None:
-        e, check = failed
-        raise MeshError(f"element {e}: " + ("not a triangle", "hanging node on a side")[check])
+    _raise_first_failure({"not a triangle": np.diff(els.corner_ptr) != 3,
+                          "hanging node on a side": np.diff(els.face_ptr) != 3})
     return els.face_ids.reshape(-1, 3)
 
 

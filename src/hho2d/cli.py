@@ -110,7 +110,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one problem and print a summary")
-    solve.add_argument("--mesh", required=True, help="file path or generator spec")
+    solve.add_argument("--mesh", dest="mesh_source", metavar="MESH", required=True,
+                       help="file path or generator spec")
     solve.add_argument("--k", type=int, default=1)
     solve.add_argument("--case", default="sine")
     solve.add_argument("--solver", default="direct", choices=["direct", "cg"])
@@ -132,7 +133,7 @@ def build_parser():
     study.add_argument("--block", type=int, default=2)
 
     check = sub.add_parser("check", help="run the invariant suite on one mesh")
-    check.add_argument("--mesh", required=True)
+    check.add_argument("--mesh", dest="mesh_source", metavar="MESH", required=True)
     check.add_argument("--k", type=int, default=1)
     check.add_argument("--case", default="sine")
     return parser
@@ -142,40 +143,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            config = RunConfig(
-                command="solve",
-                mesh_source=args.mesh,
-                k=args.k,
-                case=args.case,
-                solver=args.solver,
-                determinism=args.determinism,
-                dump_matrix=args.dump_matrix,
-            )
-            return run_solve(config)
         if args.command == "study":
             try:
-                levels = tuple(int(t) for t in args.levels.split(","))
+                args.levels = tuple(int(t) for t in args.levels.split(","))
             except ValueError as exc:
                 raise ConfigError(f"bad levels {args.levels!r}: {exc}") from exc
-            config = RunConfig(
-                command="study",
-                family=args.family,
-                levels=levels,
-                k=args.k,
-                case=args.case,
-                out=args.out,
-                determinism=args.determinism,
-                frac=args.frac,
-                block=args.block,
-            )
-            return run_study(config)
-        if args.command == "check":
-            config = RunConfig(
-                command="check", mesh_source=args.mesh, k=args.k, case=args.case
-            )
-            return run_check(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        config = RunConfig(**vars(args))
+        run = {"solve": run_solve, "study": run_study, "check": run_check}[config.command]
+        return run(config)
     except (
         asm.SolverError,
         asm.AssemblyError,

@@ -375,10 +375,13 @@ def _wgram(X, w, Y):
 
 def elliptic_project(mesh, elem_id, k, v, ops=None, order=None):
     """Reconstruction of the interpolate of ``v``: H1-type local projection
-    onto polynomials of degree k+1 with fixed mean."""
+    onto polynomials of degree k+1 with fixed mean.  Returns its
+    coefficients, (dim P^{k+1},) or (B, dim P^{k+1}) on a stack, and the
+    reconstruction basis."""
     if ops is None:
         ops = local_operators(mesh, elem_id, k)
-    return ops.recon @ interpolate(mesh, elem_id, k, v, order=order), ops.recon_basis
+    interp = interpolate(mesh, elem_id, k, v, order=order)
+    return np.einsum("...ij,...j->...i", ops.recon, interp), ops.recon_basis
 
 
 KERNEL_TOL = 1e-8  # |A z| <= tol |A| and |N z| <= tol |N|: z spans the kernel

@@ -38,8 +38,8 @@ the mesh size.  A side that another element repeats in reverse (its
 twin) is a face as it stands.  The other sides, on the boundary and next
 to hanging vertices, look for hanging vertices among their own ends, in
 a uniform bucket grid where only the vertices inside the side's slightly
-widened bounding box get the exact on-segment test.  The loop checks and
-the geometry run per group of elements with one corner count.
+widened bounding box get the exact on-segment test.  One pass checks,
+orients and measures the loops of each group with one corner count.
 """
 
 from __future__ import annotations
@@ -174,8 +174,19 @@ def _batches(els):
 
 
 def _rows(ptr, ids):
-    start = ptr[np.asarray(ids, dtype=int)]
-    return start[:, None] + np.arange(ptr[ids[0] + 1] - start[0])
+    """Positions (B, c) of the CSR rows of ``ids``, which must share a count c;
+    raises ``MeshError`` naming the first id out of range or off that count."""
+    ids = np.asarray(ids, dtype=int)
+    bad = (ids < 0) | (ids >= len(ptr) - 1)
+    if bad.any():
+        raise MeshError(f"element {ids[np.argmax(bad)]} out of range")
+    start = ptr[ids]
+    count = ptr[ids + 1] - start
+    bad = count != count[0]
+    if bad.any():
+        e = np.argmax(bad)
+        raise MeshError(f"element {ids[e]} has count {count[e]}, not the stack's {count[0]}")
+    return start[:, None] + np.arange(count[0])
 
 
 class PolyMesh:
@@ -197,7 +208,7 @@ class PolyMesh:
                 itertools.chain.from_iterable(loops), dtype=int, count=corner_ptr[-1]
             )
         except OverflowError:
-            # an id past int64 is out of range; -1 lets _check_loops name
+            # an id past int64 is out of range; -1 lets _loop_geometry name
             # the element, in order with its other checks
             corners = np.fromiter(
                 (v if -2**63 <= v < 2**63 else -1
@@ -306,22 +317,21 @@ class MeshFamily:
 # ---------------------------------------------------------------------------
 # construction
 #
-# Every step works on whole arrays: loop checks and polygon geometry per
-# group of elements with one corner count, the side splitting over all
-# sides at once.  Errors name the first offending element (or face) in id
-# order, and within it the first failed check.
+# Every step works on whole arrays: one pass checks, orients and measures
+# the loops of each group of elements with one corner count, the side
+# splitting runs over all sides at once.  Errors name the first offending
+# element (or face) in id order, and within it the first failed check.
 
 
 def _build(verts, corner_ptr, corners):
     """Checked CCW corner loops, then the face and element tables."""
     # past about 1e100 the centroid moments, and past 1e150 the loop areas,
-    # overflow: the inf or nan they leave is refused before it spreads
-    with np.errstate(over="ignore", invalid="ignore"):
-        _check_loops(verts, corner_ptr, corners)
-        area, local_centroid, diameter = _polygon_geometry(verts, corner_ptr, corners)
+    # overflow, and a zero-area loop's centroid divides by zero: the inf or
+    # nan they leave is refused before it spreads
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        area, local_centroid, diameter = _loop_geometry(verts, corner_ptr, corners)
     finite = np.isfinite(np.column_stack([area, local_centroid, diameter])).all(axis=1)
-    if not finite.all():
-        raise MeshError(f"element {np.argmin(finite)}: non-finite geometry")
+    _raise_first_failure({"non-finite geometry": ~finite})
     u, v, piece_ptr, lengths = _split_sides(verts, corner_ptr, corners, diameter)
     elem = np.repeat(np.arange(len(area)), np.diff(piece_ptr))
     face_ids, faces = _number_faces(verts, u, v, elem)
@@ -356,66 +366,72 @@ def _build(verts, corner_ptr, corners):
     return faces, elements
 
 
-def _check_loops(verts, ptr, corners):
-    """Reject malformed loops and turn clockwise ones CCW (in place)."""
+def _loop_geometry(verts, ptr, corners):
+    """Check every corner loop, turn the clockwise ones CCW (in place), and
+    return the area, the centroid relative to the first corner, and the
+    diameter of each.  The id checks run on all corners at once, then the
+    coordinates of each group with one corner count are gathered once.
+    Errors name the first bad loop by id, then by zero area, then by crossing."""
     n = len(ptr) - 1
-    short, out_of_range, repeated = np.zeros((3, n), dtype=bool)
-    for ids, rows in _corner_groups(ptr):
-        lp = corners[rows]
-        if lp.shape[1] < 3:
-            short[ids] = True
-            continue
-        out_of_range[ids] = ((lp < 0) | (lp >= len(verts))).any(axis=1)
-        lp = np.sort(lp, axis=1)
-        repeated[ids] = (lp[:, 1:] == lp[:, :-1]).any(axis=1)
-    failed = _first_failure(short, out_of_range, repeated)
-    if failed is not None:
-        e, check = failed
-        message = (
-            "loop has fewer than 3 vertices",
-            "vertex id out of range",
-            "repeated vertex in loop",
-        )[check]
-        raise MeshError(f"element {e}: {message}")
-
-    zero_area = np.zeros(n, dtype=bool)
-    for ids, rows in _corner_groups(ptr):
-        poly = verts[corners[rows]]
-        x, y = np.moveaxis(poly - poly[:, :1], -1, 0)  # relative, as in _polygon_geometry
-        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        area = 0.5 * np.sum(x * yn - xn * y, axis=1)
-        zero_area[ids] = np.abs(area) < 1e-300
-        cw = rows[area < 0]
-        corners[cw] = corners[cw[:, ::-1]]
-    if zero_area.any():
-        raise MeshError(
-            f"element {np.argmax(zero_area)}: degenerate (zero-area) loop"
-        )
-
-    crossed = np.zeros(n, dtype=bool)
-    for ids, rows in _corner_groups(ptr):
-        poly = verts[corners[rows]]
-        p = rows.shape[1]
-        i, j = np.triu_indices(p, 1)
-        apart = (j != i + 1) & ((j + 1) % p != i)  # sides without a shared end
-        a, b = poly[:, i[apart]], poly[:, (i[apart] + 1) % p]
-        c, d = poly[:, j[apart]], poly[:, (j[apart] + 1) % p]
-        # signs, not the product of two orientations, which underflows below
-        # coordinates of about 1e-77 and overflows above 1e77
-        ab_c, ab_d, cd_a, cd_b = np.sign(
-            [_orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)]
-        )
-        crossed[ids] = ((ab_c * ab_d < 0) & (cd_a * cd_b < 0)).any(axis=1)
-    if crossed.any():
-        raise MeshError(f"element {np.argmax(crossed)}: non-simple polygon")
-
-
-def _corner_groups(ptr):
-    """(element ids, (B, p) corner positions) for each corner count p."""
     counts = np.diff(ptr)
+    elem = np.repeat(np.arange(n), counts)
+    nv = len(verts)
+    # element e's keys lie in [e (nv + 2), e (nv + 2) + nv + 1]: a repeated
+    # id gives two equal keys (ids out of range clip alike, but fail first)
+    key = np.sort(elem * (nv + 2) + np.clip(corners, -1, nv) + 1)
+    out_of_range, repeated = np.zeros((2, n), dtype=bool)
+    out_of_range[elem[(corners < 0) | (corners >= nv)]] = True
+    repeated[key[1:][key[1:] == key[:-1]] // (nv + 2)] = True
+    _raise_first_failure({
+        "loop has fewer than 3 vertices": counts < 3,
+        "vertex id out of range": out_of_range,
+        "repeated vertex in loop": repeated,
+    })
+
+    area, diameter = np.empty(n), np.empty(n)
+    centroid = np.empty((n, 2))
+    zero_area, crossed = np.zeros((2, n), dtype=bool)
     for p in np.unique(counts):
         ids = np.flatnonzero(counts == p)
-        yield ids, ptr[ids][:, None] + np.arange(p)
+        rows = ptr[ids][:, None] + np.arange(p)
+        poly = verts[corners[rows]]
+        a, c = _shoelace(poly)
+        zero_area[ids] = np.abs(a) < 1e-300
+        cw = a < 0
+        if cw.any():
+            corners[rows[cw]] = corners[rows[cw, ::-1]]
+            poly[cw] = poly[cw, ::-1]
+            a, c = _shoelace(poly)  # a reversed loop has a new first corner
+        area[ids], centroid[ids] = a, c
+
+        i, j = np.triu_indices(p, 1)
+        apart = (j != i + 1) & ((j + 1) % p != i)  # sides without a shared end
+        s, t = poly[:, i[apart]], poly[:, (i[apart] + 1) % p]
+        u, v = poly[:, j[apart]], poly[:, (j[apart] + 1) % p]
+        # signs, not the product of two orientations, which underflows below
+        # coordinates of about 1e-77 and overflows above 1e77
+        st_u, st_v, uv_s, uv_t = np.sign(
+            [_orient(s, t, u), _orient(s, t, v), _orient(u, v, s), _orient(u, v, t)]
+        )
+        crossed[ids] = ((st_u * st_v < 0) & (uv_s * uv_t < 0)).any(axis=1)
+
+        diff = poly[:, :, None, :] - poly[:, None, :, :]
+        diameter[ids] = np.sqrt(np.einsum("bijk,bijk->bij", diff, diff).max(axis=(1, 2)))
+    _raise_first_failure({"degenerate (zero-area) loop": zero_area})
+    _raise_first_failure({"non-simple polygon": crossed})
+    return area, centroid, diameter
+
+
+def _shoelace(poly):
+    """Area and centroid of each loop of ``poly`` (B, p, 2), both taken
+    relative to the first corner: on absolute coordinates the cancellation
+    of the sums grows like eps |x|^2, not eps h^2."""
+    x, y = np.moveaxis(poly - poly[:, :1], -1, 0)
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross = x * yn - xn * y
+    a = 0.5 * cross.sum(axis=1)
+    moments = np.column_stack([((x + xn) * cross).sum(axis=1), ((y + yn) * cross).sum(axis=1)])
+    return a, moments / (6.0 * a[:, None])
 
 
 def _first_failure(*flags):
@@ -427,35 +443,20 @@ def _first_failure(*flags):
     return int(bad[0]), int(np.argmax(flags[bad[0]]))
 
 
+def _raise_first_failure(checks):
+    """Raise ``MeshError("element e: <message>")`` for the first element
+    failing any of the ``{message: flags}`` checks, and its first failed
+    check; return if none fails."""
+    failed = _first_failure(*checks.values())
+    if failed is not None:
+        e, check = failed
+        raise MeshError(f"element {e}: {list(checks)[check]}")
+
+
 def _orient(p, q, r):
     return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
         q[..., 1] - p[..., 1]
     ) * (r[..., 0] - p[..., 0])
-
-
-def _polygon_geometry(verts, ptr, corners):
-    """Area, centroid relative to the first corner, and diameter of every
-    CCW corner loop.
-
-    The shoelace sums run on coordinates relative to the first corner:
-    on absolute ones their cancellation grows like eps |x|^2, not eps h^2.
-    """
-    n = len(ptr) - 1
-    area, diameter = np.empty(n), np.empty(n)
-    centroid = np.empty((n, 2))
-    for ids, rows in _corner_groups(ptr):
-        poly = verts[corners[rows]]
-        x, y = np.moveaxis(poly - poly[:, :1], -1, 0)
-        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        cross = x * yn - xn * y
-        a = 0.5 * cross.sum(axis=1)
-        area[ids] = a
-        centroid[ids, 0] = np.sum((x + xn) * cross, axis=1) / (6.0 * a)
-        centroid[ids, 1] = np.sum((y + yn) * cross, axis=1) / (6.0 * a)
-        diff = poly[:, :, None, :] - poly[:, None, :, :]
-        dist2 = np.einsum("bijk,bijk->bij", diff, diff)
-        diameter[ids] = np.sqrt(dist2.max(axis=(1, 2)))
-    return area, centroid, diameter
 
 
 def _split_sides(verts, ptr, corners, diameter):
@@ -797,7 +798,7 @@ def _read_tokens(text):
 
 def _int64(token):
     """``int(token)``, an id past int64 clipped to its range: out of range
-    all the same, it is named by ``_check_loops``."""
+    all the same, it is named by ``_loop_geometry``."""
     return min(max(int(token), _INT64.min), _INT64.max)
 
 
@@ -956,11 +957,7 @@ def _check_cartesian(mesh, n):
     got = np.sort(mesh.vertices[els.corners[rows]], axis=1)
     off_grid = np.zeros(len(els), dtype=bool)
     off_grid[ids] = (np.abs(ref - got) > 1e-14).any(axis=(1, 2))
-    failed = _first_failure(~quad, off_grid)
-    if failed is not None:
-        e, check = failed
-        message = ("not a grid quadrilateral", "not a unit grid cell")[check]
-        raise MeshError(f"element {e}: {message}")
+    _raise_first_failure({"not a grid quadrilateral": ~quad, "not a unit grid cell": off_grid})
 
 
 def _index(value, what):

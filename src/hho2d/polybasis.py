@@ -84,8 +84,8 @@ def cell_quadratures(mesh, elem_ids, order):
     if order < 0:
         raise BasisError("quadrature order must be >= 0")
     els = mesh.elements
-    c = els.centroid[elem_ids]
     corners = mesh.vertices[els.corners[els.corner_rows(elem_ids)]]
+    c = els.centroid[elem_ids]
     a = corners - c[:, None]                        # (B, p, 2)
     b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
     det = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])

@@ -468,8 +468,7 @@ def projector_rate_suite(family, degree, case):
             ids = op.elem_id
             basis = pb.cell_bases(mesh, ids, degree)
             coeff = pb.l2_project_cell(mesh, ids, degree, case.u, order=order)
-            interp = hl.interpolate(mesh, ids, degree, case.u, order=order)
-            eproj = np.einsum("bij,bj->bi", op.recon, interp)
+            eproj, ebasis = hl.elliptic_project(mesh, ids, degree, case.u, ops=op, order=order)
             points, weights = pb.cell_quadratures(mesh, ids, order)
             fpts, fw = pb.face_quadratures(mesh, els.face_ids[els.face_rows(ids)], order)
             fpts = fpts.reshape(len(ids), -1, 2)
@@ -481,8 +480,7 @@ def projector_rate_suite(family, degree, case):
             cell2.append(np.sum(weights * diff**2, axis=1))
             bdiff = fu - np.einsum("bpi,bi->bp", basis.eval(fpts), coeff)
             trace2.append(np.sum(fw * bdiff**2, axis=1))
-            egrad = pb.cell_bases(mesh, ids, degree + 1).grad(fpts)
-            gdiff = fgrad - np.einsum("bpid,bi->bpd", egrad, eproj)
+            gdiff = fgrad - np.einsum("bpid,bi->bpd", ebasis.grad(fpts), eproj)
             egrad2.append(np.einsum("bpd,bp,bpd->b", gdiff, fw, gdiff))
         hs.append(mesh.h)
         cell_errs.append(np.sqrt(_total(cell2)))

@@ -297,6 +297,48 @@ def test_elliptic_projector_mean_condition(unit_square):
         mean_proj = weights @ (basis.eval(points) @ coeff)
         mean_u = weights @ u(points)
         assert mean_proj == pytest.approx(mean_u, rel=1e-9)
+    # a stack gives each element's projection, byte for byte
+    mesh = generate("cartesian", 2)
+    ids = np.arange(mesh.n_elements)
+    for k in range(4):
+        stack, basis = hl.elliptic_project(mesh, ids, k, u, order=12)
+        assert stack.shape == (len(ids), basis.dim)
+        for e in ids:
+            assert stack[e].tobytes() == hl.elliptic_project(mesh, e, k, u, order=12)[0].tobytes()
+
+
+def _two_corner_counts():
+    """A quad (element 0) and two triangles."""
+    verts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    return PolyMesh(verts, [[0, 1, 4, 3], [1, 2, 5], [1, 5, 4]])
+
+
+STACK_CALLS = {
+    "local_operators": lambda m, ids: hl.local_operators(m, ids, 1),
+    "interpolate": lambda m, ids: hl.interpolate(m, ids, 1, lambda p: p[:, 0]),
+    "indices": lambda m, ids: asm.build_dof_map(m, 1).indices(ids),
+    "cell_quadratures": lambda m, ids: pb.cell_quadratures(m, ids, 2),
+}
+
+
+@pytest.mark.parametrize("call", list(STACK_CALLS))
+@pytest.mark.parametrize("stack", ["mixed", "mixed reversed", "past the end", "negative"])
+def test_a_bad_stack_names_its_first_bad_element(call, stack):
+    # cell_quadratures reads the corners only: there elements 0 and 1 have
+    # 4 and 3 corners; in nonconforming_mesh(4) elements 0 and 4 have 4 and
+    # 6 faces
+    if call == "cell_quadratures":
+        mesh, other = _two_corner_counts(), 1
+    else:
+        mesh, other = nonconforming_mesh(4), 4
+    ids, culprit = {
+        "mixed": ([0, other], other),
+        "mixed reversed": ([other, 0], 0),
+        "past the end": ([0, mesh.n_elements], mesh.n_elements),
+        "negative": ([0, -1], -1),
+    }[stack]
+    with pytest.raises(MeshError, match=rf"^element {culprit} "):
+        STACK_CALLS[call](mesh, ids)
 
 
 def test_gradient_identity_lowest_order(unit_square):

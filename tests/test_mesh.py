@@ -385,9 +385,26 @@ CONSTRUCTION_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("message", list(CONSTRUCTION_ERRORS))
-def test_construction_error_names_the_offender(message):
-    (verts, loops), culprit = CONSTRUCTION_ERRORS[message]
+# two corner groups, each loop failing a different check: the id checks
+# come first, then a zero-area loop, then a crossing, in any element
+_TWO_GROUPS = [(0, 0), (4, 0), (4, 3), (1, -1), (0, 3), (5, 0), (6, 0), (7, 0), (5, 1)]
+_CROSSING = [0, 1, 2, 3, 4]
+CROSS_GROUP_ERRORS = {
+    "zero-area after a crossing": (
+        "degenerate \\(zero-area\\) loop", ((_TWO_GROUPS, [_CROSSING, [5, 6, 7]]), 1)),
+    "repeated id after a zero-area loop": (
+        "repeated vertex in loop", ((_TWO_GROUPS, [[5, 6, 7], [5, 6, 8, 8]]), 1)),
+    "bad id after a crossing": (
+        "vertex id out of range", ((_TWO_GROUPS, [_CROSSING, [5, 6, 8, 99]]), 1)),
+}
+
+
+@pytest.mark.parametrize("message, case", [
+    *(pytest.param(message, case, id=message) for message, case in CONSTRUCTION_ERRORS.items()),
+    *(pytest.param(*item, id=name) for name, item in CROSS_GROUP_ERRORS.items()),
+])
+def test_construction_error_names_the_offender(message, case):
+    (verts, loops), culprit = case
     with pytest.raises(MeshError) as info:
         PolyMesh(verts, loops)
     # integer scalars print as np.int64(i) under some numpy versions
@@ -396,6 +413,18 @@ def test_construction_error_names_the_offender(message):
         assert re.fullmatch(rf"face \({culprit[0]}, {culprit[1]}\): {message}", text)
     else:
         assert re.fullmatch(rf"element {culprit}: {message}", text)
+
+
+@pytest.mark.parametrize("tag", ["cartesian", "triangular", "nonconforming", "agglomerated",
+                                 "rectangles"])
+def test_clockwise_loops_build_the_counter_clockwise_tables(tag):
+    mesh = build_family(tag, [8]).meshes[0]
+    els = mesh.elements
+    loops = [lp.tolist() for lp in np.split(els.corners, els.corner_ptr[1:-1])]
+    flip = np.random.default_rng(len(tag)).random(len(loops)) < 0.5
+    assert flip.any() and not flip.all()
+    mixed = [lp[::-1] if f else lp for lp, f in zip(loops, flip)]
+    assert _outcome(lambda: PolyMesh(mesh.vertices, mixed)) == _outcome(lambda: mesh)
 
 
 # ---------------------------------------------------------------------------
