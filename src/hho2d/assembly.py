@@ -203,6 +203,7 @@ def _check_diagonal(system):
 
 
 RESIDUAL_TOL = 1e-12  # relative residual every solve must reach
+SOLVE_METHODS = ("direct", "cg")
 
 
 @dataclass
@@ -242,7 +243,9 @@ def _factor(A):
 def solve(system, method="direct"):
     """Solve to relative residual <= RESIDUAL_TOL by a sparse direct factor
     refined once, or by Jacobi-preconditioned CG with ``method="cg"``;
-    ``SolverError`` when the factor fails or the residual stays above."""
+    ``SolverError`` on another method, a failed factor or a residual above."""
+    if method not in SOLVE_METHODS:
+        raise SolverError(f"unknown solve method {method!r}")
     A, b = system.matrix, system.rhs
     x = np.zeros(system.dofmap.total)
     if system.dofmap.total == 0:
@@ -393,8 +396,8 @@ def solve_condensed(condensed):
 
 
 class NormGram:
-    """Assembled Gram of the discrete energy norm on the zero-boundary space
-    of an assembled system."""
+    """Assembled and factored Gram of the discrete energy norm on the
+    zero-boundary space of a system, for dual norms and the Poincare iteration."""
 
     def __init__(self, system):
         self.dofmap = system.dofmap
@@ -410,10 +413,6 @@ class NormGram:
                 raise AssemblyError(
                     "energy-norm Gram singular on the zero-boundary space"
                 ) from exc
-
-    def norm(self, data):
-        data = np.asarray(data, dtype=float)
-        return float(np.sqrt(max(data @ (self.matrix @ data), 0.0)))
 
     def apply_inverse(self, data):
         return self._lu.solve(np.asarray(data, dtype=float))

@@ -54,7 +54,7 @@ class RunConfig:
             raise ConfigError(f"degree k must be in {{{degrees}}}, got {self.k}")
         if self.case not in vf.CASES:
             raise ConfigError(f"unknown case {self.case!r}")
-        if self.solver not in ("direct", "cg"):
+        if self.solver not in asm.SOLVE_METHODS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if any(n < 1 for n in self.levels):
             raise ConfigError("levels must be positive")
@@ -114,7 +114,7 @@ def build_parser():
                        help="file path or generator spec")
     solve.add_argument("--k", type=int, default=1)
     solve.add_argument("--case", default="sine")
-    solve.add_argument("--solver", default="direct", choices=["direct", "cg"])
+    solve.add_argument("--solver", default="direct", choices=asm.SOLVE_METHODS)
     solve.add_argument("--determinism", action="store_true")
     solve.add_argument("--dump-matrix", default="", help="write the system matrix")
 
@@ -177,11 +177,10 @@ def run_solve(config):
     solution, info = asm.solve(system, method=config.solver)
     # wall time is irreproducible; --determinism promises identical output
     elapsed = 0.0 if config.determinism else time.perf_counter() - t0
-    norm_gram = asm.NormGram(system)
     print(f"mesh: {mesh.n_elements} elements, {mesh.n_faces} faces, h = {mesh.h:.6e}")
     print(f"degree k = {config.k}, case = {config.case}, unknowns = {system.dofmap.total}")
     print(f"solver = {info.method}, {info}")
-    print(f"solution energy norm = {norm_gram.norm(solution.data):.6e}")
+    print(f"solution energy norm = {vf.energy_norm(system.ops, solution):.6e}")
     interp = vf.local_interpolates(mesh, config.k, case.u)
     energy_err = vf.energy_error(system.ops, solution, interp)
     print(f"energy error vs exact interpolate = {energy_err:.6e}")
@@ -251,13 +250,13 @@ def run_check(config):
     worst = 0.0
     for s, c, vec in draw():
         denom = np.linalg.norm(s.stiff, 2, axis=(1, 2)) * np.linalg.norm(vec, axis=1) + 1e-300
-        defect = np.linalg.norm((s.stab @ vec[..., None])[..., 0], axis=1) / denom
+        S = hl._sym(hl._mT(s.stab_factor) @ s.stab_factor)
+        defect = np.linalg.norm((S @ vec[..., None])[..., 0], axis=1) / denom
         worst = max(worst, defect.max())
     report("stabilization-consistency", worst <= 1e-10, f"max scaled defect {worst:.2e}")
 
     try:
-        eta = max(float(hl.eta_of(s).max()) for s in ops)
-        report("coercivity-bounds", True, f"max eta {eta:.3f}")
+        report("coercivity-bounds", True, f"max eta {vf.mesh_eta(ops):.3f}")
     except hl.CoercivityViolationError as exc:
         report("coercivity-bounds", False, str(exc))
 

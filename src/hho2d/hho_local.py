@@ -13,7 +13,7 @@ k-1, one face polynomial of degree k per face).  From it we build:
   weighted average of the face values for k = 0, the cell mean for k >= 1);
 * the stabilization penalizing the mismatch between the unknowns and the
   interpolate of their own reconstruction (cell part scaled by h^-2, face
-  parts by h^-1);
+  parts by h^-1), kept only as its factor rows R, S = R^T R;
 * the local stiffness (reconstruction energy plus stabilization) and the
   Gram matrix of the local energy norm
   |grad v_T|^2 + h^-1 sum_F |v_F - v_T|^2_F.
@@ -86,8 +86,7 @@ class LocalOperators:
     elem_id: int | np.ndarray
     k: int
     recon: np.ndarray        # reconstruction coefficients map, (dim P^{k+1}, n)
-    stab: np.ndarray         # stabilization Gram, (n, n)
-    stab_factor: np.ndarray  # R with stab = R.T @ R (cancellation-free energies)
+    stab_factor: np.ndarray  # R, the stabilization kept only as its factor: S = R.T @ R
     stiff: np.ndarray        # local bilinear form, (n, n)
     norm_gram: np.ndarray    # local energy-norm Gram, (n, n)
     avg_weights: np.ndarray  # row giving the element-mean cell value
@@ -155,7 +154,7 @@ def interpolate(mesh, elem_id, k, v, order=None):
 
 
 def local_operators(mesh, elem_id, k):
-    """Build reconstruction, stabilization, stiffness, and norm Gram.
+    """Build reconstruction, stabilization factor, stiffness, and norm Gram.
 
     ``elem_id`` is one element id, or a sequence of ids of elements that
     share a corner count and a face count; then one ``LocalOperators``
@@ -315,8 +314,8 @@ def _build(inputs, ids, k):
     P = _mT(inv_L) @ (inv_L @ (B + a[:, :, None] * avg[:, None, :]))
 
     # stabilization: difference to the interpolate of the reconstruction,
-    # kept in factored form S = R^T R so energies of near-kernel vectors
-    # are evaluated without catastrophic cancellation.  With M = L L^T,
+    # kept only in factored form S = R^T R so energies of near-kernel
+    # vectors are evaluated without catastrophic cancellation.  With M = L L^T,
     # the rows L^T (I - M^-1 X P) are L^T - L^-1 X P
     factor_rows = []
     if k >= 1:
@@ -337,9 +336,7 @@ def _build(inputs, ids, k):
     D[:, f0 + i[:, None], nc + f0 + i] += sq * L0.T
     factor_rows.append(D / np.sqrt(hT))
     R = np.concatenate(factor_rows, axis=1)
-    S = _sym(_mT(R) @ R)
-
-    A = _sym(_mT(P) @ G @ P + S)
+    A = _sym(_mT(P) @ G @ P + _sym(_mT(R) @ R))
 
     # energy-norm Gram: cell gradient plus scaled face jumps
     J = np.zeros((nb, nf, nq, n_loc))
@@ -355,7 +352,7 @@ def _build(inputs, ids, k):
     N = _sym(N)
 
     return LocalOperators(
-        elem_id=ids, k=k, recon=P, stab=S, stab_factor=R, stiff=A, norm_gram=N,
+        elem_id=ids, k=k, recon=P, stab_factor=R, stiff=A, norm_gram=N,
         avg_weights=avg, recon_basis=rec, cell_basis=cellb,
     )
 

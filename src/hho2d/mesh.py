@@ -174,9 +174,13 @@ def _batches(els):
 
 
 def _rows(ptr, ids):
-    """Positions (B, c) of the CSR rows of ``ids``, which must share a count c;
-    raises ``MeshError`` naming the first id out of range or off that count."""
-    ids = np.asarray(ids, dtype=int)
+    """Positions (B, c) of the CSR rows of ``ids``, integers that share a count
+    c; ``MeshError`` names an empty stack or the first bad id."""
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        raise MeshError("empty element stack")
+    if ids.dtype.kind not in "iu":
+        raise MeshError(f"element {ids.flat[0]} is not an integer id ({ids.dtype})")
     bad = (ids < 0) | (ids >= len(ptr) - 1)
     if bad.any():
         raise MeshError(f"element {ids[np.argmax(bad)]} out of range")

@@ -1,11 +1,11 @@
 """Manufactured solutions, error measures, and convergence studies.
 
-Everything here treats the solver as a black box and measures: the energy
-distance between the discrete solution and the interpolate of the exact
-one, the dual norm of the consistency functional, the stabilization energy
-of the interpolated exact solution, spectral constants (the coercivity
-equivalence constant per mesh and the discrete Poincare constant), and the
-fitted orders of convergence along refinement families.
+Everything here treats the solver as a black box and measures: energy norms
+as sums of x^T N_T x over the element stacks (the solution's, and its
+distance to the exact interpolate), the consistency functional's dual norm
+through the factored energy Gram, the stabilization energy |R x|^2 of the
+exact interpolate (S = R^T R), spectral constants (the coercivity constant
+per mesh and the discrete Poincare constant), and fitted convergence orders.
 
 Element data comes in the stacks of ``mesh.batches``: ``ops`` holds one
 ``LocalOperators`` stack and an interpolate one (B, n_local) array per
@@ -163,6 +163,11 @@ def energy_error(ops, solution, interp):
     return float(np.sqrt(max(_total(err2), 0.0)))
 
 
+def energy_norm(ops, vector):
+    """Discrete energy norm of a global dof vector: its energy distance to 0."""
+    return energy_error(ops, vector, [0.0] * len(ops))
+
+
 def l2_error_cell_value(system, solution, case):
     """L2 distance between the exact solution and the piecewise cell value."""
     mesh, k = system.mesh, system.k
@@ -186,11 +191,6 @@ def consistency_moments(system, interp):
     return asm.residual(system.matrix, iu.data, system.rhs)
 
 
-def consistency_dual_norm(system, interp, norm_gram):
-    """Dual energy norm of the consistency functional of the exact solution."""
-    return norm_gram.riesz_dual_norm(consistency_moments(system, interp))
-
-
 def stab_energy(ops, interp):
     """Aggregate stabilization energy of the interpolated exact solution."""
     parts = [np.sum((op.stab_factor @ iu[..., None]) ** 2, axis=(1, 2))
@@ -207,9 +207,9 @@ def source_l2_norm(mesh, case):
     return float(np.sqrt(_total(parts)))
 
 
-def mesh_eta(system):
-    """Largest per-element equivalence constant of the local forms."""
-    return max(float(hl.eta_of(op).max()) for op in system.ops)
+def mesh_eta(ops):
+    """Largest per-element equivalence constant over the operator stacks."""
+    return max(float(hl.eta_of(op).max()) for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +415,13 @@ def study(family, k, case, determinism=False):
             n_dofs=system.dofmap.total,
             n_face_dofs=system.dofmap.n_face_dofs,
             energy_err=energy_error(system.ops, solution, interp),
-            consist_dual=consistency_dual_norm(system, interp, norm_gram),
+            consist_dual=norm_gram.riesz_dual_norm(consistency_moments(system, interp)),
             stab_consist=stab_energy(system.ops, interp),
             l2_err=l2_error_cell_value(system, solution, case),
-            eta=mesh_eta(system),
+            eta=mesh_eta(system.ops),
             cp=float("nan"),
             seconds=0.0,
-            uh_energy_norm=norm_gram.norm(solution.data),
+            uh_energy_norm=energy_norm(system.ops, solution),
             f_l2=source_l2_norm(mesh, case),
             solver_residual=info.residual,
         )

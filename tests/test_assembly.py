@@ -10,7 +10,7 @@ from hho2d import cli
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d.mesh import generate, refine_nonconforming
-from hho2d.verify import CASES, nonconforming_mesh
+from hho2d.verify import CASES, energy_norm, nonconforming_mesh
 
 SINE = CASES["sine"]
 
@@ -66,6 +66,16 @@ def test_zero_source_gives_zero_solution():
     system = asm.assemble(mesh, 1, lambda p: np.zeros(len(p)))
     solution, _ = asm.solve(system)
     assert np.abs(solution.data).max() == 0.0
+
+
+def test_solve_refuses_an_unknown_method():
+    # refused before the shortcuts for an empty system and a zero load
+    empty = asm.assemble(generate("cartesian", 1), 0, SINE.f)
+    zero = asm.assemble(generate("cartesian", 3), 1, lambda p: np.zeros(len(p)))
+    assert empty.dofmap.total == 0 and not zero.rhs.any()
+    for system in (empty, zero, asm.assemble(generate("cartesian", 3), 1, SINE.f)):
+        with pytest.raises(asm.SolverError, match="^unknown solve method 'bogus'$"):
+            asm.solve(system, method="bogus")
 
 
 def test_matrix_symmetric_and_spd():
@@ -253,12 +263,13 @@ def test_global_coercivity_with_measured_eta():
 
 def test_riesz_dual_norm():
     mesh = generate("cartesian", 3)
-    gram = asm.NormGram(asm.assemble(mesh, 1, SINE.f))
+    system = asm.assemble(mesh, 1, SINE.f)
+    gram = asm.NormGram(system)
     assert gram.riesz_dual_norm(np.zeros(gram.dofmap.total)) == 0.0
     rng = np.random.default_rng(9)
-    v = rng.standard_normal(gram.dofmap.total)
-    ell = gram.matrix @ v
-    assert gram.riesz_dual_norm(ell) == pytest.approx(gram.norm(v), rel=1e-12)
+    v = asm.GlobalHhoVector(gram.dofmap, rng.standard_normal(gram.dofmap.total))
+    ell = gram.matrix @ v.data
+    assert gram.riesz_dual_norm(ell) == pytest.approx(energy_norm(system.ops, v), rel=1e-12)
 
 
 def test_matrix_dump(tmp_path):

@@ -61,6 +61,17 @@ def test_solve_command(capsys):
     assert "wall time = 0.000 s" in outs[0][1]
 
 
+@pytest.mark.parametrize("solver, factors", [("direct", 1), ("cg", 0)])
+def test_solve_factors_only_the_system_matrix(monkeypatch, capsys, solver, factors):
+    # the energy norm is summed over the element stacks: no Gram is factored
+    calls = []
+    factor = cli.asm._factor
+    monkeypatch.setattr(cli.asm, "_factor", lambda A: calls.append(A.shape) or factor(A))
+    assert cli.main(["solve", "--mesh", "nonconf:4", "--k", "2", "--solver", solver]) == 0
+    assert "solution energy norm" in capsys.readouterr().out
+    assert len(calls) == factors
+
+
 def test_solve_without_unknowns(capsys):
     # one cell at k = 0: every face is on the boundary, the system is empty
     code = cli.main(["solve", "--mesh", "cartesian:1", "--k", "0"])
@@ -187,9 +198,11 @@ def test_check_sees_a_stabilization_outside_the_kernel(monkeypatch, capsys, k):
     def broken(mesh, k):
         ops = build(mesh, k)
         last = ops[-1]
-        e0 = np.zeros(last.n_local)
-        e0[0] = 1.0
-        last.stab[-1] += np.linalg.norm(last.stiff[-1], 2) * np.outer(e0, e0)
+        # one more factor row, sqrt(|stiff|_2) e0^T on the last element and
+        # zero on the others, adds |stiff|_2 e0 e0^T to its S = R^T R
+        row = np.zeros((len(last.elem_id), 1, last.n_local))
+        row[-1, 0, 0] = np.sqrt(np.linalg.norm(last.stiff[-1], 2))
+        last.stab_factor = np.concatenate([last.stab_factor, row], axis=1)
         return ops
 
     monkeypatch.setattr(cli.asm, "build_local_operators", broken)

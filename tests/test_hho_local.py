@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_acceptance import stab_gram
 from test_polybasis import ref_laplacian, star_polygons
 
 from hho2d import assembly as asm
@@ -110,8 +111,8 @@ def test_st2_polynomial_consistency_of_stabilization(k):
         rng = np.random.default_rng(10 * e + k)
         c = rng.standard_normal(ops.recon_basis.dim)
         flat = hl.interpolate(mesh, e, k, lambda p: ops.recon_basis.eval(p) @ c)
-        assert np.linalg.norm(ops.stab @ flat) <= 1e-10 * np.linalg.norm(
-            ops.stab, 2
+        assert np.linalg.norm(stab_gram(ops) @ flat) <= 1e-10 * np.linalg.norm(
+            stab_gram(ops), 2
         ) * np.linalg.norm(flat)
 
 
@@ -158,13 +159,13 @@ def test_reconstruction_satisfies_its_variational_contract(k):
 
 
 def test_stabilization_vanishes_on_triangles(unit_triangle):
-    S = hl.local_operators(unit_triangle, 0, 0).stab
+    S = stab_gram(hl.local_operators(unit_triangle, 0, 0))
     assert np.linalg.norm(S) <= 1e-15
 
 
 def test_stabilization_rank_square(unit_square):
     # oracle: 4 face dofs, affine reconstructions form a 3-dim space
-    S = hl.local_operators(unit_square, 0, 0).stab
+    S = stab_gram(hl.local_operators(unit_square, 0, 0))
     assert np.linalg.norm(S) > 1e-3
     assert np.linalg.matrix_rank(S, tol=1e-12) == 1
 
@@ -175,7 +176,7 @@ def test_stabilization_kernel_dimension(k):
     for mesh in (generate("cartesian", 1), pentagon_mesh(0.5)):
         ops = hl.local_operators(mesh, 0, k)
         expected = ops.n_local - ops.recon_basis.dim
-        assert np.linalg.matrix_rank(ops.stab, tol=1e-10) == expected
+        assert np.linalg.matrix_rank(stab_gram(ops), tol=1e-10) == expected
 
 
 def test_local_forms_kernel_and_psd(unit_square):
@@ -322,7 +323,8 @@ STACK_CALLS = {
 
 
 @pytest.mark.parametrize("call", list(STACK_CALLS))
-@pytest.mark.parametrize("stack", ["mixed", "mixed reversed", "past the end", "negative"])
+@pytest.mark.parametrize("stack", ["mixed", "mixed reversed", "past the end", "negative",
+                                   "empty", "fraction", "float", "bool"])
 def test_a_bad_stack_names_its_first_bad_element(call, stack):
     # cell_quadratures reads the corners only: there elements 0 and 1 have
     # 4 and 3 corners; in nonconforming_mesh(4) elements 0 and 4 have 4 and
@@ -336,9 +338,50 @@ def test_a_bad_stack_names_its_first_bad_element(call, stack):
         "mixed reversed": ([other, 0], 0),
         "past the end": ([0, mesh.n_elements], mesh.n_elements),
         "negative": ([0, -1], -1),
+        "empty": ([], None),
+        # ids are never cast: a fraction or a bool is no element id
+        "fraction": ([0.5, 1], 0.5),
+        "float": ([1.7], 1.7),
+        "bool": (np.array([True, False]), True),
     }[stack]
-    with pytest.raises(MeshError, match=rf"^element {culprit} "):
+    message = "^empty element stack$" if culprit is None else rf"^element {culprit} "
+    with pytest.raises(MeshError, match=message):
         STACK_CALLS[call](mesh, ids)
+
+
+def _eta_elements():
+    """Single elements: the unit square, the square with a corner cut off,
+    with a side split into collinear faces or split near a corner, and
+    regular polygons."""
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    out = {"square": square}
+    for e in range(1, 9):
+        t = 10.0**-e
+        out[f"corner cut 1e-{e}"] = [(0, 0), (1, 0), (1, 1 - t), (1 - t, 1), (0, 1)]
+    for m in (2, 4, 8, 16, 32, 64):
+        out[f"{m} collinear faces"] = [(i / m, 0) for i in range(m)] + square[1:]
+    for e in range(1, 10):
+        out[f"side split at 1e-{e}"] = [(0, 0), (10.0**-e, 0)] + square[1:]
+    for n in (3, 4, 5, 6, 8, 16, 32, 64, 128):
+        a = 2 * np.pi * np.arange(n) / n
+        out[f"{n}-gon"] = np.column_stack([np.cos(a), np.sin(a)])
+    return out
+
+
+ETA_ELEMENTS = _eta_elements()
+# the largest eta of these families at k = 0..3, measured (unit square
+# 2.83, 8.49, 17.15, 28.59), times a margin of 1.25
+ETA_BOUND = 1.25 * np.array([3.46, 9.07, 17.44, 28.91])
+
+
+@pytest.mark.parametrize("name", list(ETA_ELEMENTS))
+def test_eta_does_not_grow_with_small_or_many_faces(name):
+    # the stabilization scales every face term by h_T, not h_F, so eta stays
+    # bounded on small faces and on many faces (Droniou and Yemm 2022)
+    verts = ETA_ELEMENTS[name]
+    mesh = PolyMesh(verts, [list(range(len(verts)))])
+    eta = [hl.eta_of(hl.local_operators(mesh, [0], k))[0] for k in range(4)]
+    assert np.all(np.array(eta) <= ETA_BOUND), eta
 
 
 def test_gradient_identity_lowest_order(unit_square):
@@ -559,6 +602,7 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
               generate("cartesian", 6)]
     assert len(meshes[-1].batches) == 9
     fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
+    get = lambda op, name: stab_gram(op) if name == "stab" else getattr(op, name)
     u = lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])
     f = lambda p: np.cos(2 * p[:, 0]) + p[:, 1]
 
@@ -577,13 +621,13 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
             ref = hl.local_operators(mesh, e, k)
             assert op.elem_id == e
             for name in fields:
-                assert same_bytes(getattr(op, name), getattr(ref, name)), (e, name)
+                assert same_bytes(get(op, name), get(ref, name)), (e, name)
         els = mesh.elements
         for ids, stack in zip(mesh.batches, batched):
             # the cell integrals against the fan quadrature
             ref = ref_build(mesh, ids, k)
             for name, want in ref.items():
-                assert close(getattr(stack, name), want), (ids, name)
+                assert close(get(stack, name), want), (ids, name)
             face_ids = els.face_ids[els.face_rows(ids)]
             stacks = (
                 (hl.interpolate(mesh, ids, k, u),
@@ -671,7 +715,7 @@ def test_distinct_elements_take_the_stack_path(monkeypatch):
     for op, (ids, out) in zip(stacks, calls):
         assert op.classes is None
         assert all(getattr(op, name) is getattr(out, name)
-                   for name in ("recon", "stab", "stab_factor", "stiff", "norm_gram"))
+                   for name in ("recon", "stab_factor", "stiff", "norm_gram"))
         assert same_bytes(op.cell_basis.center, mesh.elements.centroid[ids])
 
 
