@@ -19,6 +19,7 @@ The full assembled matrix is what ``solve`` factors, and the reference that
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
-from hho2d.mesh import _frozen, _rows
+from hho2d.mesh import _frozen, _rows, _stacked_lapack
 
 K_MAX = 3  # the highest polynomial degree the solver and the CLI accept
 
@@ -68,7 +69,11 @@ class DofMap:
 
 
 def build_dof_map(mesh, k):
-    if not 0 <= k <= K_MAX:
+    try:
+        k = operator.index(k)
+    except TypeError:
+        k = None
+    if k not in range(K_MAX + 1):
         degrees = ", ".join(map(str, range(K_MAX + 1)))
         raise AssemblyError(f"polynomial degree must be in {{{degrees}}}")
     interior = mesh.interior_face_ids()
@@ -352,18 +357,8 @@ def static_condense(system):
     recovery = []
     for op in system.ops:
         idx = system.dofmap.indices(op.elem_id)
-        Acc = op.stiff[:, :nc, :nc]
-        try:
-            L = np.linalg.cholesky(Acc)
-        except np.linalg.LinAlgError as exc:
-            # name the first element whose block fails on its own
-            for e, block in zip(op.elem_id, Acc):
-                try:
-                    np.linalg.cholesky(block)
-                except np.linalg.LinAlgError:
-                    raise AssemblyError(f"element {e}: cell block not positive "
-                                        "definite (coercivity violated)") from exc
-            raise
+        L = _stacked_lapack(np.linalg.cholesky, [op.stiff[:, :nc, :nc]], op.elem_id,
+                            AssemblyError, "cell block not positive definite (coercivity violated)")
         inv_L = pb._tri_inv(L)
         W = inv_L @ op.stiff[:, :nc, nc:]
         g = inv_L @ system.rhs[idx[:, :nc], None]

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from hho2d import polybasis as pb
 from hho2d.assembly import _factor
-from hho2d.mesh import MeshError, _raise_first_failure
+from hho2d.mesh import MeshError, _raise_first_failure, _stacked_lapack
 
 
 @dataclass
@@ -150,16 +150,8 @@ def rtn_interpolate(mesh, tau):
     values = tau(points.reshape(-1, 2)).reshape(points.shape)
     b = np.einsum("eiq,eiqd,eid->ei", weights, values, normals)
     A = lengths * np.concatenate([normals, els.face_dists.reshape(-1, 3, 1)], axis=-1)
-    try:
-        sol = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        # name the first triangle that fails alone
-        for e in range(len(A)):
-            try:
-                np.linalg.solve(A[e], b[e])
-            except np.linalg.LinAlgError:
-                raise MeshError(f"element {e}: degenerate triangle") from exc
-        raise
+    sol = _stacked_lapack(np.linalg.solve, [A, b[..., None]], range(len(A)), MeshError,
+                          "degenerate triangle")[..., 0]
     return RtnField(mesh=mesh, a=sol[:, :2], q=sol[:, 2], anchor=els.centroid)
 
 

@@ -62,6 +62,8 @@ class RunConfig:
             raise ConfigError("nonconforming fraction must be in (0, 1]")
         if self.block < 1:
             raise ConfigError("agglomeration block must be >= 1")
+        if Path(self.out).suffix.lower() == ".md":
+            raise ConfigError(f"--out {self.out!r} ends in .md, the suffix of the Markdown mirror")
 
 
 def resolve_mesh(source):
@@ -93,6 +95,14 @@ def resolve_mesh(source):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"mesh source {source!r}: {exc}") from exc
     return load_mesh(text)
+
+
+def _write(path, write):
+    """``write(path)``; a path that cannot be written is a configuration error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def _positive_int(token):
@@ -186,7 +196,7 @@ def run_solve(config):
     print(f"energy error vs exact interpolate = {energy_err:.6e}")
     print(f"wall time = {elapsed:.3f} s")
     if config.dump_matrix:
-        asm.dump_matrix(config.dump_matrix, system.matrix)
+        _write(config.dump_matrix, lambda path: asm.dump_matrix(path, system.matrix))
         print(f"matrix dumped to {config.dump_matrix} (nnz = {system.matrix.nnz})")
     return 0
 
@@ -200,8 +210,8 @@ def run_study(config):
     )
     csv_text = report.to_csv()
     out = Path(config.out)
-    out.write_text(csv_text)
-    out.with_suffix(".md").write_text(report.to_markdown())
+    _write(out, lambda path: path.write_text(csv_text))
+    _write(out.with_suffix(".md"), lambda path: path.write_text(report.to_markdown()))
     sys.stdout.write(csv_text)
     if report.eoc:
         print(report.eoc_line())

@@ -32,7 +32,9 @@ elements with equal corner and face counts at once (a batch of
 batch axis in what they return: one ``LocalOperators`` and one
 (B, n_local) array per stack.  The bytes of an element's operators do not
 depend on where its group is cut.  One element id gives the unbatched
-forms.
+forms.  A failing stack raises the typed error of its first failing check,
+in code order, naming the first element of the stack that fails it; that
+element fails alone with the same text.
 
 Elements of a stack with the same build inputs share one build.  The
 inputs of an element are its row of ``_BuildInputs``, all relative to the
@@ -59,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hho2d import polybasis as pb
+from hho2d.mesh import _first_failure, _index, _raise_first_failure, _stacked_lapack
 
 
 class HhoError(Exception):
@@ -117,22 +120,19 @@ class LocalOperators:
         return z
 
 
-def _stacked(run, stack, size):
-    """``run(stack)``; a failed stack of ``size`` > 1 is re-run one element at a
-    time, so the typed error names the element that fails alone."""
-    try:
-        return run(stack)
-    except (HhoError, pb.BasisError):
-        for b in range(size if size > 1 else 0):
-            run(stack[b:b + 1])
-        raise
-
-
 def _on_ids(run, elem_id):
     """``run`` on the ids ``elem_id``; one id runs a stack of one, unwrapped."""
-    ids = np.atleast_1d(elem_id)
-    out = _stacked(run, ids, len(ids))
+    out = run(np.atleast_1d(elem_id))
     return out if np.ndim(elem_id) else out[0]
+
+
+def _degree(k):
+    """The polynomial degree ``k`` as an int; ``HhoError`` for a negative or
+    non-integer degree."""
+    k = _index(k, "polynomial degree", HhoError)
+    if k < 0:
+        raise HhoError("polynomial degree must be >= 0")
+    return k
 
 
 def interpolate(mesh, elem_id, k, v, order=None):
@@ -142,6 +142,7 @@ def interpolate(mesh, elem_id, k, v, order=None):
     sequence of ids of elements that share a corner count and a face
     count, giving (B, n_local).
     """
+    k = _degree(k)
     order = order if order is not None else 2 * k + 4
     els = mesh.elements
 
@@ -162,8 +163,7 @@ def local_operators(mesh, elem_id, k):
     the whole stack at once, over a leading batch axis.  A singular element
     raises a typed error naming its own id.
     """
-    if k < 0:
-        raise HhoError("polynomial degree must be >= 0")
+    k = _degree(k)
     return _on_ids(lambda ids: _build_classes(mesh, ids, k), elem_id)
 
 
@@ -304,12 +304,8 @@ def _build(inputs, ids, k):
     # P also solves the SPD system (G + a a^T) P = B + a avg, a = m/|T|; the
     # 1/|T| keeps the constant direction O(1), where m m^T ~ h^4
     a = m_rec / area
-    try:
-        L = np.linalg.cholesky(G + a[:, :, None] * a[:, None, :])
-    except np.linalg.LinAlgError as exc:
-        raise HhoError(
-            f"{pb._elements(ids)}: singular reconstruction system"
-        ) from exc
+    L = _stacked_lapack(np.linalg.cholesky, [G + a[:, :, None] * a[:, None, :]], ids,
+                        HhoError, "singular reconstruction system")
     inv_L = pb._tri_inv(L)
     P = _mT(inv_L) @ (inv_L @ (B + a[:, :, None] * avg[:, None, :]))
 
@@ -319,10 +315,8 @@ def _build(inputs, ids, k):
     # the rows L^T (I - M^-1 X P) are L^T - L^-1 X P
     factor_rows = []
     if k >= 1:
-        try:
-            L_cell = np.linalg.cholesky(M_cell)
-        except np.linalg.LinAlgError as exc:
-            raise HhoError(f"{pb._elements(ids)}: singular cell mass matrix") from exc
+        L_cell = _stacked_lapack(np.linalg.cholesky, [M_cell], ids, HhoError,
+                                 "singular cell mass matrix")
         D = -pb._tri_inv(L_cell) @ pb._moment_gram(mu, "mass", cellb, rec) @ P
         D[:, :, :nc] += _mT(L_cell)
         factor_rows.append(D / hT)
@@ -394,54 +388,54 @@ def eta_bounds(ops):
     array (B, 2); the per-element equivalence constant is
     max(1/lam_min, lam_max).
     """
-    return _stacked(_eta_by_class, ops, np.size(ops.elem_id))
-
-
-def _eta_by_class(ops):
-    """``_eta_bounds`` once per class of the stack, gathered back.  A stack
-    whose pencil differs bitwise from its class's first element (edited
-    after its build) is measured whole, with no gather."""
+    A, N, z = ops.stiff, ops.norm_gram, ops.constant_vector()
+    if np.ndim(ops.elem_id) == 0:
+        return _eta_bounds([ops.elem_id], A[None], N[None], z[None])[0]
+    # once per class, gathered back; a stack whose pencil differs bitwise
+    # from its class's first element (edited after its build) is measured
+    # whole, with no gather
     c = ops.classes
     if c is None or any(not np.array_equal(X.view(np.uint64), X[c].view(np.uint64))
-                        for X in (ops.stiff, ops.norm_gram, ops.constant_vector())):
-        return _eta_bounds(ops)
+                        for X in (A, N, z)):
+        return _eta_bounds(ops.elem_id, A, N, z)
     first, inverse = _class_index(c)
-    return _eta_bounds(ops[first])[inverse]
+    return _eta_bounds(ops.elem_id[first], A[first], N[first], z[first])[inverse]
 
 
-def _eta_bounds(ops):
-    def fail(what):
-        return CoercivityViolationError(f"{pb._elements(np.atleast_1d(ops.elem_id))}: {what}")
-
-    A, N = ops.stiff, ops.norm_gram
-    z = ops.constant_vector()
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+def _eta_bounds(ids, A, N, z):
+    """``eta_bounds`` of the stack of elements ``ids`` from its stiffnesses
+    ``A``, norm Grams ``N`` and constant vectors ``z``.  The first failing
+    check names its first failing element."""
+    z = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    off_kernel = np.zeros(len(ids), dtype=bool)
     for X in (A, N):
         # X is symmetric: its spectral norm is its largest |eigenvalue|, and
         # at least its largest |diagonal entry|, which clears most elements
         defect = np.linalg.norm(X @ z[..., None], axis=(-2, -1))
         diag = np.abs(np.diagonal(X, axis1=-2, axis2=-1)).max(axis=-1)
-        left = defect > KERNEL_TOL * diag
-        if np.any(left) and np.any(
-            defect[left] > KERNEL_TOL * np.abs(np.linalg.eigvalsh(X[left])).max(axis=-1)
-        ):
-            raise fail("constants are not in the shared kernel")
+        left = np.flatnonzero(defect > KERNEL_TOL * diag)
+        if len(left):
+            off_kernel[left] |= defect[left] > KERNEL_TOL * np.abs(
+                np.linalg.eigvalsh(X[left])).max(axis=-1)
+    _raise_first_failure({"constants are not in the shared kernel": off_kernel}, ids,
+                         CoercivityViolationError)
     # Householder reflection mapping z to -+e_0: its other columns are an
     # orthonormal basis of the complement of z
     u = z.copy()
     u[..., 0] += np.where(z[..., 0] >= 0, 1.0, -1.0)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     Q = np.eye(z.shape[-1])[:, 1:] - 2 * u[..., :, None] * u[..., None, 1:]
-    try:
-        L = np.linalg.cholesky(_mT(Q) @ N @ Q)
-    except np.linalg.LinAlgError as exc:
-        raise fail("norm Gram singular off the kernel") from exc
+    L = _stacked_lapack(np.linalg.cholesky, [_mT(Q) @ N @ Q], ids, CoercivityViolationError,
+                        "norm Gram singular off the kernel")
     # eigenvalues of L^-1 Aq L^-T are those of the pencil (Aq, Nq)
     W = pb._tri_inv(L) @ _mT(Q)
     lam = np.linalg.eigvalsh(_sym(W @ A @ _mT(W)))
-    if np.any(lam[..., 0] <= 0):
-        raise fail(f"non-coercive local form (lam={lam[..., 0].min():.3e})")
-    return lam[..., [0, -1]]
+    failed = _first_failure(lam[:, 0] <= 0)
+    if failed is not None:
+        b = failed[0]
+        raise CoercivityViolationError(
+            f"element {ids[b]}: non-coercive local form (lam={lam[b, 0]:.3e})")
+    return lam[:, [0, -1]]
 
 
 def eta_of(ops):

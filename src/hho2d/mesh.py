@@ -447,14 +447,30 @@ def _first_failure(*flags):
     return int(bad[0]), int(np.argmax(flags[bad[0]]))
 
 
-def _raise_first_failure(checks):
-    """Raise ``MeshError("element e: <message>")`` for the first element
-    failing any of the ``{message: flags}`` checks, and its first failed
-    check; return if none fails."""
+def _raise_first_failure(checks, ids=None, error=MeshError):
+    """Raise ``error("element e: <message>")`` for the first element failing
+    any of the ``{message: flags}`` checks, and its first failed check; e is
+    the element's position, or its entry of ``ids``.  Return if none fails."""
     failed = _first_failure(*checks.values())
     if failed is not None:
-        e, check = failed
-        raise MeshError(f"element {e}: {list(checks)[check]}")
+        b, check = failed
+        raise error(f"element {b if ids is None else ids[b]}: {list(checks)[check]}")
+
+
+def _stacked_lapack(call, stacks, ids, error, message):
+    """``call(*stacks)``, one batched LAPACK call over the leading axis of the
+    ``stacks`` of the elements ``ids``.  Only when it raises ``LinAlgError``
+    is ``call`` repeated on each element's slices, to raise
+    ``error("element e: <message>")`` for the first element e that fails."""
+    try:
+        return call(*stacks)
+    except np.linalg.LinAlgError as exc:
+        for e, *one in zip(ids, *stacks):
+            try:
+                call(*one)
+            except np.linalg.LinAlgError:
+                raise error(f"element {e}: {message}") from exc
+        raise
 
 
 def _orient(p, q, r):
@@ -964,12 +980,13 @@ def _check_cartesian(mesh, n):
     _raise_first_failure({"not a grid quadrilateral": ~quad, "not a unit grid cell": off_grid})
 
 
-def _index(value, what):
-    """``value`` as an int, by ``operator.index``: floats and strings are refused."""
+def _index(value, what, error=MeshError):
+    """``value`` as an int, by ``operator.index``: floats and strings are
+    refused with ``error``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise MeshError(f"{what} must be an integer, got {value!r}") from None
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _items(value, what, size=None):

@@ -23,7 +23,8 @@ one coordinate plane at a time.
 
 The builders (``cell_quadratures``, ``face_quadratures``, ``cell_bases``)
 and the L2 projections work on a stack of elements or faces at once, with
-leading batch axes; one element is a stack of one, ``[e]``.
+leading batch axes; one element is a stack of one, ``[e]``.  A singular
+mass matrix names the first element of the stack whose matrix fails.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from hho2d.mesh import _stacked_lapack
 
 # degree at which cell bases switch to the orthonormalized form
 ORTHONORMALIZE_FROM = 4
@@ -229,7 +232,8 @@ def _cell_bases(center, scale, degree, mu, elem_ids):
     and may be None, below degree 4)."""
     basis = CellBasis(center, scale, degree)
     if degree >= ORTHONORMALIZE_FROM:
-        L = _mass_cholesky(_moment_gram(mu, "mass", basis, basis), elem_ids, degree)
+        L = _stacked_lapack(np.linalg.cholesky, [_moment_gram(mu, "mass", basis, basis)],
+                            elem_ids, BasisError, f"singular mass matrix at degree {degree}")
         basis = CellBasis(center, scale, degree, transform=_tri_inv(L))
     return basis
 
@@ -247,21 +251,6 @@ def _tri_inv(L):
         X[..., i, i] = 1.0
         X[..., i, :i + 1] /= L[..., i, i, None]
     return X
-
-
-def _mass_cholesky(M, elem_ids, degree):
-    """Cholesky factors of stacked mass matrices M."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise BasisError(
-            f"{_elements(elem_ids)}: singular mass matrix at degree {degree}"
-        ) from exc
-
-
-def _elements(elem_ids):
-    ids = [int(e) for e in elem_ids]
-    return f"element {ids[0]}" if len(ids) == 1 else f"one of elements {ids}"
 
 
 def face_mass(length, degree):
@@ -403,9 +392,11 @@ def l2_project_cell(mesh, elem_ids, degree, v, order=None):
     """
     ids = np.atleast_1d(elem_ids)
     basis = cell_bases(mesh, ids, degree)
-    points, weights = cell_quadratures(mesh, ids, order or default_cell_order(degree))
+    order = default_cell_order(degree) if order is None else order
+    points, weights = cell_quadratures(mesh, ids, order)
     V = basis.eval(points)
-    L = _mass_cholesky(np.swapaxes(V * weights[..., None], -1, -2) @ V, ids, degree)
+    L = _stacked_lapack(np.linalg.cholesky, [np.swapaxes(V * weights[..., None], -1, -2) @ V],
+                        ids, BasisError, f"singular mass matrix at degree {degree}")
     inv_L = _tri_inv(L)
     vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
     y = inv_L @ np.einsum("bp,bpi->bi", vw, V)[..., None]
@@ -420,7 +411,7 @@ def l2_project_face(mesh, face_ids, degree, v, order=None):
     Every face rule maps the same reference nodes s, so the basis values
     are shared and the mass matrix is |F| M0 (see ``_face_mass_factors``).
     """
-    order = order or default_cell_order(degree)
+    order = default_cell_order(degree) if order is None else order
     s, _ = face_rule(order)
     points, weights = face_quadratures(mesh, face_ids, order)
     vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)

@@ -285,3 +285,10 @@ def test_matrix_dump(tmp_path):
     i, j, v = lines[2].split()
     assert int(i) >= 0 and int(j) >= 0
     float(v)
+
+
+@pytest.mark.parametrize("k", [1.5, "1", 1.0])
+def test_a_non_integer_degree_is_refused(k):
+    with pytest.raises(asm.AssemblyError) as exc:
+        asm.assemble(generate("cartesian", 2), k, SINE.f)
+    assert str(exc.value) == "polynomial degree must be in {0, 1, 2, 3}"

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -136,6 +139,18 @@ def test_rtn_linear_field_hand_solved():
     assert field.a == pytest.approx(centroids, abs=1e-13)
     assert field.q == pytest.approx(np.ones(2), abs=1e-13)
     assert field.divergence() == pytest.approx(np.full(2, 2.0), abs=1e-13)
+
+
+def test_rtn_names_a_degenerate_triangle_inside_the_stack():
+    # zero face distances in triangle 7: its 3 x 3 flux system is singular
+    mesh = generate("triangular", 4)
+    els = mesh.elements
+    dists = els.face_dists.copy()
+    dists[els.face_ptr[7]:els.face_ptr[8]] = 0.0
+    broken = copy.copy(mesh)
+    broken.elements = dataclasses.replace(els, face_dists=dists)
+    with pytest.raises(MeshError, match=r"^element 7: degenerate triangle$"):
+        cl.rtn_interpolate(broken, lambda p: p)
 
 
 def test_rtn_flux_continuity_and_commutation():

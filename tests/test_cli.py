@@ -92,6 +92,33 @@ def test_solve_with_matrix_dump(tmp_path, capsys):
     assert dump.read_text().startswith("%%MatrixMarket")
 
 
+@pytest.mark.parametrize("case", ["missing-dir", "directory", "dump-missing-dir"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    if case == "dump-missing-dir":
+        path = missing / "m.txt"
+        args = ["solve", "--mesh", "cartesian:2", "--k", "1", "--dump-matrix", str(path)]
+    else:
+        path = missing / "x.csv" if case == "missing-dir" else tmp_path
+        args = ["study", "--family", "cartesian", "--levels", "2,4", "--k", "0",
+                "--out", str(path)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    reason = "Is a directory" if case == "directory" else "No such file or directory"
+    assert err == f"FAILURE kind=config detail=\"cannot write '{path}': {reason}\"\n"
+    assert not missing.exists()
+
+
+def test_study_refuses_a_markdown_out(tmp_path, capsys):
+    # the Markdown mirror would overwrite the CSV
+    out = tmp_path / "rep.md"
+    with pytest.raises(cli.ConfigError):
+        cli.RunConfig(command="study", out=str(out))
+    assert cli.main(["study", "--levels", "2", "--k", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"FAILURE kind=config detail=\"--out '{out}'")
+    assert not out.exists()
+
+
 def test_check_command_passes(capsys):
     code = cli.main(["check", "--mesh", "cartesian:2", "--k", "0"])
     out = capsys.readouterr().out

@@ -740,6 +740,12 @@ def test_singular_element_inside_a_batch_is_named():
     for k in (1, 2, 3):
         with pytest.raises(pb.BasisError, match=r"^element 5: singular"):
             hl.interpolate(broken, range(mesh.n_elements), k, lambda p: p[:, 0])
+    # the polybasis builders name the element too, outside any operator build
+    ids = range(mesh.n_elements)
+    with pytest.raises(pb.BasisError, match=r"^element 5: singular mass matrix at degree 4$"):
+        pb.cell_bases(broken, ids, 4)
+    with pytest.raises(pb.BasisError, match=r"^element 5: singular mass matrix at degree 2$"):
+        pb.l2_project_cell(broken, ids, 2, lambda p: p[:, 0], order=8)
     # a pencil whose kernel misses the constants, inside an eta stack
     (stack,) = asm.build_local_operators(mesh, 1)
     assert len(stack.elem_id) == mesh.n_elements
@@ -759,3 +765,39 @@ def test_singular_element_inside_a_batch_is_named():
             with pytest.raises(asm.AssemblyError,
                                match=r"^element 9: cell block not positive definite"):
                 asm.static_condense(system)
+
+
+def test_eta_names_the_first_element_of_the_first_failing_check():
+    # element 3 is non-coercive and element 9 leaves the kernel: the kernel
+    # check runs first, so it names element 9, though element 3 comes first
+    (stack,) = asm.build_local_operators(generate("cartesian", 4), 1)
+    stiff = stack.stiff.copy()
+    stiff[3] *= -1.0
+    non_coercive = dataclasses.replace(stack, stiff=stiff.copy())
+    stiff[9] += np.eye(stack.n_local)
+    broken = dataclasses.replace(stack, stiff=stiff)
+    with pytest.raises(hl.CoercivityViolationError,
+                       match=r"^element 9: constants are not in the shared kernel$"):
+        hl.eta_bounds(broken)
+    # a named element fails alone with the same text, its own lam included
+    for ops, e in ((broken, 9), (non_coercive, 3)):
+        with pytest.raises(hl.CoercivityViolationError) as stacked:
+            hl.eta_bounds(ops)
+        with pytest.raises(hl.CoercivityViolationError) as alone:
+            hl.eta_bounds(ops[e])
+        assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == "element 3: non-coercive local form (lam=-8.485e+00)"
+
+
+@pytest.mark.parametrize("k, detail", [
+    (1.5, "polynomial degree must be an integer, got 1.5"),
+    ("1", "polynomial degree must be an integer, got '1'"),
+    (-1, "polynomial degree must be >= 0"),
+])
+@pytest.mark.parametrize("build", ["local_operators", "interpolate"])
+def test_a_bad_degree_is_an_hho_error(k, detail, build):
+    mesh = generate("cartesian", 2)
+    args = (lambda p: p[:, 0],) if build == "interpolate" else ()
+    with pytest.raises(hl.HhoError) as exc:
+        getattr(hl, build)(mesh, [0, 1], k, *args)
+    assert str(exc.value) == detail

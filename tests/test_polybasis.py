@@ -259,6 +259,15 @@ def test_face_projection_cases(unit_square):
     assert got == pytest.approx(coeff, rel=1e-12)
 
 
+def test_projection_order_zero_is_taken_as_given():
+    # orders 0 and 1 select the same one-point rules
+    mesh = generate("cartesian", 2)
+    v = lambda p: p[:, 0] ** 2
+    for project in (pb.l2_project_cell, pb.l2_project_face):
+        zero, one = (project(mesh, [0], 0, v, order=order) for order in (0, 1))
+        assert zero.tobytes() == one.tobytes()
+
+
 def test_gradient_stability_of_projection():
     # for v in P^(l+1), the projection's gradient never beats the gradient
     for mesh, e in random_polygons(seed=11):

@@ -1,7 +1,10 @@
-"""The README's "Library usage" block runs as written."""
+"""The README's "Library usage" block and "Command line" lines run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from hho2d import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +13,15 @@ def test_library_usage_block_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_command_lines_run(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = block.splitlines()
+    assert len(lines) == 3 and all(line.startswith("hho2d ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        # the bracketed option is run too
+        assert cli.main(shlex.split(line.replace("[", "").replace("]", ""))[1:]) == 0, line
+    assert {p.name for p in tmp_path.iterdir()} == {"mat.txt", "study.csv", "study.md"}
+    assert "FAILURE" not in capsys.readouterr().err
