@@ -161,24 +161,30 @@ def _scatter_blocks(blocks, n):
     """Sum ``(indices, local matrices)`` stacks, (B, m) and (B, m, m), into an
     n x n CSR matrix.
 
-    Rows and columns whose index is -1 (eliminated dofs) are dropped.  The
-    triplets follow the order of ``blocks``, so equal inputs sum to
-    identical bytes.
+    Rows and columns whose index is -1 (eliminated dofs) are dropped, and so
+    are zero values: a CSR built here stores no explicit zero.  The triplets
+    keep the order of ``blocks``, so equal inputs sum to identical bytes, and
+    their indices are int32 while n fits, as the CSR's own are.
     """
     if n == 0:
         return sp.csr_matrix((0, 0))
+    itype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     rows, cols, vals = [], [], []
     for idx, local in blocks:
+        idx = idx.astype(itype)
         m = idx.shape[-1]
         r, c = np.repeat(idx, m, axis=-1), np.tile(idx, m)
-        keep = (r >= 0) & (c >= 0)
+        v = local.reshape(r.shape)
+        keep = (r >= 0) & (c >= 0) & (v != 0)
         rows.append(r[keep])
         cols.append(c[keep])
-        vals.append(local.reshape(r.shape)[keep])
-    return sp.coo_matrix(
+        vals.append(v[keep])
+    matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
+    matrix.eliminate_zeros()  # entries whose contributions cancel exactly
+    return matrix
 
 
 def _local_loads(mesh, k, f, op):

@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 check-suite failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -64,6 +66,15 @@ class RunConfig:
             raise ConfigError("agglomeration block must be >= 1")
         if Path(self.out).suffix.lower() == ".md":
             raise ConfigError(f"--out {self.out!r} ends in .md, the suffix of the Markdown mirror")
+        # refuse an output path before any work; later errors reach _write
+        if self.command == "study":
+            outputs = [self.out, Path(self.out).with_suffix(".md")]
+        else:
+            outputs = [self.dump_matrix] if self.dump_matrix else []
+        for path in map(Path, outputs):
+            if path.is_dir() or not path.parent.is_dir():
+                code = errno.EISDIR if path.is_dir() else errno.ENOENT
+                raise ConfigError(f"cannot write {str(path)!r}: {os.strerror(code)}")
 
 
 def resolve_mesh(source):

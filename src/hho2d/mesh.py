@@ -844,6 +844,8 @@ def generate(kind, n):
         raise MeshError("subdivision count must be >= 1")
     if kind not in ("cartesian", "triangular"):
         raise MeshError(f"unknown generator kind {kind!r}")
+    if (n + 1) ** 2 > np.iinfo(np.int32).max:  # the bound of the sparse indices
+        raise MeshError(f"subdivision count {n} gives more vertices than int32 indices can number")
     x = np.arange(n + 1) / n
     verts = np.column_stack([np.tile(x, n + 1), np.repeat(x, n + 1)])
     # vertex (i, j) has id j (n + 1) + i; cell (i, j) starts at its lower left

@@ -112,21 +112,23 @@ def agglomerated_mesh(n, block=2):
         raise MeshError("agglomeration block must be >= 1")
     if n % (2 * block) != 0:
         raise MeshError("agglomerated mesh needs block | n/2")
+    mesh = generate("cartesian", n)
     blocks = [
         (i, j, block, block)
         for j in range(0, n, block)
         for i in range(0, n // 2, block)
     ]
     blocks += [(i, j, 1, 1) for j in range(n) for i in range(n // 2, n)]
-    return agglomerate(generate("cartesian", n), blocks)
+    return agglomerate(mesh, blocks)
 
 
 def rectangle_mesh(n):
     """All cells merged into 2x1 dominoes (generic non-square elements)."""
     if n % 2 != 0:
         raise MeshError("rectangle mesh needs even n")
+    mesh = generate("cartesian", n)
     blocks = [(2 * i, j, 2, 1) for j in range(n) for i in range(n // 2)]
-    return agglomerate(generate("cartesian", n), blocks)
+    return agglomerate(mesh, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +251,16 @@ def poincare_constant(system, norm_gram=None):
     M = l2_mass_matrix(system)
     rng = np.random.default_rng(2718)
     x = rng.standard_normal(system.dofmap.total)
+    Mx = M @ x
     lam = 0.0
     for it in range(1, POWER_MAXITER + 1):
-        y = norm_gram.apply_inverse(M @ x)
+        y = norm_gram.apply_inverse(Mx)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             raise PowerIterationError("mass matrix annihilated the iterate")
         x = y / ny
-        num = x @ (M @ x)
+        Mx = M @ x  # this iterate's Rayleigh numerator and the next solve's input
+        num = x @ Mx
         den = x @ (norm_gram.matrix @ x)
         lam_new = num / den
         if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):

@@ -145,6 +145,51 @@ def test_factor_uses_a_symmetric_ordering():
     assert ours.L.nnz + ours.U.nnz < default.L.nnz + default.U.nnz
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_norm_gram_stores_no_zero_and_fills_half_the_stiffness(k):
+    # at k >= 1 each element's Gram couples a face with itself and the cell
+    # only; factored on that pattern, it fills less than half of what A does
+    system = asm.assemble(nonconforming_mesh(8), k, SINE.f)
+    gram = asm.NormGram(system)
+    assert (gram.matrix.data != 0).all()
+    fill = lambda lu: lu.L.nnz + lu.U.nnz
+    assert fill(asm._factor(gram.matrix)) < fill(asm._factor(system.matrix)) / 2
+
+
+def ref_scatter_int64(blocks, n):
+    """``_scatter_blocks`` with int64 triplet indices."""
+    rows, cols, vals = [], [], []
+    for idx, local in blocks:
+        idx = idx.astype(np.int64)
+        m = idx.shape[-1]
+        r, c, v = np.repeat(idx, m, axis=-1), np.tile(idx, m), local.reshape(-1, m * m)
+        keep = (r >= 0) & (c >= 0) & (v != 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(v[keep])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+
+
+def test_int32_triplets_scatter_the_bytes_of_int64_ones():
+    system = asm.assemble(nonconforming_mesh(4), 2, SINE.f)
+    rng = np.random.default_rng(5)
+    cases = [
+        ([(system.dofmap.indices(op.elem_id), op.stiff) for op in system.ops],
+         system.dofmap.total),
+        # eliminated dofs and exact zeros, in a block of one element
+        ([(np.array([[3, -1, 0, 3]]), rng.standard_normal((1, 4, 4)) * (rng.random((1, 4, 4)) < 0.5))],
+         5),
+    ]
+    for blocks, n in cases:
+        got, want = asm._scatter_blocks(blocks, n), ref_scatter_int64(blocks, n)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.indices.dtype == np.int32
+
+
 def test_direct_failure_raises_solver_error(monkeypatch, capsys):
     mesh = generate("cartesian", 3)
     system = asm.assemble(mesh, 0, SINE.f)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,43 @@ def test_study_refuses_a_markdown_out(tmp_path, capsys):
     assert cli.main(["study", "--levels", "2", "--k", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"FAILURE kind=config detail=\"--out '{out}'")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-dir", "directory", "mirror-directory",
+                                  "dump-missing-dir", "dump-directory"])
+def test_an_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, case):
+    calls = []
+    for module, name in ((cli.vf, "study"), (cli.asm, "assemble")):
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
+    path = {"missing-dir": tmp_path / "missing" / "x.csv", "directory": tmp_path,
+            "mirror-directory": tmp_path / "x.csv", "dump-missing-dir": tmp_path / "missing" / "m.txt",
+            "dump-directory": tmp_path}[case]
+    (tmp_path / "x.md").mkdir()
+    if case.startswith("dump"):
+        args = ["solve", "--mesh", "cartesian:2", "--k", "1", "--dump-matrix", str(path)]
+    else:
+        args = ["study", "--family", "cartesian", "--levels", "4,8,16,32", "--k", "1",
+                "--out", str(path)]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    refused = tmp_path / "x.md" if case == "mirror-directory" else path
+    assert err.startswith(f"FAILURE kind=config detail=\"cannot write '{refused}'")
+
+
+@pytest.mark.parametrize("args", [["study", "--family", "cartesian", "--levels", "99999999999999999999"],
+                                  ["solve", "--mesh", "cartesian:99999999999", "--k", "0"]])
+def test_an_oversized_generator_is_a_config_error(capsys, args):
+    # refused from n alone: (n + 1)^2 vertices exceed the int32 index range
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("FAILURE kind=config detail=")
+    assert peak < 2**20
 
 
 def test_check_command_passes(capsys):

@@ -218,3 +218,11 @@ def test_agglomerate_accepts_integer_types():
     blocks = np.array([(0, 0, 4, 2), (0, 2, 4, 2)])
     assert arrays(agglomerate(fine, np.int64(2))) == arrays(agglomerate(fine, 2))
     assert arrays(agglomerate(fine, blocks)) == arrays(agglomerate(fine, blocks.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "triangular"])
+def test_generate_refuses_more_vertices_than_int32_indices(kind):
+    # n = 46339 is the largest count whose (n + 1)^2 vertices int32 can number
+    assert 46340**2 <= np.iinfo(np.int32).max < 46341**2
+    with pytest.raises(MeshError, match="^subdivision count 46340 gives more vertices"):
+        generate(kind, 46340)

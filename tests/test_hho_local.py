@@ -103,6 +103,22 @@ def test_stretched_polygons_keep_polynomial_consistency(mesh, log_stretch):
         assert np.sum((ops.stab_factor @ x) ** 2) <= 1e-12 * (x @ ops.stiff @ x), k
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_local_forms_are_symmetric_and_the_norm_gram_splits_faces(mesh):
+    # the energy norm couples a face with itself and the cell only, so the
+    # assembled Gram keeps no face-face entry between the faces of an element
+    for k in range(1, 4):
+        ops = hl.local_operators(mesh, 0, k)
+        nc, nf = hl.cell_block_dim(k), mesh.n_faces  # one element owns every face
+        for name in ("stiff", "norm_gram"):
+            local = getattr(ops, name)
+            assert local.tobytes() == np.ascontiguousarray(local.T).tobytes(), (k, name)
+        faces = ops.norm_gram[nc:, nc:].reshape(nf, k + 1, nf, k + 1)
+        off = ~np.eye(nf, dtype=bool)
+        assert (faces.transpose(0, 2, 1, 3)[off] == 0.0).all(), k
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_st2_polynomial_consistency_of_stabilization(k):
     mesh = pentagon_mesh(0.61)
@@ -433,18 +449,26 @@ def per_element(mesh, stacks):
     return out
 
 
-def ref_scatter_blocks(blocks, n):
+def ref_scatter_blocks(blocks, n, drop_zeros=True):
+    """One element at a time; like ``_scatter_blocks`` it stores no explicit
+    zero unless ``drop_zeros`` is False."""
     rows, cols, vals = [], [], []
     for idx, local in blocks:
         keep = np.flatnonzero(idx >= 0)
         gi = idx[keep]
-        rows.append(np.repeat(gi, len(gi)))
-        cols.append(np.tile(gi, len(gi)))
-        vals.append(local[np.ix_(keep, keep)].ravel())
-    return sp.coo_matrix(
+        r, c = np.repeat(gi, len(gi)), np.tile(gi, len(gi))
+        v = local[np.ix_(keep, keep)].ravel()
+        nz = v != 0 if drop_zeros else slice(None)
+        rows.append(r[nz])
+        cols.append(c[nz])
+        vals.append(v[nz])
+    matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
+    if drop_zeros:
+        matrix.eliminate_zeros()
+    return matrix
 
 
 def ref_condense_expand(system, ops, table, face_solution):
@@ -646,11 +670,13 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
         system = asm.assemble(mesh, k, f, ops=batched)
         dm = system.dofmap
         table = [dm.indices(e) for e in range(mesh.n_elements)]
-        assert same_bytes(
-            system.matrix, ref_scatter_blocks(zip(table, (op.stiff for op in views)), dm.total))
         gram = asm.NormGram(system)
-        assert same_bytes(
-            gram.matrix, ref_scatter_blocks(zip(table, (op.norm_gram for op in views)), dm.total))
+        for matrix, name in ((system.matrix, "stiff"), (gram.matrix, "norm_gram")):
+            locals_ = [getattr(op, name) for op in views]
+            assert same_bytes(matrix, ref_scatter_blocks(zip(table, locals_), dm.total))
+            # dropping zeros drops no nonzero value
+            kept = ref_scatter_blocks(zip(table, locals_), dm.total, drop_zeros=False)
+            assert np.array_equal(matrix.toarray(), kept.toarray()), name
         rhs = asm.GlobalHhoVector.zeros(dm)
         loads = [asm._local_loads(mesh, k, f, op) for op in batched]
         for e, load in enumerate(per_element(mesh, loads)):
