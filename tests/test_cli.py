@@ -153,7 +153,8 @@ def test_an_oversized_generator_is_a_config_error(capsys, args):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert capsys.readouterr().err.startswith("FAILURE kind=config detail=")
+    err = capsys.readouterr().err
+    assert err.startswith("FAILURE kind=config detail=") and "subdivision count 99999999999" in err
     assert peak < 2**20
 
 
