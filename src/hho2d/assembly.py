@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
-from hho2d.mesh import _frozen, _rows, _stacked_lapack
+from hho2d.mesh import _frozen, _rows, _stacked_lapack, _stored
 
 K_MAX = 3  # the highest polynomial degree the solver and the CLI accept
 
@@ -53,6 +53,8 @@ class DofMap:
     every local dof (cell block, then one block per face in loop order), -1
     where the dof is eliminated; element e's run is
     ``index[ptr[e]:ptr[e + 1]]``, the CSR form of ``ElementTable``.
+    ``stacks`` keeps the read-only (B, n_local) indices of each stack of
+    ``mesh.batches``, keyed as the mesh keeps its stack rows.
     """
 
     k: int
@@ -60,10 +62,14 @@ class DofMap:
     total: int
     ptr: np.ndarray
     index: np.ndarray
+    stacks: dict
 
     def indices(self, elem_id):
         """Global indices of one element, (n_local,), or of a stack of elements
         with equal face counts, (B, n_local); -1 where eliminated."""
+        return _stored(self.stacks, elem_id, 1, self._indices)
+
+    def _indices(self, elem_id):
         rows = _rows(self.ptr, np.atleast_1d(elem_id))
         return self.index[rows if np.ndim(elem_id) else rows[0]]
 
@@ -88,8 +94,9 @@ def build_dof_map(mesh, k):
     # each element's cell block goes in front of its face blocks
     index = np.insert(faces.ravel(), np.repeat(els.face_ptr[:-1] * (k + 1), nc), cells)
     ptr = els.face_ptr * (k + 1) + nc * np.arange(mesh.n_elements + 1)
+    stacks = {id(s): (s, _frozen(index[_rows(ptr, s)])) for s in mesh.batches}
     return DofMap(k=k, n_face_dofs=n_face_dofs, total=n_face_dofs + nc * mesh.n_elements,
-                  ptr=_frozen(ptr), index=_frozen(index))
+                  ptr=_frozen(ptr), index=_frozen(index), stacks=stacks)
 
 
 @dataclass

@@ -57,7 +57,7 @@ def cr_basis_gradients(mesh, elem_id):
     """
     els = mesh.elements
     ids = np.atleast_1d(elem_id)
-    pts = mesh.vertices[els.corners[els.corner_rows(ids)]]
+    pts = mesh.vertices[els.corners[mesh.corner_rows(ids)]]
     A = np.concatenate([np.ones(pts.shape[:-1] + (1,)), pts], axis=-1)
     hat_coeffs = np.linalg.solve(A, np.eye(3))  # column j: barycentric of corner j
     # face i runs from corner i to corner i + 1: corner i + 2 is opposite

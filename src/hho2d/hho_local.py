@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hho2d import polybasis as pb
-from hho2d.mesh import _first_failure, _index, _raise_first_failure, _stacked_lapack
+from hho2d.mesh import _first_failure, _raise_first_failure, _stacked_lapack
 
 
 class HhoError(Exception):
@@ -83,7 +83,9 @@ class LocalOperators:
     Built for one element, or for a stack of B elements: then ``elem_id`` is
     a (B,) array, every array field and both bases have a leading batch axis,
     and ``ops[b]`` is element b's operators (a slice gives a sub-stack,
-    without a class map).
+    without a class map).  ``cell_mass`` is the L2 mass of the cell basis
+    that the build forms from the moments; ``verify.l2_mass_matrix``
+    scatters it.
     """
 
     elem_id: int | np.ndarray
@@ -93,6 +95,7 @@ class LocalOperators:
     stiff: np.ndarray        # local bilinear form, (n, n)
     norm_gram: np.ndarray    # local energy-norm Gram, (n, n)
     avg_weights: np.ndarray  # row giving the element-mean cell value
+    cell_mass: np.ndarray | None  # cell basis mass, (nc, nc); None at k = 0
     recon_basis: pb.CellBasis
     cell_basis: pb.CellBasis | None
     # class map of a stack: classes[b] is the position of the first element
@@ -129,10 +132,7 @@ def _on_ids(run, elem_id):
 def _degree(k):
     """The polynomial degree ``k`` as an int; ``HhoError`` for a negative or
     non-integer degree."""
-    k = _index(k, "polynomial degree", HhoError)
-    if k < 0:
-        raise HhoError("polynomial degree must be >= 0")
-    return k
+    return pb._nonnegative(k, "polynomial degree", HhoError)
 
 
 def interpolate(mesh, elem_id, k, v, order=None):
@@ -147,7 +147,7 @@ def interpolate(mesh, elem_id, k, v, order=None):
     els = mesh.elements
 
     def run(ids):
-        faces = pb.l2_project_face(mesh, els.face_ids[els.face_rows(ids)], k, v, order)
+        faces = pb.l2_project_face(mesh, els.face_ids[mesh.face_rows(ids)], k, v, order)
         cell = pb.l2_project_cell(mesh, ids, k - 1, v, order) if k else np.zeros((len(ids), 0))
         return np.concatenate([cell, faces.reshape(len(ids), -1)], axis=1)
 
@@ -187,7 +187,7 @@ class _BuildInputs(NamedTuple):
 def _build_inputs(mesh, ids):
     """The ``_BuildInputs`` of the stack ``ids``."""
     els = mesh.elements
-    rows = els.face_rows(ids)
+    rows = mesh.face_rows(ids)
     return _BuildInputs(*pb._face_frames(mesh, ids), els.face_dists[rows],
                        np.take(els.face_normals, rows, axis=0), els.diameter[ids],
                        els.area[ids])
@@ -269,7 +269,7 @@ def _build(inputs, ids, k):
         G_cell = _sym(pb._moment_gram(mu, "grad", cellb, cellb))
         m_cell = pb._moment_integrals(mu, cellb)
     else:
-        cellb = None
+        cellb = M_cell = None
 
     # face rules: the same reference nodes s on every face, so the face
     # basis values are shared and face masses are |F| times a reference
@@ -347,7 +347,7 @@ def _build(inputs, ids, k):
 
     return LocalOperators(
         elem_id=ids, k=k, recon=P, stab_factor=R, stiff=A, norm_gram=N,
-        avg_weights=avg, recon_basis=rec, cell_basis=cellb,
+        avg_weights=avg, cell_mass=M_cell, recon_basis=rec, cell_basis=cellb,
     )
 
 

@@ -40,6 +40,8 @@ to hanging vertices, look for hanging vertices among their own ends, in
 a uniform bucket grid where only the vertices inside the side's slightly
 widened bounding box get the exact on-segment test.  One pass checks,
 orients and measures the loops of each group with one corner count.
+Each stack's corner and face rows are kept, read-only, at construction
+(``mesh.corner_rows``, ``mesh.face_rows``).
 """
 
 from __future__ import annotations
@@ -173,17 +175,20 @@ def _batches(els):
     return tuple(stacks)
 
 
+def _stored(tables, ids, col, checked):
+    """Table ``col`` of ``tables[id(ids)] = (stack, *tables)`` when ``ids`` is
+    that stack itself (``is``, not equal values), else ``checked(ids)``."""
+    hit = tables.get(id(ids))
+    return hit[col] if hit is not None and hit[0] is ids else checked(ids)
+
+
 def _rows(ptr, ids):
     """Positions (B, c) of the CSR rows of ``ids``, integers that share a count
     c; ``MeshError`` names an empty stack or the first bad id."""
     ids = np.asarray(ids)
     if ids.size == 0:
         raise MeshError("empty element stack")
-    if ids.dtype.kind not in "iu":
-        raise MeshError(f"element {ids.flat[0]} is not an integer id ({ids.dtype})")
-    bad = (ids < 0) | (ids >= len(ptr) - 1)
-    if bad.any():
-        raise MeshError(f"element {ids[np.argmax(bad)]} out of range")
+    ids = _ids(ids, len(ptr) - 1)
     start = ptr[ids]
     count = ptr[ids + 1] - start
     bad = count != count[0]
@@ -191,6 +196,18 @@ def _rows(ptr, ids):
         e = np.argmax(bad)
         raise MeshError(f"element {ids[e]} has count {count[e]}, not the stack's {count[0]}")
     return start[:, None] + np.arange(count[0])
+
+
+def _ids(ids, n, what="element"):
+    """``ids`` as an integer array of ids in [0, n); ``MeshError`` names the
+    first bad one (a dtype that is not integer, bool included, makes all bad)."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise MeshError(f"{what} {ids.flat[0]} is not an integer id ({ids.dtype})")
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise MeshError(f"{what} {ids.flat[np.argmax(bad)]} out of range")
+    return ids.astype(int, copy=False)
 
 
 class PolyMesh:
@@ -249,6 +266,9 @@ class PolyMesh:
         self._interior = _frozen(np.flatnonzero(~boundary))
         self._boundary = _frozen(np.flatnonzero(boundary))
         self.batches = _batches(self.elements)
+        # id(stack) -> (stack, corner rows, face rows) of every stack, read-only
+        self._stacks = {id(s): (s, _frozen(self.elements.corner_rows(s)),
+                                _frozen(self.elements.face_rows(s))) for s in self.batches}
 
     # -- basic queries ----------------------------------------------------
 
@@ -259,6 +279,14 @@ class PolyMesh:
     @property
     def n_faces(self):
         return len(self.faces)
+
+    def corner_rows(self, ids):
+        """``elements.corner_rows(ids)``, stored for each stack of ``batches``."""
+        return _stored(self._stacks, ids, 1, self.elements.corner_rows)
+
+    def face_rows(self, ids):
+        """``elements.face_rows(ids)``, stored for each stack of ``batches``."""
+        return _stored(self._stacks, ids, 2, self.elements.face_rows)
 
     def interior_face_ids(self):
         return self._interior

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from hho2d.mesh import _stacked_lapack
+from hho2d.mesh import _ids, _index, _stacked_lapack
 
 # degree at which cell bases switch to the orthonormalized form
 ORTHONORMALIZE_FROM = 4
@@ -42,6 +42,15 @@ ORTHONORMALIZE_FROM = 4
 
 class BasisError(Exception):
     """Degenerate geometry or unusable basis/quadrature request."""
+
+
+def _nonnegative(value, what, error=BasisError):
+    """``value`` as a non-negative int, read by ``mesh._index``: a float, a
+    string or a negative value raises ``error``."""
+    value = _index(value, what, error)
+    if value < 0:
+        raise error(f"{what} must be >= 0")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +70,7 @@ def _triangle_rule(degree):
     m = ceil((degree+1)/2) points per direction integrate total degree
     ``degree`` exactly with strictly positive weights.
     """
-    m = max(1, (degree + 2) // 2)
+    m = (degree + 2) // 2
     xj, wj = roots_jacobi(m, 1.0, 0.0)  # weight (1 - x) on [-1, 1]
     xl, wl = _gauss_legendre(m)
     xi, wxi = (xj + 1.0) / 2.0, wj / 4.0
@@ -75,7 +84,7 @@ def _triangle_rule(degree):
 
 def face_rule(order):
     """Gauss-Legendre nodes and weights on [-1, 1] exact up to ``order``."""
-    return _gauss_legendre(max(1, (order + 2) // 2))
+    return _gauss_legendre((_nonnegative(order, "quadrature order") + 2) // 2)
 
 
 def cell_quadratures(mesh, elem_ids, order):
@@ -84,10 +93,9 @@ def cell_quadratures(mesh, elem_ids, order):
     Returns points (B, p*m, 2) and weights (B, p*m): the reference rule of
     ``order`` mapped onto each of the p centroid triangles, in corner order.
     """
-    if order < 0:
-        raise BasisError("quadrature order must be >= 0")
+    order = _nonnegative(order, "quadrature order")
     els = mesh.elements
-    corners = mesh.vertices[els.corners[els.corner_rows(elem_ids)]]
+    corners = mesh.vertices[els.corners[mesh.corner_rows(elem_ids)]]
     c = els.centroid[elem_ids]
     a = corners - c[:, None]                        # (B, p, 2)
     b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
@@ -110,10 +118,11 @@ def face_quadratures(mesh, face_ids, order):
     """Stacked Gauss-Legendre rules on faces, exact up to ``order``.
 
     ``face_ids`` may have any shape S; returns points S + (m, 2) and
-    weights S + (m,).
+    weights S + (m,).  ``MeshError`` names the first id that is not an
+    integer face id of ``mesh``.
     """
     s, w = face_rule(order)
-    ids = np.asarray(face_ids, dtype=int)
+    ids = _ids(face_ids, mesh.n_faces, "face")
     mid = mesh.faces.midpoint[ids]
     tangent = mesh.faces.tangent[ids]
     length = mesh.faces.length[ids][..., None]
@@ -220,6 +229,7 @@ def _mono_index(a, b):
 
 def cell_bases(mesh, elem_ids, degree):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
+    degree = _nonnegative(degree, "cell basis degree")
     els = mesh.elements
     orthonormal = degree >= ORTHONORMALIZE_FROM
     mu = _cell_moments(mesh, elem_ids, 2 * degree)[0] if orthonormal else None
@@ -296,7 +306,7 @@ def _cell_moments(mesh, elem_ids, degree):
     and h_T (see ``_moments``).  Elements share a face count.
     """
     els = mesh.elements
-    dist = els.face_dists[els.face_rows(elem_ids)]
+    dist = els.face_dists[mesh.face_rows(elem_ids)]
     return _moments(*_face_frames(mesh, elem_ids), dist, els.diameter[elem_ids], degree)
 
 
@@ -324,7 +334,7 @@ def _face_frames(mesh, elem_ids):
     """Face midpoints relative to the centroid, face tangents (both
     (B, nf, 2)) and face lengths (B, nf) of a stack sharing a face count."""
     els, faces = mesh.elements, mesh.faces
-    face_ids = els.face_ids[els.face_rows(elem_ids)]
+    face_ids = els.face_ids[mesh.face_rows(elem_ids)]
     # np.take gathers rows of pairs several times faster than fancy indexing
     rel = np.take(faces.midpoint, face_ids, axis=0) - els.centroid[elem_ids][:, None]
     return rel, np.take(faces.tangent, face_ids, axis=0), faces.length[face_ids]
@@ -411,6 +421,7 @@ def l2_project_face(mesh, face_ids, degree, v, order=None):
     Every face rule maps the same reference nodes s, so the basis values
     are shared and the mass matrix is |F| M0 (see ``_face_mass_factors``).
     """
+    degree = _nonnegative(degree, "face basis degree")
     order = default_cell_order(degree) if order is None else order
     s, _ = face_rule(order)
     points, weights = face_quadratures(mesh, face_ids, order)

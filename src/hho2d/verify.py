@@ -170,21 +170,25 @@ def energy_norm(ops, vector):
     return energy_error(ops, vector, [0.0] * len(ops))
 
 
-def l2_error_cell_value(system, solution, case):
-    """L2 distance between the exact solution and the piecewise cell value."""
+def l2_norms(system, solution, case):
+    """L2 distance between the exact solution and the piecewise cell value,
+    and the L2 norm of the source (``source_l2_norm``), both on one cell
+    rule of order 2k+6 per stack."""
     mesh, k = system.mesh, system.k
-    err2 = []
+    err2, f2 = [], []
     for op in system.ops:
         points, weights = pb.cell_quadratures(mesh, op.elem_id, 2 * k + 6)
+        x = points.reshape(-1, 2)
         loc = solution.local_flat(op.elem_id)
         if k >= 1:
             V = op.cell_basis.eval(points)
             vals = np.einsum("bpi,bi->bp", V, loc[:, :hl.cell_block_dim(k)])
         else:
             vals = (op.avg_weights * loc).sum(axis=1)[:, None]
-        diff = case.u(points.reshape(-1, 2)).reshape(weights.shape) - vals
+        diff = case.u(x).reshape(weights.shape) - vals
         err2.append(np.sum(weights * diff**2, axis=1))
-    return float(np.sqrt(_total(err2)))
+        f2.append(np.sum(weights * case.f(x).reshape(weights.shape) ** 2, axis=1))
+    return float(np.sqrt(_total(err2))), float(np.sqrt(_total(f2)))
 
 
 def consistency_moments(system, interp):
@@ -200,10 +204,12 @@ def stab_energy(ops, interp):
     return float(np.sqrt(_total(parts)))
 
 
-def source_l2_norm(mesh, case):
+def source_l2_norm(mesh, k, case):
+    """L2 norm of the source on the cell rules of order 2k+6, the rules on
+    which ``l2_norms`` takes it at degree k."""
     parts = []
     for ids in mesh.batches:
-        points, weights = pb.cell_quadratures(mesh, ids, 10)
+        points, weights = pb.cell_quadratures(mesh, ids, 2 * k + 6)
         f = case.f(points.reshape(-1, 2)).reshape(weights.shape)
         parts.append(np.sum(weights * f**2, axis=1))
     return float(np.sqrt(_total(parts)))
@@ -223,7 +229,9 @@ class PowerIterationError(Exception):
 
 
 def l2_mass_matrix(system):
-    """Gram of the piecewise cell value on the zero-boundary dof space."""
+    """Gram of the piecewise cell value on the zero-boundary dof space: the
+    cell masses of the local build (``LocalOperators.cell_mass``) at k >= 1,
+    the outer products of the average rows, times |T|, at k = 0."""
     mesh, k = system.mesh, system.k
     blocks = []
     for op in system.ops:
@@ -233,9 +241,7 @@ def l2_mass_matrix(system):
             blocks.append((idx, w[:, :, None] * w[:, None, :]))
         else:
             # the blocks act on the cell dofs only
-            mu, _ = pb._cell_moments(mesh, op.elem_id, 2 * k - 2)
-            M = pb._moment_gram(mu, "mass", op.cell_basis, op.cell_basis)
-            blocks.append((idx[:, :hl.cell_block_dim(k)], M))
+            blocks.append((idx[:, :hl.cell_block_dim(k)], op.cell_mass))
     return asm._scatter_blocks(blocks, system.dofmap.total)
 
 
@@ -414,6 +420,7 @@ def study(family, k, case, determinism=False):
         solution, info = asm.solve(system)
         norm_gram = asm.NormGram(system)
         interp = local_interpolates(mesh, k, case.u)
+        l2_err, f_l2 = l2_norms(system, solution, case)
         row = StudyRow(
             h=mesh.h,
             n_dofs=system.dofmap.total,
@@ -421,12 +428,12 @@ def study(family, k, case, determinism=False):
             energy_err=energy_error(system.ops, solution, interp),
             consist_dual=norm_gram.riesz_dual_norm(consistency_moments(system, interp)),
             stab_consist=stab_energy(system.ops, interp),
-            l2_err=l2_error_cell_value(system, solution, case),
+            l2_err=l2_err,
             eta=mesh_eta(system.ops),
             cp=float("nan"),
             seconds=0.0,
             uh_energy_norm=energy_norm(system.ops, solution),
-            f_l2=source_l2_norm(mesh, case),
+            f_l2=f_l2,
             solver_residual=info.residual,
         )
         if system.dofmap.total:  # a level without unknowns keeps cp = nan
@@ -474,7 +481,7 @@ def projector_rate_suite(family, degree, case):
             coeff = pb.l2_project_cell(mesh, ids, degree, case.u, order=order)
             eproj, ebasis = hl.elliptic_project(mesh, ids, degree, case.u, ops=op, order=order)
             points, weights = pb.cell_quadratures(mesh, ids, order)
-            fpts, fw = pb.face_quadratures(mesh, els.face_ids[els.face_rows(ids)], order)
+            fpts, fw = pb.face_quadratures(mesh, els.face_ids[mesh.face_rows(ids)], order)
             fpts = fpts.reshape(len(ids), -1, 2)
             fw = fw.reshape(len(ids), -1) * els.diameter[ids][:, None]
             u = case.u(points.reshape(-1, 2)).reshape(weights.shape)

@@ -9,8 +9,8 @@ from hho2d import classics as cl
 from hho2d import cli
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
-from hho2d.mesh import generate, refine_nonconforming
-from hho2d.verify import CASES, energy_norm, nonconforming_mesh
+from hho2d.mesh import MeshError, generate, refine_nonconforming
+from hho2d.verify import CASES, build_family, energy_norm, nonconforming_mesh
 
 SINE = CASES["sine"]
 
@@ -18,6 +18,37 @@ SINE = CASES["sine"]
 def element_views(mesh, stacks):
     """(element, its operators) for every member of the operator stacks."""
     return [(mesh.elements[e], s[b]) for s in stacks for b, e in enumerate(s.elem_id)]
+
+
+TABLE_MESHES = {
+    **{tag: lambda tag=tag: build_family(tag, [8]).meshes[0]
+       for tag in ("cartesian", "triangular", "nonconforming", "agglomerated", "rectangles")},
+    "refined": lambda: refine_nonconforming(nonconforming_mesh(4), [0, 5, 9]),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_MESHES))
+def test_stack_tables_equal_the_checked_path(name):
+    # a stack of mesh.batches itself reads its stored table; a copy of it,
+    # equal by value, runs the checked path and gets the same rows
+    mesh = TABLE_MESHES[name]()
+    dofmaps = [asm.build_dof_map(mesh, k) for k in range(4)]
+    lookups = [mesh.corner_rows, mesh.face_rows] + [dm.indices for dm in dofmaps]
+    checked = [mesh.elements.corner_rows, mesh.elements.face_rows] + [dm.indices for dm in dofmaps]
+    for ids in mesh.batches:
+        for lookup, check in zip(lookups, checked):
+            table = lookup(ids)
+            assert lookup(ids) is table
+            copy = ids.copy()
+            assert lookup(copy) is not table
+            for same in (lookup(copy), check(ids), check(copy)):
+                assert same.dtype == table.dtype and same.tobytes() == table.tobytes()
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+            copy[-1] = mesh.n_elements
+            with pytest.raises(MeshError, match=f"^element {mesh.n_elements} out of range$"):
+                lookup(copy)
 
 
 def test_dof_map_counts():

@@ -105,6 +105,39 @@ def test_stretched_polygons_keep_polynomial_consistency(mesh, log_stretch):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(star_polygons())
+def test_a_stack_of_star_polygons_builds_each_copy_alone(polygon):
+    # three copies at scales 1, 10 and 1e-1, 40 diameters apart: none
+    # touches another or splits a side of another, so they form one stack,
+    # whose rows are each copy's one-element build byte for byte
+    verts, n = polygon.vertices, polygon.n_faces
+    c, h = polygon.elements.centroid[0], polygon.elements.diameter[0]
+    copies = [s * (verts - c) + c + [40.0 * h * i, 0.0] for i, s in enumerate((1.0, 10.0, 1e-1))]
+    try:
+        mesh = PolyMesh(np.concatenate(copies), [list(range(i * n, (i + 1) * n)) for i in range(3)])
+        alone = [PolyMesh(v, [list(range(n))]) for v in copies]
+    except MeshError:
+        assume(False)
+    assert [len(ids) for ids in mesh.batches] == [3] and mesh.n_faces == 3 * n
+    ids = mesh.batches[0]
+    v = lambda p: np.sin(p[:, 0]) * np.cos(2.0 * p[:, 1])
+    fields = ("recon", "stab_factor", "stiff", "norm_gram", "avg_weights")
+    for k in range(4):
+        stack, rows = hl.local_operators(mesh, ids, k), hl.interpolate(mesh, ids, k, v)
+        for b, one in enumerate(alone):
+            ops = hl.local_operators(one, 0, k)
+            for name in fields + (("cell_mass",) if k else ()):
+                assert same_bytes(getattr(stack[b], name), getattr(ops, name)), (k, b, name)
+            assert same_bytes(rows[b], hl.interpolate(one, 0, k, v)), (k, b)
+        if k:
+            # the stored cell mass is the mass of the cell basis
+            points, weights = pb.cell_quadratures(mesh, ids, 2 * k)
+            V = stack.cell_basis.eval(points)
+            mass = np.swapaxes(V * weights[..., None], 1, 2) @ V
+            assert np.abs(stack.cell_mass - mass).max() <= 1e-13 * np.abs(mass).max(), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
 def test_local_forms_are_symmetric_and_the_norm_gram_splits_faces(mesh):
     # at k >= 1 the energy norm couples a face with itself and the cell only,
     # so the assembled Gram keeps no face-face entry between the faces of an
@@ -629,6 +662,7 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
               generate("cartesian", 6)]
     assert len(meshes[-1].batches) == 9
     fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
+    fields += ("cell_mass",) if k else ()
     get = lambda op, name: stab_gram(op) if name == "stab" else getattr(op, name)
     u = lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])
     f = lambda p: np.cos(2 * p[:, 0]) + p[:, 1]

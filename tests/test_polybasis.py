@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_polygon_corpus
 
+from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d.mesh import MeshError, PolyMesh, generate, refine_nonconforming
 from hho2d.verify import nonconforming_mesh
@@ -342,3 +345,62 @@ def test_quadrature_errors():
         pb.cell_quadratures(mesh, [0], -1)
     with pytest.raises(pb.BasisError):
         pb.CellBasis([0, 0], 1.0, -2)
+
+
+U = lambda p: p[:, 0] + 2.0 * p[:, 1]
+
+BAD_ORDERS = {
+    "interpolate k=0": lambda m, order: hl.interpolate(m, m.batches[0], 0, U, order=order),
+    "interpolate k=1": lambda m, order: hl.interpolate(m, m.batches[0], 1, U, order=order),
+    "face_rule": lambda m, order: pb.face_rule(order),
+    "face_quadratures": lambda m, order: pb.face_quadratures(m, [0], order),
+    "cell_quadratures": lambda m, order: pb.cell_quadratures(m, [0], order),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_ORDERS))
+@pytest.mark.parametrize("order, text", [(-1, "quadrature order must be >= 0"),
+                                         (1.5, "quadrature order must be an integer, got 1.5")])
+def test_a_bad_quadrature_order_is_refused(call, order, text):
+    # the face path used to turn a negative order into a one-point rule
+    with pytest.raises(pb.BasisError, match=re.escape(text)):
+        BAD_ORDERS[call](generate("cartesian", 2), order)
+
+
+BAD_DEGREES = {
+    "cell_bases": (lambda m, d: pb.cell_bases(m, m.batches[0], d), "cell basis degree"),
+    "l2_project_cell": (lambda m, d: pb.l2_project_cell(m, m.batches[0], d, U), "cell basis degree"),
+    "l2_project_face": (lambda m, d: pb.l2_project_face(m, [0], d, U), "face basis degree"),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_DEGREES))
+@pytest.mark.parametrize("degree, suffix", [(1.5, "must be an integer, got 1.5"),
+                                            (-1, "must be >= 0")])
+def test_a_bad_basis_degree_is_refused(call, degree, suffix):
+    # a face degree of 1.5 gave three coefficients, -1 a (1, 0) array, and a
+    # cell degree of 1.5 an untyped TypeError
+    run, what = BAD_DEGREES[call]
+    with pytest.raises(pb.BasisError, match=re.escape(f"{what} {suffix}")):
+        run(generate("cartesian", 2), degree)
+
+
+FACE_CALLS = {
+    "face_quadratures": lambda m, ids: pb.face_quadratures(m, ids, 2),
+    "l2_project_face": lambda m, ids: pb.l2_project_face(m, ids, 1, U),
+}
+
+
+@pytest.mark.parametrize("call", list(FACE_CALLS))
+@pytest.mark.parametrize("ids, text", [
+    ([0, -1], "face -1 out of range"),
+    ([[0, 1], [2, 10**6]], "face 1000000 out of range"),
+    ([0.7], "face 0.7 is not an integer id (float64)"),
+    ([True], "face True is not an integer id (bool)"),
+    ([np.nan], "face nan is not an integer id (float64)"),
+])
+def test_a_bad_face_id_is_refused(call, ids, text):
+    # -1 read the last face, 0.7 face 0 and True face 1
+    mesh = generate("cartesian", 2)
+    with pytest.raises(MeshError, match=re.escape(text)):
+        FACE_CALLS[call](mesh, ids)

@@ -184,7 +184,7 @@ def test_cr_stability_bound_via_measured_poincare(n):
     energy = np.sqrt(energy)
     system = asm.assemble(mesh, 0, case.f)
     cp, _ = vf.poincare_constant(system)
-    f_l2 = vf.source_l2_norm(mesh, case)
+    f_l2 = vf.source_l2_norm(mesh, 0, case)
     assert energy <= cp * f_l2 * (1 + 1e-10)
 
 
@@ -334,3 +334,29 @@ def test_study_totals_do_not_depend_on_the_stack_cut(k, monkeypatch):
         return out
 
     assert totals(16) == totals(default)
+
+
+def test_a_study_row_gathers_each_stack_once(monkeypatch):
+    # the corner, face and dof-index rows of a stack are gathered once, when
+    # its mesh or dof map is built; a row builds one cell rule per stack for
+    # the loads, one for the interpolation and one for both L2 measures
+    text = hm.dump_mesh(vf.nonconforming_mesh(8))
+    rows, rules = {}, []
+
+    def counted_rows(ptr, ids):
+        rows[id(ptr)] = rows.get(id(ptr), 0) + 1
+        return real_rows(ptr, ids)
+
+    def counted_rules(mesh, ids, order):
+        rules.append(order)
+        return real_rules(mesh, ids, order)
+
+    real_rows, real_rules = hm._rows, pb.cell_quadratures
+    monkeypatch.setattr(hm, "_rows", counted_rows)
+    monkeypatch.setattr(asm, "_rows", counted_rows)
+    monkeypatch.setattr(pb, "cell_quadratures", counted_rules)
+    mesh = hm.load_mesh(text)
+    vf.study(hm.MeshFamily(tag="nonconforming", meshes=[mesh]), 1, "sine")
+    n_stacks = len(mesh.batches)
+    assert len(rows) == 3 and max(rows.values()) <= n_stacks, rows
+    assert len(rules) <= 3 * n_stacks and sorted(set(rules)) == [6, 8]
