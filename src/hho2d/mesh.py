@@ -152,14 +152,6 @@ class ElementTable:
             face_midpoints=self.face_midpoints[f],
         )
 
-    def corner_rows(self, ids):
-        """Positions (B, p) of the corners of ``ids``, which share a count p."""
-        return _rows(self.corner_ptr, ids)
-
-    def face_rows(self, ids):
-        """Positions (B, nf) of the face rows of ``ids``, which share a count nf."""
-        return _rows(self.face_ptr, ids)
-
 
 def _batches(els):
     """Read-only element id arrays grouped by (corner count, face count), the
@@ -175,11 +167,11 @@ def _batches(els):
     return tuple(stacks)
 
 
-def _stored(tables, ids, col, checked):
+def _stored(tables, ids, col, checked, *args):
     """Table ``col`` of ``tables[id(ids)] = (stack, *tables)`` when ``ids`` is
-    that stack itself (``is``, not equal values), else ``checked(ids)``."""
+    that stack itself (``is``, not equal values), else ``checked(*args, ids)``."""
     hit = tables.get(id(ids))
-    return hit[col] if hit is not None and hit[0] is ids else checked(ids)
+    return hit[col] if hit is not None and hit[0] is ids else checked(*args, ids)
 
 
 def _rows(ptr, ids):
@@ -267,8 +259,8 @@ class PolyMesh:
         self._boundary = _frozen(np.flatnonzero(boundary))
         self.batches = _batches(self.elements)
         # id(stack) -> (stack, corner rows, face rows) of every stack, read-only
-        self._stacks = {id(s): (s, _frozen(self.elements.corner_rows(s)),
-                                _frozen(self.elements.face_rows(s))) for s in self.batches}
+        self._stacks = {id(s): (s, _frozen(_rows(self.elements.corner_ptr, s)),
+                                _frozen(_rows(self.elements.face_ptr, s))) for s in self.batches}
 
     # -- basic queries ----------------------------------------------------
 
@@ -281,12 +273,14 @@ class PolyMesh:
         return len(self.faces)
 
     def corner_rows(self, ids):
-        """``elements.corner_rows(ids)``, stored for each stack of ``batches``."""
-        return _stored(self._stacks, ids, 1, self.elements.corner_rows)
+        """Positions (B, p) in ``elements.corners`` of the corners of ``ids``,
+        which share a count p; stored for each stack of ``batches``."""
+        return _stored(self._stacks, ids, 1, _rows, self.elements.corner_ptr)
 
     def face_rows(self, ids):
-        """``elements.face_rows(ids)``, stored for each stack of ``batches``."""
-        return _stored(self._stacks, ids, 2, self.elements.face_rows)
+        """Positions (B, nf) in the ``elements.face_*`` columns of the faces of
+        ``ids``, which share a count nf; stored for each stack of ``batches``."""
+        return _stored(self._stacks, ids, 2, _rows, self.elements.face_ptr)
 
     def interior_face_ids(self):
         return self._interior

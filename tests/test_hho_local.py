@@ -581,7 +581,7 @@ def ref_build(mesh, ids, k):
     """recon, stab, stiff and norm_gram of a stack, with every cell integral
     on the fan quadrature instead of the boundary moments."""
     els = mesh.elements
-    rows = els.face_rows(ids)
+    rows = mesh.face_rows(ids)
     nb, nf = rows.shape
     nc, kf = hl.cell_block_dim(k), k + 1
     n_loc = nc + nf * kf
@@ -689,7 +689,7 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
             ref = ref_build(mesh, ids, k)
             for name, want in ref.items():
                 assert close(get(stack, name), want), (ids, name)
-            face_ids = els.face_ids[els.face_rows(ids)]
+            face_ids = els.face_ids[mesh.face_rows(ids)]
             stacks = (
                 (hl.interpolate(mesh, ids, k, u),
                  [hl.interpolate(mesh, e, k, u) for e in ids]),
