@@ -45,7 +45,7 @@ class SolverError(Exception):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Element-to-global dof layout: interior-face blocks, then cell blocks.
 
@@ -53,8 +53,8 @@ class DofMap:
     every local dof (cell block, then one block per face in loop order), -1
     where the dof is eliminated; element e's run is
     ``index[ptr[e]:ptr[e + 1]]``, the CSR form of ``ElementTable``.
-    ``stacks`` keeps the read-only (B, n_local) indices of each stack of
-    ``mesh.batches``, keyed as the mesh keeps its stack rows.
+    ``stacks`` pairs each stack of ``mesh.batches`` with its read-only
+    (B, n_local) indices, as the mesh keeps its stack rows.
     """
 
     k: int
@@ -62,7 +62,7 @@ class DofMap:
     total: int
     ptr: np.ndarray
     index: np.ndarray
-    stacks: dict
+    stacks: tuple
 
     def indices(self, elem_id):
         """Global indices of one element, (n_local,), or of a stack of elements
@@ -94,7 +94,7 @@ def build_dof_map(mesh, k):
     # each element's cell block goes in front of its face blocks
     index = np.insert(faces.ravel(), np.repeat(els.face_ptr[:-1] * (k + 1), nc), cells)
     ptr = els.face_ptr * (k + 1) + nc * np.arange(mesh.n_elements + 1)
-    stacks = {id(s): (s, _frozen(index[_rows(ptr, s)])) for s in mesh.batches}
+    stacks = tuple((s, _frozen(index[_rows(ptr, s)])) for s in mesh.batches)
     return DofMap(k=k, n_face_dofs=n_face_dofs, total=n_face_dofs + nc * mesh.n_elements,
                   ptr=_frozen(ptr), index=_frozen(index), stacks=stacks)
 

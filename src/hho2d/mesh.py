@@ -168,10 +168,12 @@ def _batches(els):
 
 
 def _stored(tables, ids, col, checked, *args):
-    """Table ``col`` of ``tables[id(ids)] = (stack, *tables)`` when ``ids`` is
-    that stack itself (``is``, not equal values), else ``checked(*args, ids)``."""
-    hit = tables.get(id(ids))
-    return hit[col] if hit is not None and hit[0] is ids else checked(*args, ids)
+    """Table ``col`` of the row ``(stack, *tables)`` of ``tables`` whose stack
+    is ``ids`` itself (``is``, not equal values), else ``checked(*args, ids)``."""
+    for row in tables:
+        if row[0] is ids:
+            return row[col]
+    return checked(*args, ids)
 
 
 def _rows(ptr, ids):
@@ -258,9 +260,9 @@ class PolyMesh:
         self._interior = _frozen(np.flatnonzero(~boundary))
         self._boundary = _frozen(np.flatnonzero(boundary))
         self.batches = _batches(self.elements)
-        # id(stack) -> (stack, corner rows, face rows) of every stack, read-only
-        self._stacks = {id(s): (s, _frozen(_rows(self.elements.corner_ptr, s)),
-                                _frozen(_rows(self.elements.face_ptr, s))) for s in self.batches}
+        # (stack, corner rows, face rows) of every stack, read-only
+        self._stacks = tuple((s, _frozen(_rows(self.elements.corner_ptr, s)),
+                              _frozen(_rows(self.elements.face_ptr, s))) for s in self.batches)
 
     # -- basic queries ----------------------------------------------------
 

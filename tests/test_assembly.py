@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,11 +50,17 @@ def test_stack_tables_equal_the_checked_path(name):
             copy[-1] = mesh.n_elements
             with pytest.raises(MeshError, match=f"^element {mesh.n_elements} out of range$"):
                 lookup(copy)
+    # a pickled mesh keeps each stack paired with its stored rows
+    again = pickle.loads(pickle.dumps(mesh))
+    for ids in again.batches:
+        assert again.corner_rows(ids) is again.corner_rows(ids)
+        assert again.face_rows(ids) is again.face_rows(ids)
 
 
 def test_dof_map_counts():
     mesh = generate("cartesian", 2)
     dm = asm.build_dof_map(mesh, 1)
+    assert dm == dm and dm != asm.build_dof_map(mesh, 1)  # compared by identity
     assert dm.n_face_dofs == 8
     assert dm.total == 12
     assert asm.build_dof_map(mesh, 0).total == 4
