@@ -64,14 +64,10 @@ class DofMap:
     index: np.ndarray
     stacks: tuple
 
-    def indices(self, elem_id):
-        """Global indices of one element, (n_local,), or of a stack of elements
-        with equal face counts, (B, n_local); -1 where eliminated."""
-        return _stored(self.stacks, elem_id, 1, self._indices)
-
-    def _indices(self, elem_id):
-        rows = _rows(self.ptr, np.atleast_1d(elem_id))
-        return self.index[rows if np.ndim(elem_id) else rows[0]]
+    def indices(self, ids):
+        """Global indices (B, n_local) of the stack ``ids``, elements with
+        equal face counts; -1 where eliminated."""
+        return _stored(self.stacks, ids, 1, lambda ids: self.index[_rows(self.ptr, ids)])
 
 
 def build_dof_map(mesh, k):
@@ -106,17 +102,18 @@ class GlobalHhoVector:
     dofmap: DofMap
     data: np.ndarray
 
-    def local_flat(self, elem_id):
-        """Local flat vector of one element id, (n_local,), or of a stack of ids
-        with equal face counts, (B, n_local); boundary-face blocks read zero."""
-        idx = self.dofmap.indices(elem_id)
+    def local_flat(self, ids):
+        """Local flat vectors (B, n_local) of the stack ``ids``, elements with
+        equal face counts; boundary-face blocks read zero."""
+        idx = self.dofmap.indices(ids)
         keep = idx >= 0
         out = np.zeros(idx.shape)
         out[keep] = self.data[idx[keep]]
         return out
 
-    def scatter_add(self, elem_id, local_flat):
-        idx = self.dofmap.indices(elem_id)
+    def scatter_add(self, ids, local_flat):
+        """Add the local vectors (B, n_local) of the stack ``ids``."""
+        idx = self.dofmap.indices(ids)
         keep = idx >= 0
         np.add.at(self.data, idx[keep], np.asarray(local_flat)[keep])
 

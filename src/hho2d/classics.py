@@ -50,19 +50,15 @@ def _triangle_faces(mesh):
     return els.face_ids.reshape(-1, 3)
 
 
-def cr_basis_gradients(mesh, elem_id):
-    """Gradients of the three face-average basis functions 1 - 2*hat_opp.
-
-    One element id gives (3, 2); a sequence of triangle ids gives (B, 3, 2).
-    """
+def cr_basis_gradients(mesh, ids):
+    """Gradients (B, 3, 2) of the three face-average basis functions
+    1 - 2*hat_opp on the stack of triangles ``ids``."""
     els = mesh.elements
-    ids = np.atleast_1d(elem_id)
     pts = mesh.vertices[els.corners[mesh.corner_rows(ids)]]
     A = np.concatenate([np.ones(pts.shape[:-1] + (1,)), pts], axis=-1)
     hat_coeffs = np.linalg.solve(A, np.eye(3))  # column j: barycentric of corner j
     # face i runs from corner i to corner i + 1: corner i + 2 is opposite
-    grads = -2.0 * np.swapaxes(hat_coeffs[:, 1:, [2, 0, 1]], 1, 2)
-    return grads if np.ndim(elem_id) else grads[0]
+    return -2.0 * np.swapaxes(hat_coeffs[:, 1:, [2, 0, 1]], 1, 2)
 
 
 def cr_assemble(mesh, f):
@@ -121,10 +117,6 @@ class RtnField:
     a: np.ndarray        # (n_elements, 2)
     q: np.ndarray        # (n_elements,)
     anchor: np.ndarray   # (n_elements, 2)
-
-    def eval(self, elem_id, points):
-        rel = np.atleast_2d(points) - self.anchor[elem_id]
-        return self.a[elem_id] + self.q[elem_id] * rel
 
     def divergence(self):
         return 2.0 * self.q

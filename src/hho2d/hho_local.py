@@ -30,9 +30,10 @@ vector is flat: the cell block, then one block per face in loop order.
 elements with equal corner and face counts at once (a batch of
 ``mesh.batches``, at most ``mesh.STACK_FACES`` faces), and keep the leading
 batch axis in what they return: one ``LocalOperators`` and one
-(B, n_local) array per stack.  The bytes of an element's operators do not
-depend on where its group is cut.  One element id gives the unbatched
-forms.  A failing stack raises the typed error of its first failing check,
+(B, n_local) array per stack; one element is the stack ``[e]``.  The bytes
+of an element's operators do not depend on where its group is cut.  A
+stack that is not a 1-D array of element ids raises ``MeshError``.  A
+failing stack raises the typed error of its first failing check,
 in code order, naming the first element of the stack that fails it; that
 element fails alone with the same text.
 
@@ -80,15 +81,15 @@ def cell_block_dim(k):
 class LocalOperators:
     """Dense element matrices shared by assembly and verification.
 
-    Built for one element, or for a stack of B elements: then ``elem_id`` is
-    a (B,) array, every array field and both bases have a leading batch axis,
-    and ``ops[b]`` is element b's operators (a slice gives a sub-stack,
-    without a class map).  ``cell_mass`` is the L2 mass of the cell basis
-    that the build forms from the moments; ``verify.l2_mass_matrix``
-    scatters it.
+    Built for a stack of B elements: ``elem_id`` is a (B,) array, every
+    array field and both bases have a leading batch axis, and ``ops[b]`` is
+    the sub-stack of an index array or a slice b, without a class map; an
+    integer b gives the stack of one of element b.  ``cell_mass`` is the L2
+    mass of the cell basis that the build forms from the moments;
+    ``verify.l2_mass_matrix`` scatters it.
     """
 
-    elem_id: int | np.ndarray
+    elem_id: np.ndarray
     k: int
     recon: np.ndarray        # reconstruction coefficients map, (dim P^{k+1}, n)
     stab_factor: np.ndarray  # R, the stabilization kept only as its factor: S = R.T @ R
@@ -103,6 +104,7 @@ class LocalOperators:
     classes: np.ndarray | None = None
 
     def __getitem__(self, b):
+        b = pb._sub_stack(b)
         parts = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "classes"}
         return LocalOperators(**{n: v if n == "k" or v is None else v[b] for n, v in parts.items()})
 
@@ -123,48 +125,33 @@ class LocalOperators:
         return z
 
 
-def _on_ids(run, elem_id):
-    """``run`` on the ids ``elem_id``; one id runs a stack of one, unwrapped."""
-    out = run(np.atleast_1d(elem_id))
-    return out if np.ndim(elem_id) else out[0]
-
-
 def _degree(k):
     """The polynomial degree ``k`` as an int; ``HhoError`` for a negative or
     non-integer degree."""
     return pb._nonnegative(k, "polynomial degree", HhoError)
 
 
-def interpolate(mesh, elem_id, k, v, order=None):
-    """Project ``v`` onto the local unknown space (cell and face blocks).
-
-    ``elem_id`` is one element id, giving a flat (n_local,) vector, or a
-    sequence of ids of elements that share a corner count and a face
-    count, giving (B, n_local).
+def interpolate(mesh, ids, k, v, order=None):
+    """Project ``v`` onto the local unknown spaces (cell and face blocks) of
+    the stack ``ids``, elements that share a corner count and a face count:
+    (B, n_local), in the order of ``ids``.
     """
     k = _degree(k)
     order = order if order is not None else 2 * k + 4
-    els = mesh.elements
-
-    def run(ids):
-        faces = pb.l2_project_face(mesh, els.face_ids[mesh.face_rows(ids)], k, v, order)
-        cell = pb.l2_project_cell(mesh, ids, k - 1, v, order) if k else np.zeros((len(ids), 0))
-        return np.concatenate([cell, faces.reshape(len(ids), -1)], axis=1)
-
-    return _on_ids(run, elem_id)
+    faces = pb.l2_project_face(mesh, mesh.elements.face_ids[mesh.face_rows(ids)], k, v, order)
+    cell = pb.l2_project_cell(mesh, ids, k - 1, v, order) if k else np.zeros((len(ids), 0))
+    return np.concatenate([cell, faces.reshape(len(ids), -1)], axis=1)
 
 
-def local_operators(mesh, elem_id, k):
+def local_operators(mesh, ids, k):
     """Build reconstruction, stabilization factor, stiffness, and norm Gram.
 
-    ``elem_id`` is one element id, or a sequence of ids of elements that
-    share a corner count and a face count; then one ``LocalOperators``
-    stack is returned, in the same order.  Every quantity is computed for
-    the whole stack at once, over a leading batch axis.  A singular element
-    raises a typed error naming its own id.
+    ``ids`` is a stack of elements that share a corner count and a face
+    count; one ``LocalOperators`` stack is returned, in the same order.
+    Every quantity is computed for the whole stack at once, over a leading
+    batch axis.  A singular element raises a typed error naming its own id.
     """
-    k = _degree(k)
-    return _on_ids(lambda ids: _build_classes(mesh, ids, k), elem_id)
+    return _build_classes(mesh, np.asarray(ids), _degree(k))
 
 
 class _BuildInputs(NamedTuple):
@@ -364,14 +351,14 @@ def _wgram(X, w, Y):
     return _mT(X * w[..., None]) @ Y
 
 
-def elliptic_project(mesh, elem_id, k, v, ops=None, order=None):
+def elliptic_project(mesh, ids, k, v, ops=None, order=None):
     """Reconstruction of the interpolate of ``v``: H1-type local projection
     onto polynomials of degree k+1 with fixed mean.  Returns its
-    coefficients, (dim P^{k+1},) or (B, dim P^{k+1}) on a stack, and the
+    coefficients on the stack ``ids``, (B, dim P^{k+1}), and the
     reconstruction basis."""
     if ops is None:
-        ops = local_operators(mesh, elem_id, k)
-    interp = interpolate(mesh, elem_id, k, v, order=order)
+        ops = local_operators(mesh, ids, k)
+    interp = interpolate(mesh, ids, k, v, order=order)
     return np.einsum("...ij,...j->...i", ops.recon, interp), ops.recon_basis
 
 
@@ -383,14 +370,11 @@ def eta_bounds(ops):
 
     Both forms share the one-dimensional kernel spanned by the interpolate
     of constants; the pencil restricted to its complement measures how far
-    the local form is from the energy norm.  ``ops`` is one element's
-    ``LocalOperators``, giving [lam_min, lam_max], or a stack, giving an
-    array (B, 2); the per-element equivalence constant is
-    max(1/lam_min, lam_max).
+    the local form is from the energy norm.  ``ops`` is a ``LocalOperators``
+    stack, giving [lam_min, lam_max] per element, (B, 2); the per-element
+    equivalence constant is max(1/lam_min, lam_max).
     """
     A, N, z = ops.stiff, ops.norm_gram, ops.constant_vector()
-    if np.ndim(ops.elem_id) == 0:
-        return _eta_bounds([ops.elem_id], A[None], N[None], z[None])[0]
     # once per class, gathered back; a stack whose pencil differs bitwise
     # from its class's first element (edited after its build) is measured
     # whole, with no gather
@@ -439,7 +423,7 @@ def _eta_bounds(ids, A, N, z):
 
 
 def eta_of(ops):
-    """Equivalence constant max(1/lam_min, lam_max) of one element, or an
-    array of them for a stack (see ``eta_bounds``)."""
+    """Equivalence constants max(1/lam_min, lam_max) of a stack, (B,) (see
+    ``eta_bounds``)."""
     lam = eta_bounds(ops)
-    return np.maximum(1.0 / lam[..., 0], lam[..., 1])
+    return np.maximum(1.0 / lam[:, 0], lam[:, 1])

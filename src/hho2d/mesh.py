@@ -177,9 +177,12 @@ def _stored(tables, ids, col, checked, *args):
 
 
 def _rows(ptr, ids):
-    """Positions (B, c) of the CSR rows of ``ids``, integers that share a count
-    c; ``MeshError`` names an empty stack or the first bad id."""
+    """Positions (B, c) of the CSR rows of ``ids``, a 1-D stack of integers
+    that share a count c; ``MeshError`` names another shape, an empty stack
+    or the first bad id."""
     ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise MeshError(f"element ids must be a 1-D stack, got shape {ids.shape}")
     if ids.size == 0:
         raise MeshError("empty element stack")
     ids = _ids(ids, len(ptr) - 1)

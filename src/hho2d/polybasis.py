@@ -145,42 +145,40 @@ def monomial_exponents(degree):
     return [(d - b, b) for d in range(degree + 1) for b in range(d + 1)]
 
 
-class CellBasis:
-    """Scaled monomial basis of total degree <= ``degree``.
+def _sub_stack(b):
+    """The index of a sub-stack: an index array or a slice as it is, an
+    integer as the stack of one ``[b]``."""
+    return [b] if isinstance(b, (int, np.integer)) else b
 
-    On one element ``center`` has shape (2,) and ``scale`` is a number;
-    points (P, 2) give values (P, dim).  On a stack of B elements ``center``
-    is (B, 2), ``scale`` (B,) and ``transform`` (B, dim, dim); points
-    (B, P, 2) give values (B, P, dim), and ``basis[b]`` is element b's basis.
+
+class CellBasis:
+    """Scaled monomial basis of total degree <= ``degree`` on a stack of B
+    elements: ``center`` is (B, 2), ``scale`` (B,) and ``transform``
+    (B, dim, dim); points (B, P, 2) give values (B, P, dim).  ``basis[b]``
+    is the sub-stack of an index array or a slice b, or for an integer b
+    the stack of one of element b.
     """
 
     def __init__(self, center, scale, degree, transform=None):
         if degree < 0:
             raise BasisError("cell basis degree must be >= 0")
         self.center = np.asarray(center, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
         self.degree = degree
         self.exponents = np.array(monomial_exponents(degree))
         self.dim = len(self.exponents)
         # lower-triangular inverse Cholesky factor of the raw mass matrix,
         # or None for the plain monomial basis
         self.transform = transform
-        if self.center.ndim == 1:
-            self.scale = self._scale = float(scale)
-        else:
-            self.scale = np.asarray(scale, dtype=float)
-            # shaped to broadcast against stacked values
-            self._scale = self.scale[:, None, None]
 
     def __getitem__(self, b):
+        b = _sub_stack(b)
         transform = None if self.transform is None else self.transform[b]
         return CellBasis(self.center[b], self.scale[b], self.degree, transform)
 
     def _raw(self, points):
         pts = np.asarray(points, dtype=float)
-        if self.center.ndim == 1:
-            pts = np.atleast_2d(pts)
-        scale = np.expand_dims(self.scale, -1)
-        z = [(pts[..., d] - self.center[..., d, None]) / scale for d in range(2)]
+        z = [(pts[..., d] - self.center[:, d, None]) / self.scale[:, None] for d in range(2)]
         return _monomials(z, self.degree)
 
     def _apply(self, V):
@@ -201,8 +199,8 @@ class CellBasis:
         """Gradients (..., P, dim, 2) from a monomial table (see
         ``from_monomials``): d/dx z^(a, b) = a z^(a-1, b) / scale."""
         a, b = self.exponents[:, 0], self.exponents[:, 1]
-        gx = a * Z[..., _mono_index(np.maximum(a - 1, 0), b)] / self._scale
-        gy = b * Z[..., _mono_index(a, np.maximum(b - 1, 0))] / self._scale
+        gx = a * Z[..., _mono_index(np.maximum(a - 1, 0), b)] / self.scale[:, None, None]
+        gy = b * Z[..., _mono_index(a, np.maximum(b - 1, 0))] / self.scale[:, None, None]
         return np.stack([self._apply(gx), self._apply(gy)], axis=-1)
 
 
@@ -230,6 +228,7 @@ def _mono_index(a, b):
 def cell_bases(mesh, elem_ids, degree):
     """Stacked bases on elements that share a corner count (see CellBasis)."""
     degree = _nonnegative(degree, "cell basis degree")
+    mesh.corner_rows(elem_ids)  # the checked path of a stack: MeshError
     els = mesh.elements
     orthonormal = degree >= ORTHONORMALIZE_FROM
     mu = _cell_moments(mesh, elem_ids, 2 * degree)[0] if orthonormal else None
@@ -395,23 +394,18 @@ def default_cell_order(degree):
 
 
 def l2_project_cell(mesh, elem_ids, degree, v, order=None):
-    """Coefficients of the L2 projection of ``v`` onto the cell basis.
-
-    ``elem_ids`` is one element id, giving (dim,), or a sequence of ids of
-    elements that share a corner count, giving (B, dim).
-    """
-    ids = np.atleast_1d(elem_ids)
-    basis = cell_bases(mesh, ids, degree)
+    """Coefficients (B, dim) of the L2 projection of ``v`` onto the cell
+    bases of the stack ``elem_ids``, elements that share a corner count."""
+    basis = cell_bases(mesh, elem_ids, degree)
     order = default_cell_order(degree) if order is None else order
-    points, weights = cell_quadratures(mesh, ids, order)
+    points, weights = cell_quadratures(mesh, elem_ids, order)
     V = basis.eval(points)
     L = _stacked_lapack(np.linalg.cholesky, [np.swapaxes(V * weights[..., None], -1, -2) @ V],
-                        ids, BasisError, f"singular mass matrix at degree {degree}")
+                        elem_ids, BasisError, f"singular mass matrix at degree {degree}")
     inv_L = _tri_inv(L)
     vw = weights * v(points.reshape(-1, 2)).reshape(weights.shape)
     y = inv_L @ np.einsum("bp,bpi->bi", vw, V)[..., None]
-    coeffs = (np.swapaxes(inv_L, -1, -2) @ y)[..., 0]
-    return coeffs.reshape(np.shape(elem_ids) + (basis.dim,))
+    return (np.swapaxes(inv_L, -1, -2) @ y)[..., 0]
 
 
 def l2_project_face(mesh, face_ids, degree, v, order=None):

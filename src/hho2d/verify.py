@@ -172,8 +172,8 @@ def energy_norm(ops, vector):
 
 def l2_norms(system, solution, case):
     """L2 distance between the exact solution and the piecewise cell value,
-    and the L2 norm of the source (``source_l2_norm``), both on one cell
-    rule of order 2k+6 per stack."""
+    and the L2 norm of the source, both on one cell rule of order 2k+6 per
+    stack."""
     mesh, k = system.mesh, system.k
     err2, f2 = [], []
     for op in system.ops:
@@ -201,17 +201,6 @@ def stab_energy(ops, interp):
     """Aggregate stabilization energy of the interpolated exact solution."""
     parts = [np.sum((op.stab_factor @ iu[..., None]) ** 2, axis=(1, 2))
              for op, iu in zip(ops, interp)]
-    return float(np.sqrt(_total(parts)))
-
-
-def source_l2_norm(mesh, k, case):
-    """L2 norm of the source on the cell rules of order 2k+6, the rules on
-    which ``l2_norms`` takes it at degree k."""
-    parts = []
-    for ids in mesh.batches:
-        points, weights = pb.cell_quadratures(mesh, ids, 2 * k + 6)
-        f = case.f(points.reshape(-1, 2)).reshape(weights.shape)
-        parts.append(np.sum(weights * f**2, axis=1))
     return float(np.sqrt(_total(parts)))
 
 

@@ -27,6 +27,11 @@ def stab_gram(ops):
     return hl._sym(hl._mT(ops.stab_factor) @ ops.stab_factor)
 
 
+def poly(basis, c):
+    """The polynomial sum_i c_i phi_i of a basis stack of one, at points (P, 2)."""
+    return lambda p: basis.eval(p[None])[0] @ c
+
+
 def _report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
 
@@ -145,13 +150,12 @@ def test_criterion_02_polynomial_exactness():
     for mesh, elem in corpus:
         for k in (0, 1, 2, 3):
             try:
-                ops = hl.local_operators(mesh, elem, k)
+                ops = hl.local_operators(mesh, [elem], k)
             except hl.HhoError:
                 rank_failures += 1
                 continue
             c = rng.standard_normal(ops.recon_basis.dim)
-            v = lambda p: ops.recon_basis.eval(p) @ c
-            got = ops.recon @ hl.interpolate(mesh, elem, k, v)
+            got = ops.recon[0] @ hl.interpolate(mesh, [elem], k, poly(ops.recon_basis, c))[0]
             worst = max(worst, np.linalg.norm(got - c) / np.linalg.norm(c))
     ok = worst <= 1e-10 and rank_failures == 0
     _report(
@@ -168,15 +172,16 @@ def test_criterion_03_stabilization_consistency():
     worst = 0.0
     for mesh, elem in corpus:
         for k in (0, 1, 2):
-            ops = hl.local_operators(mesh, elem, k)
+            ops = hl.local_operators(mesh, [elem], k)
             c = rng.standard_normal(ops.recon_basis.dim)
-            flat = hl.interpolate(mesh, elem, k, lambda p: ops.recon_basis.eval(p) @ c)
-            s_norm = np.linalg.norm(stab_gram(ops), 2)
-            if s_norm <= 1e-14 * np.linalg.norm(ops.stiff, 2):
+            (flat,) = hl.interpolate(mesh, [elem], k, poly(ops.recon_basis, c))
+            (S,) = stab_gram(ops)
+            s_norm = np.linalg.norm(S, 2)
+            if s_norm <= 1e-14 * np.linalg.norm(ops.stiff[0], 2):
                 continue  # triangles at k = 0: stabilization is exactly zero
             worst = max(
                 worst,
-                np.linalg.norm(stab_gram(ops) @ flat) / (s_norm * np.linalg.norm(flat)),
+                np.linalg.norm(S @ flat) / (s_norm * np.linalg.norm(flat)),
             )
     ok = worst <= 1e-10
     _report("03 stabilization-polynomial-consistency", ok, f"max scaled defect {worst:.2e}")

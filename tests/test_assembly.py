@@ -82,7 +82,7 @@ def test_dof_map_offsets_disjoint():
         dm = asm.build_dof_map(mesh, k)
         seen = np.zeros(dm.total, dtype=int)
         for el in mesh.elements:
-            idx = dm.indices(el.id)
+            (idx,) = dm.indices([el.id])
             seen[idx[idx >= 0]] += 1
         assert seen.min() >= 1  # every dof touched by some element
 
@@ -261,11 +261,11 @@ def test_rhs_matches_cell_value_functional():
         total = 0.0
         for el, op in element_views(mesh, system.ops):
             (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 2 * k + 4)
-            loc = vec.local_flat(el.id)
+            (loc,) = vec.local_flat([el.id])
             if k >= 1:
-                vals = op.cell_basis.eval(points) @ loc[: hl.cell_block_dim(k)]
+                vals = op.cell_basis.eval(points[None])[0] @ loc[: hl.cell_block_dim(k)]
             else:
-                vals = np.full(len(weights), op.avg_weights @ loc)
+                vals = np.full(len(weights), op.avg_weights[0] @ loc)
             total += weights @ (SINE.f(points) * vals)
         assert system.rhs @ v == pytest.approx(total, rel=1e-12)
 
@@ -288,12 +288,12 @@ def test_gather_scatter_roundtrip():
     back = asm.GlobalHhoVector.zeros(dm)
     counts = np.zeros(dm.total)
     for el in mesh.elements:
-        back.scatter_add(el.id, vec.local_flat(el.id))
-        idx = dm.indices(el.id)
+        back.scatter_add([el.id], vec.local_flat([el.id]))
+        (idx,) = dm.indices([el.id])
         counts[idx[idx >= 0]] += 1.0
     assert back.data / counts == pytest.approx(vec.data, rel=1e-14)
     # boundary faces always read zero
-    local = vec.local_flat(0)
+    (local,) = vec.local_flat([0])
     el = mesh.elements[0]
     nc = hl.cell_block_dim(2)
     for i, fid in enumerate(el.face_ids):

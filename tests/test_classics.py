@@ -47,7 +47,7 @@ def test_cr_rejects_bad_meshes():
 def test_cr_basis_is_dual_to_face_averages():
     mesh = generate("triangular", 2)
     for el in mesh.elements:
-        grads = cl.cr_basis_gradients(mesh, el.id)
+        (grads,) = cl.cr_basis_gradients(mesh, [el.id])
         for i, fid in enumerate(el.face_ids):
             for j, fjd in enumerate(el.face_ids):
                 points, weights = pb.face_quadratures(mesh, int(fjd), 4)
@@ -65,7 +65,7 @@ def test_cr_matrix_matches_hho_k0(n):
     m = system.matrix.shape[0]
     rows, cols, vals = [], [], []
     for el in mesh.elements:
-        A = hl.local_operators(mesh, el.id, 0).stiff
+        (A,) = hl.local_operators(mesh, [el.id], 0).stiff
         gi = idx[el.face_ids]
         for i in range(3):
             for j in range(3):

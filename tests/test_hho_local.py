@@ -6,10 +6,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_acceptance import stab_gram
+from test_acceptance import poly, stab_gram
 from test_polybasis import ref_laplacian, star_polygons
 
 from hho2d import assembly as asm
+from hho2d import classics as cl
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d import verify as vf
@@ -36,32 +37,32 @@ def pentagon_mesh(t=0.5):
 
 
 def test_interpolate_constant(unit_square):
-    flat = hl.interpolate(unit_square, 0, 1, lambda p: np.full(len(p), 4.2))
-    ops = hl.local_operators(unit_square, 0, 1)
+    flat = hl.interpolate(unit_square, [0], 1, lambda p: np.full(len(p), 4.2))
+    ops = hl.local_operators(unit_square, [0], 1)
     z = ops.constant_vector()
     assert flat == pytest.approx(4.2 * z, rel=1e-13)
 
 
 def test_interpolate_k0_affine(unit_square):
-    vec = hl.interpolate(unit_square, 0, 0, lambda p: p[:, 0])
+    (vec,) = hl.interpolate(unit_square, [0], 0, lambda p: p[:, 0])
     # face loop order: bottom, right, top, left
     assert vec == pytest.approx([0.5, 1.0, 0.5, 0.0], abs=1e-14)
-    ops = hl.local_operators(unit_square, 0, 0)
-    assert ops.avg_weights @ vec == pytest.approx(0.5, rel=1e-14)
+    ops = hl.local_operators(unit_square, [0], 0)
+    assert ops.avg_weights[0] @ vec == pytest.approx(0.5, rel=1e-14)
 
 
 def test_reconstruction_k0_recovers_affine(unit_square):
-    ops = hl.local_operators(unit_square, 0, 0)
-    coeff = ops.recon @ np.array([0.5, 1.0, 0.5, 0.0])
+    ops = hl.local_operators(unit_square, [0], 0)
+    coeff = ops.recon[0] @ np.array([0.5, 1.0, 0.5, 0.0])
     pts = np.random.default_rng(1).uniform(0, 1, (7, 2))
-    assert ops.recon_basis.eval(pts) @ coeff == pytest.approx(pts[:, 0], abs=1e-13)
+    assert poly(ops.recon_basis, coeff)(pts) == pytest.approx(pts[:, 0], abs=1e-13)
 
 
 def test_reconstruction_of_constants(unit_square):
-    ops = hl.local_operators(unit_square, 0, 0)
-    coeff = ops.recon @ np.full(4, 2.5)
+    ops = hl.local_operators(unit_square, [0], 0)
+    coeff = ops.recon[0] @ np.full(4, 2.5)
     pts = np.random.default_rng(2).uniform(0, 1, (5, 2))
-    assert ops.recon_basis.eval(pts) @ coeff == pytest.approx(np.full(5, 2.5))
+    assert poly(ops.recon_basis, coeff)(pts) == pytest.approx(np.full(5, 2.5))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -73,10 +74,9 @@ def test_polynomial_consistency_random_cells(k):
     ]
     rng = np.random.default_rng(k)
     for mesh in meshes:
-        ops = hl.local_operators(mesh, 0, k)
+        ops = hl.local_operators(mesh, [0], k)
         c = rng.standard_normal(ops.recon_basis.dim)
-        v = lambda p: ops.recon_basis.eval(p) @ c
-        got = ops.recon @ hl.interpolate(mesh, 0, k, v)
+        got = ops.recon[0] @ hl.interpolate(mesh, [0], k, poly(ops.recon_basis, c))[0]
         assert np.linalg.norm(got - c) <= 1e-10 * np.linalg.norm(c)
 
 
@@ -92,15 +92,15 @@ def test_stretched_polygons_keep_polynomial_consistency(mesh, log_stretch):
     except MeshError:
         assume(False)
     for k in range(4):
-        ops = hl.local_operators(mesh, 0, k)
+        ops = hl.local_operators(mesh, [0], k)
         c = np.random.default_rng(k).standard_normal(ops.recon_basis.dim)
-        v = lambda p: ops.recon_basis.eval(p) @ c
-        x = hl.interpolate(mesh, 0, k, v)
+        v = poly(ops.recon_basis, c)
+        (x,) = hl.interpolate(mesh, [0], k, v)
         points = pb.cell_quadratures(mesh, [0], 2 * k + 2)[0][0]
-        got = ops.recon_basis.eval(points) @ (ops.recon @ x)
+        got = poly(ops.recon_basis, ops.recon[0] @ x)(points)
         want = v(points)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), k
-        assert np.sum((ops.stab_factor @ x) ** 2) <= 1e-12 * (x @ ops.stiff @ x), k
+        assert np.sum((ops.stab_factor[0] @ x) ** 2) <= 1e-12 * (x @ ops.stiff[0] @ x), k
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -124,10 +124,10 @@ def test_a_stack_of_star_polygons_builds_each_copy_alone(polygon):
     for k in range(4):
         stack, rows = hl.local_operators(mesh, ids, k), hl.interpolate(mesh, ids, k, v)
         for b, one in enumerate(alone):
-            ops = hl.local_operators(one, 0, k)
+            ops = hl.local_operators(one, [0], k)
             for name in fields + (("cell_mass",) if k else ()):
                 assert same_bytes(getattr(stack[b], name), getattr(ops, name)), (k, b, name)
-            assert same_bytes(rows[b], hl.interpolate(one, 0, k, v)), (k, b)
+            assert same_bytes(rows[b], hl.interpolate(one, [0], k, v)[0]), (k, b)
         if k:
             # the stored cell mass is the mass of the cell basis
             points, weights = pb.cell_quadratures(mesh, ids, 2 * k)
@@ -143,14 +143,14 @@ def test_local_forms_are_symmetric_and_the_norm_gram_splits_faces(mesh):
     # so the assembled Gram keeps no face-face entry between the faces of an
     # element
     for k in range(4):
-        ops = hl.local_operators(mesh, 0, k)
+        ops = hl.local_operators(mesh, [0], k)
         nc, nf = hl.cell_block_dim(k), mesh.n_faces  # one element owns every face
         for name in ("stiff", "norm_gram"):
-            local = getattr(ops, name)
+            (local,) = getattr(ops, name)
             assert local.tobytes() == np.ascontiguousarray(local.T).tobytes(), (k, name)
         if k == 0:
             continue
-        faces = ops.norm_gram[nc:, nc:].reshape(nf, k + 1, nf, k + 1)
+        faces = ops.norm_gram[0, nc:, nc:].reshape(nf, k + 1, nf, k + 1)
         off = ~np.eye(nf, dtype=bool)
         assert (faces.transpose(0, 2, 1, 3)[off] == 0.0).all(), k
 
@@ -159,13 +159,12 @@ def test_local_forms_are_symmetric_and_the_norm_gram_splits_faces(mesh):
 def test_st2_polynomial_consistency_of_stabilization(k):
     mesh = pentagon_mesh(0.61)
     for e in range(mesh.n_elements):
-        ops = hl.local_operators(mesh, e, k)
+        ops = hl.local_operators(mesh, [e], k)
         rng = np.random.default_rng(10 * e + k)
         c = rng.standard_normal(ops.recon_basis.dim)
-        flat = hl.interpolate(mesh, e, k, lambda p: ops.recon_basis.eval(p) @ c)
-        assert np.linalg.norm(stab_gram(ops) @ flat) <= 1e-10 * np.linalg.norm(
-            stab_gram(ops), 2
-        ) * np.linalg.norm(flat)
+        (flat,) = hl.interpolate(mesh, [e], k, poly(ops.recon_basis, c))
+        (S,) = stab_gram(ops)
+        assert np.linalg.norm(S @ flat) <= 1e-10 * np.linalg.norm(S, 2) * np.linalg.norm(flat)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -174,50 +173,50 @@ def test_reconstruction_satisfies_its_variational_contract(k):
     # arbitrary (non-interpolated) local vectors against quadrature oracles
     mesh = pentagon_mesh(0.43)
     el = mesh.elements[0]
-    ops = hl.local_operators(mesh, 0, k)
+    ops = hl.local_operators(mesh, [0], k)
     rec = ops.recon_basis
-    (points,), (weights,) = pb.cell_quadratures(mesh, [0], 2 * (k + 1) + 2)
+    points, (weights,) = pb.cell_quadratures(mesh, [0], 2 * (k + 1) + 2)
     rng = np.random.default_rng(k)
     vec = rng.standard_normal(ops.n_local)
-    w = ops.recon @ vec
+    w = ops.recon[0] @ vec
     nc = hl.cell_block_dim(k)
 
     for j in range(rec.dim):
         ej = np.zeros(rec.dim)
         ej[j] = 1.0
-        gw = np.einsum("pid,i->pd", rec.grad(points), w)
-        gphi = np.einsum("pid,i->pd", rec.grad(points), ej)
+        gw = np.einsum("pid,i->pd", rec.grad(points)[0], w)
+        gphi = np.einsum("pid,i->pd", rec.grad(points)[0], ej)
         lhs = np.einsum("pd,p,pd->", gw, weights, gphi)
         rhs = 0.0
         if k >= 1:
-            lap = ref_laplacian(rec, points) @ ej
-            vT = ops.cell_basis.eval(points) @ vec[:nc]
+            lap = ref_laplacian(rec, points)[0] @ ej
+            vT = ops.cell_basis.eval(points)[0] @ vec[:nc]
             rhs -= weights @ (vT * lap)
         for i, fid in enumerate(el.face_ids):
             fp, fw = pb.face_quadratures(mesh, int(fid), 2 * k + 4)
             vF_coeffs = vec[nc + i * (k + 1):nc + (i + 1) * (k + 1)]
             vF = ref_face_basis(mesh, int(fid), k, fp) @ vF_coeffs
-            flux = rec.grad(fp) @ el.face_normals[i] @ ej
+            flux = rec.grad(fp[None])[0] @ el.face_normals[i] @ ej
             rhs += fw @ (vF * flux)
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
     # mean closure: cell mean for k >= 1, weighted face average for k = 0
-    mean_w = weights @ (rec.eval(points) @ w)
+    mean_w = weights @ (rec.eval(points)[0] @ w)
     if k >= 1:
-        expected = weights @ (ops.cell_basis.eval(points) @ vec[:nc])
+        expected = weights @ (ops.cell_basis.eval(points)[0] @ vec[:nc])
     else:
-        expected = el.area * (ops.avg_weights @ vec)
+        expected = el.area * (ops.avg_weights[0] @ vec)
     assert mean_w == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
 def test_stabilization_vanishes_on_triangles(unit_triangle):
-    S = stab_gram(hl.local_operators(unit_triangle, 0, 0))
+    (S,) = stab_gram(hl.local_operators(unit_triangle, [0], 0))
     assert np.linalg.norm(S) <= 1e-15
 
 
 def test_stabilization_rank_square(unit_square):
     # oracle: 4 face dofs, affine reconstructions form a 3-dim space
-    S = stab_gram(hl.local_operators(unit_square, 0, 0))
+    (S,) = stab_gram(hl.local_operators(unit_square, [0], 0))
     assert np.linalg.norm(S) > 1e-3
     assert np.linalg.matrix_rank(S, tol=1e-12) == 1
 
@@ -226,25 +225,23 @@ def test_stabilization_rank_square(unit_square):
 def test_stabilization_kernel_dimension(k):
     # kernel of S is exactly the interpolates of degree-(k+1) polynomials
     for mesh in (generate("cartesian", 1), pentagon_mesh(0.5)):
-        ops = hl.local_operators(mesh, 0, k)
+        ops = hl.local_operators(mesh, [0], k)
         expected = ops.n_local - ops.recon_basis.dim
-        assert np.linalg.matrix_rank(stab_gram(ops), tol=1e-10) == expected
+        assert np.linalg.matrix_rank(stab_gram(ops)[0], tol=1e-10) == expected
 
 
 def test_local_forms_kernel_and_psd(unit_square):
     for k in (0, 1, 2):
-        ops = hl.local_operators(unit_square, 0, k)
-        z = ops.constant_vector()
-        assert np.linalg.norm(ops.stiff @ z) <= 1e-12 * np.linalg.norm(ops.stiff, 2)
-        assert np.linalg.norm(ops.norm_gram @ z) <= 1e-12 * np.linalg.norm(
-            ops.norm_gram, 2
-        )
-        assert z @ ops.stiff @ z == pytest.approx(0.0, abs=1e-13)
+        ops = hl.local_operators(unit_square, [0], k)
+        (z,), (stiff,), (gram,) = ops.constant_vector(), ops.stiff, ops.norm_gram
+        assert np.linalg.norm(stiff @ z) <= 1e-12 * np.linalg.norm(stiff, 2)
+        assert np.linalg.norm(gram @ z) <= 1e-12 * np.linalg.norm(gram, 2)
+        assert z @ stiff @ z == pytest.approx(0.0, abs=1e-13)
         rng = np.random.default_rng(k)
         for _ in range(10):
             v = rng.standard_normal(ops.n_local)
-            assert v @ ops.stiff @ v >= -1e-13 * v @ v
-        assert np.abs(ops.stiff - ops.stiff.T).max() <= 1e-13 * np.abs(ops.stiff).max()
+            assert v @ stiff @ v >= -1e-13 * v @ v
+        assert np.abs(stiff - stiff.T).max() <= 1e-13 * np.abs(stiff).max()
 
 
 def test_constants_in_stiffness_kernel_with_transformed_cell_basis():
@@ -257,16 +254,16 @@ def test_constants_in_stiffness_kernel_with_transformed_cell_basis():
 
 
 def test_eta_bounds_triangle_and_sampling(unit_triangle):
-    ops = hl.local_operators(unit_triangle, 0, 0)
-    lo, hi = hl.eta_bounds(ops)
+    ops = hl.local_operators(unit_triangle, [0], 0)
+    ((lo, hi),) = hl.eta_bounds(ops)
     assert 0 < lo <= hi < np.inf
     # sampling oracle: Rayleigh quotients never escape [lo, hi]
-    z = ops.constant_vector()
+    (z,) = ops.constant_vector()
     rng = np.random.default_rng(3)
     for _ in range(200):
         v = rng.standard_normal(ops.n_local)
         v -= (v @ z) / (z @ z) * z
-        q = (v @ ops.stiff @ v) / (v @ ops.norm_gram @ v)
+        q = (v @ ops.stiff[0] @ v) / (v @ ops.norm_gram[0] @ v)
         assert lo - 1e-10 <= q <= hi + 1e-10
 
 
@@ -274,8 +271,8 @@ def test_eta_scale_invariance():
     small = PolyMesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2, 3]])
     big = PolyMesh([(3, 1), (5, 1), (5, 3), (3, 3)], [[0, 1, 2, 3]])
     for k in (0, 1, 2):
-        b1 = hl.eta_bounds(hl.local_operators(small, 0, k))
-        b2 = hl.eta_bounds(hl.local_operators(big, 0, k))
+        b1 = hl.eta_bounds(hl.local_operators(small, [0], k))
+        b2 = hl.eta_bounds(hl.local_operators(big, [0], k))
         assert b1 == pytest.approx(b2, rel=1e-10)
 
 
@@ -326,28 +323,26 @@ def test_eta_uniform_across_family():
         for n in (2, 4, 8):
             mesh = generate("cartesian", n)
             etas.append(
-                max(hl.eta_of(hl.local_operators(mesh, e, k)) for e in range(mesh.n_elements))
+                max(hl.eta_of(hl.local_operators(mesh, [e], k))[0] for e in range(mesh.n_elements))
             )
         assert max(etas) <= 2.0 * etas[0]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_elliptic_projector_identity_on_polynomials(k, unit_square):
-    ops = hl.local_operators(unit_square, 0, k)
+    ops = hl.local_operators(unit_square, [0], k)
     rng = np.random.default_rng(k + 5)
     c = rng.standard_normal(ops.recon_basis.dim)
-    got, _ = hl.elliptic_project(
-        unit_square, 0, k, lambda p: ops.recon_basis.eval(p) @ c, ops=ops
-    )
+    (got,), _ = hl.elliptic_project(unit_square, [0], k, poly(ops.recon_basis, c), ops=ops)
     assert np.linalg.norm(got - c) <= 1e-10 * np.linalg.norm(c)
 
 
 def test_elliptic_projector_mean_condition(unit_square):
     u = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     for k in (1, 2):
-        coeff, basis = hl.elliptic_project(unit_square, 0, k, u, order=12)
+        (coeff,), basis = hl.elliptic_project(unit_square, [0], k, u, order=12)
         (points,), (weights,) = pb.cell_quadratures(unit_square, [0], 12)
-        mean_proj = weights @ (basis.eval(points) @ coeff)
+        mean_proj = weights @ poly(basis, coeff)(points)
         mean_u = weights @ u(points)
         assert mean_proj == pytest.approx(mean_u, rel=1e-9)
     # a stack gives each element's projection, byte for byte
@@ -357,7 +352,8 @@ def test_elliptic_projector_mean_condition(unit_square):
         stack, basis = hl.elliptic_project(mesh, ids, k, u, order=12)
         assert stack.shape == (len(ids), basis.dim)
         for e in ids:
-            assert stack[e].tobytes() == hl.elliptic_project(mesh, e, k, u, order=12)[0].tobytes()
+            one = hl.elliptic_project(mesh, [e], k, u, order=12)[0]
+            assert stack[e].tobytes() == one[0].tobytes()
 
 
 def _two_corner_counts():
@@ -366,22 +362,42 @@ def _two_corner_counts():
     return PolyMesh(verts, [[0, 1, 4, 3], [1, 2, 5], [1, 5, 4]])
 
 
-STACK_CALLS = {
+# every public kernel that takes a stack of element ids
+ELEMENT_KERNELS = {
+    "corner_rows": lambda m, ids: m.corner_rows(ids),
+    "face_rows": lambda m, ids: m.face_rows(ids),
+    "indices": lambda m, ids: asm.build_dof_map(m, 1).indices(ids),
+    "local_flat": lambda m, ids: asm.GlobalHhoVector.zeros(asm.build_dof_map(m, 1)).local_flat(ids),
+    "cell_quadratures": lambda m, ids: pb.cell_quadratures(m, ids, 2),
+    "cell_bases": lambda m, ids: pb.cell_bases(m, ids, 1),
+    "l2_project_cell": lambda m, ids: pb.l2_project_cell(m, ids, 1, lambda p: p[:, 0]),
     "local_operators": lambda m, ids: hl.local_operators(m, ids, 1),
     "interpolate": lambda m, ids: hl.interpolate(m, ids, 1, lambda p: p[:, 0]),
-    "indices": lambda m, ids: asm.build_dof_map(m, 1).indices(ids),
-    "cell_quadratures": lambda m, ids: pb.cell_quadratures(m, ids, 2),
+    "elliptic_project": lambda m, ids: hl.elliptic_project(m, ids, 1, lambda p: p[:, 0]),
+    "cr_basis_gradients": cl.cr_basis_gradients,
 }
 
 
-@pytest.mark.parametrize("call", list(STACK_CALLS))
+@pytest.mark.parametrize("call", list(ELEMENT_KERNELS))
+@pytest.mark.parametrize("ids, shape", [(3, "()"), (np.int64(3), "()"),
+                                        ([[0, 1], [2, 3]], "(2, 2)")],
+                         ids=["int", "numpy int", "2-D"])
+def test_a_kernel_refuses_ids_that_are_no_stack(call, ids, shape):
+    # one element is the stack [e]: a scalar id or a 2-D array is no stack
+    with pytest.raises(MeshError) as exc:
+        ELEMENT_KERNELS[call](generate("cartesian", 2), ids)
+    assert str(exc.value) == f"element ids must be a 1-D stack, got shape {shape}"
+
+
+@pytest.mark.parametrize("call", ["local_operators", "interpolate", "indices", "cell_quadratures",
+                                  "cell_bases", "l2_project_cell"])
 @pytest.mark.parametrize("stack", ["mixed", "mixed reversed", "past the end", "negative",
                                    "empty", "fraction", "float", "bool"])
 def test_a_bad_stack_names_its_first_bad_element(call, stack):
-    # cell_quadratures reads the corners only: there elements 0 and 1 have
-    # 4 and 3 corners; in nonconforming_mesh(4) elements 0 and 4 have 4 and
-    # 6 faces
-    if call == "cell_quadratures":
+    # the cell rules and bases read the corners only: there elements 0 and 1
+    # have 4 and 3 corners; in nonconforming_mesh(4) elements 0 and 4 have 4
+    # and 6 faces
+    if call in ("cell_quadratures", "cell_bases", "l2_project_cell"):
         mesh, other = _two_corner_counts(), 1
     else:
         mesh, other = nonconforming_mesh(4), 4
@@ -398,7 +414,7 @@ def test_a_bad_stack_names_its_first_bad_element(call, stack):
     }[stack]
     message = "^empty element stack$" if culprit is None else rf"^element {culprit} "
     with pytest.raises(MeshError, match=message):
-        STACK_CALLS[call](mesh, ids)
+        ELEMENT_KERNELS[call](mesh, ids)
 
 
 def _eta_elements():
@@ -438,35 +454,35 @@ def test_eta_does_not_grow_with_small_or_many_faces(name):
 
 def test_gradient_identity_lowest_order(unit_square):
     # reconstruction of the interpolate of an affine function keeps its slope
-    ops = hl.local_operators(unit_square, 0, 0)
+    ops = hl.local_operators(unit_square, [0], 0)
     v = lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1] + 0.25
-    coeff = ops.recon @ hl.interpolate(unit_square, 0, 0, v)
+    coeff = ops.recon[0] @ hl.interpolate(unit_square, [0], 0, v)[0]
     pts = np.random.default_rng(8).uniform(0, 1, (6, 2))
-    grads = np.einsum("pid,i->pd", ops.recon_basis.grad(pts), coeff)
+    grads = np.einsum("pid,i->pd", ops.recon_basis.grad(pts[None])[0], coeff)
     assert grads == pytest.approx(np.tile([2.0, -3.0], (6, 1)), abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_t1_orthogonality(k, unit_square):
     # gradient of (u - elliptic projection) is orthogonal to cell gradients
-    ops = hl.local_operators(unit_square, 0, k)
+    ops = hl.local_operators(unit_square, [0], k)
     rich = pb.cell_bases(unit_square, [0], k + 3)[0]
     rng = np.random.default_rng(k)
     cu = rng.standard_normal(rich.dim)
-    u = lambda p: rich.eval(p) @ cu
-    proj, basis = hl.elliptic_project(unit_square, 0, k, u, ops=ops, order=2 * k + 8)
-    (points,), (weights,) = pb.cell_quadratures(unit_square, [0], 2 * k + 8)
-    gu = np.einsum("pid,i->pd", rich.grad(points), cu)
-    gp = np.einsum("pid,i->pd", basis.grad(points), proj)
+    (proj,), basis = hl.elliptic_project(unit_square, [0], k, poly(rich, cu), ops=ops,
+                                         order=2 * k + 8)
+    points, (weights,) = pb.cell_quadratures(unit_square, [0], 2 * k + 8)
+    gu = np.einsum("pid,i->pd", rich.grad(points)[0], cu)
+    gp = np.einsum("pid,i->pd", basis.grad(points)[0], proj)
     cell = pb.cell_bases(unit_square, [0], k - 1)[0]
-    gtest = cell.grad(points)
+    gtest = cell.grad(points)[0]
     resid = np.einsum("pd,p,pid->i", gu - gp, weights, gtest)
     scale = np.sqrt(np.einsum("pd,p,pd->", gu, weights, gu))
     assert np.abs(resid).max() <= 1e-12 * max(scale, 1.0)
 
 
 def test_eta_bounds_reports_broken_pencils(unit_square):
-    ops = hl.local_operators(unit_square, 0, 1)
+    ops = hl.local_operators(unit_square, [0], 1)
     # constants leave the kernel
     broken = dataclasses.replace(ops, stiff=ops.stiff + np.eye(ops.n_local))
     with pytest.raises(hl.CoercivityViolationError):
@@ -514,7 +530,8 @@ def ref_condense_expand(system, ops, table, face_solution):
     blocks, recovery = [], []
     rhs = np.zeros(nf_dofs)
     for op, idx in zip(ops, table):
-        Acc, Acf, Aff = op.stiff[:nc, :nc], op.stiff[:nc, nc:], op.stiff[nc:, nc:]
+        (stiff,) = op.stiff
+        Acc, Acf, Aff = stiff[:nc, :nc], stiff[:nc, nc:], stiff[nc:, nc:]
         inv_L = pb._tri_inv(np.linalg.cholesky(Acc))
         W = inv_L @ Acf
         g = inv_L @ system.rhs[idx[:nc]]
@@ -527,7 +544,7 @@ def ref_condense_expand(system, ops, table, face_solution):
     vec = asm.GlobalHhoVector.zeros(system.dofmap)
     vec.data[:nf_dofs] = face_solution
     for e, (idx, (inv_L, W, g)) in enumerate(zip(table, recovery)):
-        xf = vec.local_flat(e)[nc:]
+        xf = vec.local_flat([e])[0, nc:]
         vec.data[idx[:nc]] = inv_L.T @ (g - W @ xf)
     return ref_scatter_blocks(blocks, nf_dofs), rhs, vec.data
 
@@ -535,15 +552,15 @@ def ref_condense_expand(system, ops, table, face_solution):
 def ref_energy_error(ops, solution, interp):
     err2 = 0.0
     for op, iu in zip(ops, interp):
-        e = iu - solution.local_flat(op.elem_id)
-        err2 += e @ op.norm_gram @ e
+        e = iu - solution.local_flat(op.elem_id)[0]
+        err2 += e @ op.norm_gram[0] @ e
     return float(np.sqrt(max(err2, 0.0)))
 
 
 def ref_stab_energy(ops, interp):
     total = 0.0
     for op, iu in zip(ops, interp):
-        r = op.stab_factor @ iu
+        r = op.stab_factor[0] @ iu
         total += r @ r
     return float(np.sqrt(total))
 
@@ -679,8 +696,8 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
         shared |= any(op.classes is not None for op in batched)
         views = per_element(mesh, batched)
         for e, op in enumerate(views):
-            ref = hl.local_operators(mesh, e, k)
-            assert op.elem_id == e
+            ref = hl.local_operators(mesh, [e], k)
+            assert op.elem_id.tolist() == [e]
             for name in fields:
                 assert same_bytes(get(op, name), get(ref, name)), (e, name)
         els = mesh.elements
@@ -692,24 +709,24 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
             face_ids = els.face_ids[mesh.face_rows(ids)]
             stacks = (
                 (hl.interpolate(mesh, ids, k, u),
-                 [hl.interpolate(mesh, e, k, u) for e in ids]),
+                 [hl.interpolate(mesh, [e], k, u)[0] for e in ids]),
                 (pb.l2_project_cell(mesh, ids, k, u),
-                 [pb.l2_project_cell(mesh, e, k, u) for e in ids]),
+                 [pb.l2_project_cell(mesh, [e], k, u)[0] for e in ids]),
                 (pb.l2_project_face(mesh, face_ids, k, u),
                  [[pb.l2_project_face(mesh, f, k, u) for f in row] for row in face_ids]),
             )
             for got, want in stacks:
                 assert close(got, np.array(want)), ids
-            eta = [hl.eta_bounds(hl.local_operators(mesh, e, k)) for e in ids]
+            eta = [hl.eta_bounds(hl.local_operators(mesh, [e], k))[0] for e in ids]
             assert same_bytes(hl.eta_bounds(stack), np.array(eta)), ids
 
         # the stack-by-stack system against the per-element references
         system = asm.assemble(mesh, k, f, ops=batched)
         dm = system.dofmap
-        table = [dm.indices(e) for e in range(mesh.n_elements)]
+        table = [dm.indices([e])[0] for e in range(mesh.n_elements)]
         gram = asm.NormGram(system)
         for matrix, name in ((system.matrix, "stiff"), (gram.matrix, "norm_gram")):
-            locals_ = [getattr(op, name) for op in views]
+            locals_ = [getattr(op, name)[0] for op in views]
             assert same_bytes(matrix, ref_scatter_blocks(zip(table, locals_), dm.total))
             # dropping zeros drops no nonzero value
             kept = ref_scatter_blocks(zip(table, locals_), dm.total, drop_zeros=False)
@@ -717,7 +734,7 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
         rhs = asm.GlobalHhoVector.zeros(dm)
         loads = [asm._local_loads(mesh, k, f, op) for op in batched]
         for e, load in enumerate(per_element(mesh, loads)):
-            rhs.scatter_add(e, load)
+            rhs.scatter_add([e], load[None])
         assert same_bytes(system.rhs, rhs.data)
         interp = vf.local_interpolates(mesh, k, u)
         rows = per_element(mesh, interp)
@@ -760,7 +777,7 @@ def test_equal_elements_are_built_once(monkeypatch):
     assert built == len(np.unique(stack.classes)) < mesh.n_elements // 16
     # a member of a class reads its own centroid, and a sub-stack has no map
     view = stack[5]
-    assert same_bytes(view.cell_basis.center, mesh.elements.centroid[5])
+    assert same_bytes(view.cell_basis.center, mesh.elements.centroid[[5]])
     assert stack[2:9].classes is None and view.classes is None
 
 

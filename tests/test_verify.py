@@ -178,13 +178,13 @@ def test_cr_stability_bound_via_measured_poincare(n):
     vals = cr.solve()
     energy = 0.0
     for el in mesh.elements:
-        grads = cl.cr_basis_gradients(mesh, el.id)
+        (grads,) = cl.cr_basis_gradients(mesh, [el.id])
         gh = vals[el.face_ids] @ grads
         energy += el.area * (gh @ gh)
     energy = np.sqrt(energy)
     system = asm.assemble(mesh, 0, case.f)
     cp, _ = vf.poincare_constant(system)
-    f_l2 = vf.source_l2_norm(mesh, 0, case)
+    f_l2 = vf.l2_norms(system, asm.solve(system)[0], case)[1]
     assert energy <= cp * f_l2 * (1 + 1e-10)
 
 
@@ -249,10 +249,10 @@ def test_reconstructed_solution_converges_to_exact():
         solution, _ = asm.solve(system)
         err2 = 0.0
         for el, op in element_views(mesh, system.ops):
-            coeff = op.recon @ solution.local_flat(el.id)
-            (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 8)
-            gh = np.einsum("pid,i->pd", op.recon_basis.grad(points), coeff)
-            diff = case.grad(points) - gh
+            coeff = op.recon[0] @ solution.local_flat([el.id])[0]
+            points, (weights,) = pb.cell_quadratures(mesh, [el.id], 8)
+            gh = np.einsum("pid,i->pd", op.recon_basis.grad(points)[0], coeff)
+            diff = case.grad(points[0]) - gh
             err2 += np.einsum("pd,p,pd->", diff, weights, diff)
         errs.append(np.sqrt(err2))
         hs.append(mesh.h)
