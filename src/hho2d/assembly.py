@@ -238,8 +238,11 @@ class SolveInfo:
 
 
 def _solve_info(method, A, x, b, iterations=0):
+    A = A.tocsr()
     r = b - A @ x
-    scale = spla.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+    # |A|_inf by rows: reduceat misreads an empty row, which SPD matrices lack
+    norm_A = np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max()
+    scale = norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
     return SolveInfo(
         method=method,
         residual=float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300)),
@@ -250,8 +253,12 @@ def _solve_info(method, A, x, b, iterations=0):
 
 def _factor(A):
     """Sparse LU of an SPD matrix, minimum degree on A^T + A with diagonal
-    pivots: SuperLU's default COLAMD ignores symmetry and fills 3-15x more."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    pivots: SuperLU's default COLAMD ignores symmetry and fills 3-15x more.
+    The CSR arrays of A are read as CSC (A^T) with no copy, so A must be
+    symmetric byte for byte: A, N and S scatter ``_sym``'d blocks, a global
+    entry summing at most two, and so does ``classics.cr_assemble``."""
+    return spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
 
 
@@ -297,10 +304,12 @@ def residual(A, x, b):
     Near a solution the residual is far smaller than ``b``, so a double
     precision product would return mostly roundoff.  ``np.longdouble`` is
     the 80-bit format on x86-64 Linux; where it is plain double this is an
-    ordinary residual.
+    ordinary residual.  Only the values of A are converted, not its indices.
     """
     ext = np.longdouble
-    return np.asarray(b.astype(ext) - A.astype(ext) @ x.astype(ext), dtype=float)
+    A = A.tocsr()
+    A_ext = sp.csr_matrix((A.data.astype(ext), A.indices, A.indptr), shape=A.shape)
+    return np.asarray(b.astype(ext) - A_ext @ x.astype(ext), dtype=float)
 
 
 def _cg_solve(A, b):
@@ -375,7 +384,7 @@ def static_condense(system):
         Wt = np.swapaxes(W, 1, 2)
         face_idx = idx[:, nc:]
         keep = face_idx >= 0
-        blocks.append((face_idx, op.stiff[:, nc:, nc:] - Wt @ W))
+        blocks.append((face_idx, hl._sym(op.stiff[:, nc:, nc:] - Wt @ W)))
         np.add.at(rhs, face_idx[keep], -(Wt @ g)[..., 0][keep])
         recovery.append((op.elem_id, inv_L, W, g))
     rhs += system.rhs[:nf_dofs]  # face loads (zero for this scheme's RHS)

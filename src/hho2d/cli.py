@@ -22,9 +22,9 @@ import numpy as np
 from hho2d import assembly as asm
 from hho2d import classics as cl
 from hho2d import hho_local as hl
+from hho2d import polybasis as pb
 from hho2d import verify as vf
 from hho2d.mesh import MeshError, load_mesh
-from hho2d.polybasis import BasisError
 
 
 class ConfigError(Exception):
@@ -176,7 +176,7 @@ def main(argv=None):
         asm.SolverError,
         asm.AssemblyError,
         hl.HhoError,
-        BasisError,
+        pb.BasisError,
         vf.PowerIterationError,
         np.linalg.LinAlgError,
     ) as exc:
@@ -260,7 +260,8 @@ def run_check(config):
         return out
 
     worst = 0.0
-    for s, c, vec in draw():
+    polynomials = draw()
+    for s, c, vec in polynomials:
         got = (s.recon @ vec[..., None])[..., 0]
         defect = np.linalg.norm(got - c, axis=1) / np.linalg.norm(c, axis=1)
         worst = max(worst, defect.max())
@@ -275,6 +276,20 @@ def run_check(config):
         defect = np.linalg.norm((S @ vec[..., None])[..., 0], axis=1) / denom
         worst = max(worst, defect.max())
     report("stabilization-consistency", worst <= 1e-10, f"max scaled defect {worst:.2e}")
+
+    # the assembled form on v = I_T p: S v = 0 and P v = c, so stiff v = P^T G c,
+    # G the gradient Gram of the reconstruction basis, formed on the cell
+    # rule and not from the build's moments.  It reuses the first line's
+    # polynomials, so the later lines keep their draws
+    worst = 0.0
+    for s, c, vec in polynomials:
+        points, weights = pb.cell_quadratures(mesh, s.elem_id, 2 * k)
+        grads = s.recon_basis.grad(points)
+        G = sum(hl._wgram(grads[..., d], weights, grads[..., d]) for d in range(2))
+        defect = (s.stiff @ vec[..., None] - hl._mT(s.recon) @ G @ c[..., None])[..., 0]
+        denom = np.linalg.norm(s.stiff, 2, axis=(1, 2)) * np.linalg.norm(vec, axis=1) + 1e-300
+        worst = max(worst, (np.linalg.norm(defect, axis=1) / denom).max())
+    report("stiffness-consistency", worst <= 1e-10, f"max scaled defect {worst:.2e}")
 
     try:
         report("coercivity-bounds", True, f"max eta {vf.mesh_eta(ops):.3f}")

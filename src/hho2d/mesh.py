@@ -40,8 +40,8 @@ to hanging vertices, look for hanging vertices among their own ends, in
 a uniform bucket grid where only the vertices inside the side's slightly
 widened bounding box get the exact on-segment test.  One pass checks,
 orients and measures the loops of each group with one corner count.
-Each stack's corner and face rows are kept, read-only, at construction
-(``mesh.corner_rows``, ``mesh.face_rows``).
+Each stack's corner rows, face rows and centroid fan are kept, read-only,
+at construction (``mesh.corner_rows``, ``mesh.face_rows``, ``_fan``).
 """
 
 from __future__ import annotations
@@ -195,6 +195,16 @@ def _rows(ptr, ids):
     return start[:, None] + np.arange(count[0])
 
 
+def _fan(mesh, ids):
+    """Read-only centroid fan of the stack ``ids``: centroids c (B, 2), corner
+    offsets a = x_i - c and b = x_(i+1) - c (B, p, 2), signed a x b (B, p)."""
+    corners = mesh.vertices[mesh.elements.corners[mesh.corner_rows(ids)]]
+    c = mesh.elements.centroid[ids]
+    a = corners - c[:, None]
+    b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
+    return tuple(map(_frozen, (c, a, b, a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])))
+
+
 def _ids(ids, n, what="element"):
     """``ids`` as an integer array of ids in [0, n); ``MeshError`` names the
     first bad one (a dtype that is not integer, bool included, makes all bad)."""
@@ -263,9 +273,10 @@ class PolyMesh:
         self._interior = _frozen(np.flatnonzero(~boundary))
         self._boundary = _frozen(np.flatnonzero(boundary))
         self.batches = _batches(self.elements)
-        # (stack, corner rows, face rows) of every stack, read-only
+        # (stack, corner rows, face rows, fan) of every stack, read-only
         self._stacks = tuple((s, _frozen(_rows(self.elements.corner_ptr, s)),
                               _frozen(_rows(self.elements.face_ptr, s))) for s in self.batches)
+        self._stacks = tuple(row + (_fan(self, row[0]),) for row in self._stacks)
 
     # -- basic queries ----------------------------------------------------
 

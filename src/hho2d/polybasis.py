@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from hho2d.mesh import _ids, _index, _stacked_lapack
+from hho2d.mesh import _fan, _ids, _index, _stacked_lapack, _stored
 
 # degree at which cell bases switch to the orthonormalized form
 ORTHONORMALIZE_FROM = 4
@@ -91,15 +91,12 @@ def cell_quadratures(mesh, elem_ids, order):
     """Stacked rules on elements that share a corner count.
 
     Returns points (B, p*m, 2) and weights (B, p*m): the reference rule of
-    ``order`` mapped onto each of the p centroid triangles, in corner order.
+    ``order`` mapped onto each of the p centroid triangles, in corner order,
+    with signed weights.  A stack of ``mesh.batches`` maps the fan the mesh
+    keeps; any other stack takes the checked path (``mesh._fan``).
     """
     order = _nonnegative(order, "quadrature order")
-    els = mesh.elements
-    corners = mesh.vertices[els.corners[mesh.corner_rows(elem_ids)]]
-    c = els.centroid[elem_ids]
-    a = corners - c[:, None]                        # (B, p, 2)
-    b = a[:, (np.arange(a.shape[1]) + 1) % a.shape[1]]
-    det = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    c, a, b, det = _stored(mesh._stacks, elem_ids, 3, _fan, mesh)
     ref_pts, ref_w = _triangle_rule(order)
     # one pass per coordinate over (B, p, m) planes
     points = np.empty(det.shape + ref_w.shape + (2,))

@@ -238,14 +238,18 @@ POWER_TOL, POWER_MAXITER = 1e-10, 5000  # power iteration stopping rule
 
 
 def poincare_constant(system, norm_gram=None):
-    """Largest ratio |cell value|_L2 / energy norm, by power iteration."""
+    """Largest ratio |cell value|_L2 / energy norm by power iteration on
+    N^-1 M, and its iteration count.  It starts on the interpolate x0 of 1
+    (boundary faces zero), whose weight on the top eigenvector v1 is
+    v1^T N x0 = (M v1)^T x0 / lam1, a positively weighted integral of v1's
+    cell value (x0's is 1 at k >= 1, a face average of ones and zeros at
+    k = 0): nonzero when v1 has one sign.  One product with M per iterate."""
     if system.dofmap.total == 0:
         raise asm.AssemblyError("empty system has no Poincare constant")
     if norm_gram is None:
         norm_gram = asm.NormGram(system)
     M = l2_mass_matrix(system)
-    rng = np.random.default_rng(2718)
-    x = rng.standard_normal(system.dofmap.total)
+    x = interpolate_global(system, [op.constant_vector() for op in system.ops]).data
     Mx = M @ x
     lam = 0.0
     for it in range(1, POWER_MAXITER + 1):
@@ -254,10 +258,9 @@ def poincare_constant(system, norm_gram=None):
         if ny == 0.0:
             raise PowerIterationError("mass matrix annihilated the iterate")
         x = y / ny
+        den = (x @ Mx) / ny  # x^T N x, since N x = M x_prev / |y|
         Mx = M @ x  # this iterate's Rayleigh numerator and the next solve's input
-        num = x @ Mx
-        den = x @ (norm_gram.matrix @ x)
-        lam_new = num / den
+        lam_new = (x @ Mx) / den
         if it > 1 and abs(lam_new - lam) <= POWER_TOL * abs(lam_new):
             return float(np.sqrt(lam_new)), it
         lam = lam_new

@@ -183,6 +183,41 @@ def test_factor_uses_a_symmetric_ordering():
     assert ours.L.nnz + ours.U.nnz < default.L.nnz + default.U.nnz
 
 
+FAMILY_TAGS = ("cartesian", "triangular", "nonconforming", "agglomerated", "rectangles")
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_every_factored_matrix_is_bitwise_symmetric(monkeypatch, tag, n):
+    # _factor hands the CSR arrays to SuperLU as CSC, which is the transpose:
+    # every matrix it receives must equal its transpose byte for byte
+    factored = []
+    factor = asm._factor
+
+    def spy(A):
+        factored.append(A)
+        return factor(A)
+
+    monkeypatch.setattr(asm, "_factor", spy)
+    monkeypatch.setattr(cl, "_factor", spy)
+    mesh = build_family(tag, [n]).meshes[0]
+    for k in range(4):
+        system = asm.assemble(mesh, k, SINE.f)
+        asm.solve(system)
+        asm.NormGram(system)
+        if k >= 1:
+            asm.solve_condensed(asm.static_condense(system))
+    if tag == "triangular":
+        cl.cr_assemble(mesh, SINE.f).solve()
+    assert len(factored) == 2 + 3 * 3 + (tag == "triangular")
+    for A in factored:
+        T = A.T.tocsr()
+        T.sort_indices()
+        assert A.format == "csr"
+        assert np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+        assert np.array_equal(A.data.view(np.uint64), T.data.view(np.uint64))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_norm_gram_stores_no_zero_and_fills_half_the_stiffness(k):
     # at k >= 1 each element's Gram couples a face with itself and the cell

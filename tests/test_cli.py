@@ -279,6 +279,30 @@ def test_check_sees_a_stabilization_outside_the_kernel(monkeypatch, capsys, k):
     assert "PASS polynomial-consistency" in out
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("spec", ["cartesian:4", "nonconf:8"])
+def test_check_sees_an_inconsistent_stiffness(monkeypatch, capsys, spec, k):
+    # negative control: A = P^T G P + N, the energy-norm Gram in place of
+    # S = R^T R; the stabilization-consistency line reads R, which is intact
+    assert cli.main(["check", "--mesh", spec, "--k", str(k)]) == 0
+    assert "PASS stiffness-consistency" in capsys.readouterr().out
+    build = cli.asm.build_local_operators
+
+    def mutant(mesh, k):
+        ops = build(mesh, k)
+        for s in ops:
+            R = s.stab_factor
+            s.stiff = cli.hl._sym(s.stiff - cli.hl._mT(R) @ R + s.norm_gram)
+        return ops
+
+    monkeypatch.setattr(cli.asm, "build_local_operators", mutant)
+    code = cli.main(["check", "--mesh", spec, "--k", str(k)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL stiffness-consistency" in out
+    assert "PASS stabilization-consistency" in out and "PASS polynomial-consistency" in out
+
+
 def test_study_command_writes_outputs(tmp_path, capsys):
     out_csv = tmp_path / "report.csv"
     code = cli.main(

@@ -9,7 +9,7 @@ from test_acceptance import poly, random_polygon_corpus
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d.mesh import MeshError, PolyMesh, generate, refine_nonconforming
-from hho2d.verify import nonconforming_mesh
+from hho2d.verify import build_family, nonconforming_mesh
 
 
 @pytest.fixture
@@ -76,6 +76,38 @@ def test_cell_quadrature_exactness(order):
 
     assert weights @ poly(points) == pytest.approx(dense_weights @ poly(dense_points), rel=1e-13)
     assert (weights > 0).all()
+
+
+def abs_fan_weights(mesh, ids, order):
+    """Fan rule weights (B, p*m) from unsigned fan determinants."""
+    corners = mesh.vertices[mesh.elements.corners[mesh.corner_rows(ids)]]
+    a = corners - mesh.elements.centroid[ids][:, None]
+    b = np.roll(a, -1, axis=1)
+    det = np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    return (pb._triangle_rule(order)[1] * det[..., None]).reshape(len(ids), -1)
+
+
+@pytest.mark.parametrize("tag", ["cartesian", "triangular", "nonconforming", "agglomerated",
+                                 "rectangles"])
+def test_stored_fans_give_the_checked_rules(tag):
+    # a stack of mesh.batches maps the fan the mesh keeps; a copy, a slice
+    # or a list of it builds the fan on the checked path, to the same bytes
+    mesh = build_family(tag, [8]).meshes[0]
+    for ids in mesh.batches:
+        area = mesh.elements.area[ids]
+        for order in (0, 4, 6, 8, 10, 12):
+            points, weights = pb.cell_quadratures(mesh, ids, order)
+            for other in (ids.copy(), ids[:], list(ids)):
+                got = pb.cell_quadratures(mesh, other, order)
+                assert got[0].tobytes() == points.tobytes()
+                assert got[1].tobytes() == weights.tobytes()
+            # the signed determinants of every accepted element are positive
+            assert weights.tobytes() == abs_fan_weights(mesh, ids, order).tobytes()
+            assert (np.abs(weights.sum(axis=1) - area) <= 1e-13 * area).all()
+        bad = ids.copy()
+        bad[-1] = mesh.n_elements
+        with pytest.raises(MeshError, match=f"^element {mesh.n_elements} out of range$"):
+            pb.cell_quadratures(mesh, bad, 2)
 
 
 def test_split_side_does_not_change_cell_integral():

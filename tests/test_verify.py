@@ -141,10 +141,28 @@ def test_poincare_constant_of_an_empty_system():
         vf.poincare_constant(system)
 
 
-def test_poincare_constant_identity_oracle():
+def l_shaped_mesh():
+    """cartesian:4 without its top-right quadrant: 12 squares."""
+    xy = np.linspace(0.0, 1.0, 5)
+    vertices = [(x, y) for y in xy for x in xy]
+    loops = [[5 * j + i, 5 * j + i + 1, 5 * (j + 1) + i + 1, 5 * (j + 1) + i]
+             for j in range(4) for i in range(4) if i < 2 or j < 2]
+    return hm.PolyMesh(vertices, loops)
+
+
+ORACLE_MESHES = {
+    **{tag: lambda tag=tag: vf.build_family(tag, [4]).meshes[0]
+       for tag in ("cartesian", "triangular", "nonconforming", "agglomerated", "rectangles")},
+    "lshape": l_shaped_mesh,
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(ORACLE_MESHES))
+def test_poincare_constant_identity_oracle(name, k):
     # brute-force oracle on a small mesh: dense generalized eigenproblem
-    mesh = generate("cartesian", 3)
-    system = asm.assemble(mesh, 1, vf.CASES["sine"].f)
+    mesh = ORACLE_MESHES[name]()
+    system = asm.assemble(mesh, k, vf.CASES["sine"].f)
     gram = asm.NormGram(system)
     cp, iters = vf.poincare_constant(system, norm_gram=gram)
     import scipy.linalg
