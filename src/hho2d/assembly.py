@@ -6,10 +6,10 @@ trailing-block Schur complement.  Boundary faces are eliminated (rows and
 columns dropped), which keeps the assembled matrix symmetric positive
 definite.
 
-Element data stays in the stacks of ``mesh.batches`` (elements with equal
-corner and face counts) from the local operators to the solution: the dof
-map gives one (B, n_local) index array per stack, and the scatter, the
-static condensation and its recovery run stack by stack.  A global entry
+Element data stays in the stacks of ``mesh.stacks(k)`` (elements with
+equal corner and face counts) from the local operators to the solution:
+the dof map gives one (B, n_local) index array per stack, and the scatter,
+the static condensation and its recovery run stack by stack.  A global entry
 sums the contributions of at most the two elements next to a face, so
 the assembled bytes do not depend on the order of the stacks.
 
@@ -53,7 +53,7 @@ class DofMap:
     every local dof (cell block, then one block per face in loop order), -1
     where the dof is eliminated; element e's run is
     ``index[ptr[e]:ptr[e + 1]]``, the CSR form of ``ElementTable``.
-    ``stacks`` pairs each stack of ``mesh.batches`` with its read-only
+    ``stacks`` pairs each stack of ``mesh.stacks(k)`` with its read-only
     (B, n_local) indices, as the mesh keeps its stack rows.
     """
 
@@ -90,7 +90,7 @@ def build_dof_map(mesh, k):
     # each element's cell block goes in front of its face blocks
     index = np.insert(faces.ravel(), np.repeat(els.face_ptr[:-1] * (k + 1), nc), cells)
     ptr = els.face_ptr * (k + 1) + nc * np.arange(mesh.n_elements + 1)
-    stacks = tuple((s, _frozen(index[_rows(ptr, s)])) for s in mesh.batches)
+    stacks = tuple((s, _frozen(index[_rows(ptr, s)])) for s in mesh.stacks(k))
     return DofMap(k=k, n_face_dofs=n_face_dofs, total=n_face_dofs + nc * mesh.n_elements,
                   ptr=_frozen(ptr), index=_frozen(index), stacks=stacks)
 
@@ -123,8 +123,8 @@ class GlobalHhoVector:
 
 
 def build_local_operators(mesh, k):
-    """One ``LocalOperators`` stack per batch of ``mesh.batches``, in order."""
-    return [hl.local_operators(mesh, ids, k) for ids in mesh.batches]
+    """One ``LocalOperators`` stack per stack of ``mesh.stacks(k)``, in order."""
+    return [hl.local_operators(mesh, ids, k) for ids in mesh.stacks(hl._degree(k))]
 
 
 @dataclass

@@ -7,7 +7,7 @@ Everything is array code over the mesh tables.  On a conforming
 triangulation every element has three corners and three faces, face i
 running from corner i to corner i + 1, so the face rows reshape to
 (n_elements, 3).  Cell integrals use the stacked fan quadrature over
-``mesh.batches``, face integrals the stacked Gauss rules.  Fluxes are
+``mesh.stacks(0)``, face integrals the stacked Gauss rules.  Fluxes are
 exchanged as one array per element, in face-loop order.  Nothing here
 uses ``hho_local``: the Crouzeix-Raviart matrix is an independent check
 of the k = 0 HHO assembly.
@@ -79,7 +79,7 @@ def cr_assemble(mesh, f):
 
     loads = np.empty((mesh.n_elements, 3))
     mids = mesh.faces.midpoint[fids]
-    for ids in mesh.batches:
+    for ids in mesh.stacks(0):
         points, weights = pb.cell_quadratures(mesh, ids, 6)
         fw = weights * f(points.reshape(-1, 2)).reshape(weights.shape)
         # basis value at x: 1 - 2*hat_opp(x) = affine through the gradients
@@ -97,7 +97,7 @@ def cr_energy_error(mesh, face_values, grad_u):
     grads = cr_basis_gradients(mesh, np.arange(mesh.n_elements))
     gh = np.einsum("ei,eid->ed", face_values[fids], grads)
     total = 0.0
-    for ids in mesh.batches:
+    for ids in mesh.stacks(0):
         points, weights = pb.cell_quadratures(mesh, ids, 8)
         diff = grad_u(points.reshape(-1, 2)).reshape(points.shape) - gh[ids][:, None]
         total += np.einsum("bpd,bp,bpd->", diff, weights, diff)

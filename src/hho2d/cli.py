@@ -24,7 +24,7 @@ from hho2d import classics as cl
 from hho2d import hho_local as hl
 from hho2d import polybasis as pb
 from hho2d import verify as vf
-from hho2d.mesh import MeshError, load_mesh
+from hho2d.mesh import MeshError, PolyMesh, load_mesh
 
 
 class ConfigError(Exception):
@@ -291,10 +291,20 @@ def run_check(config):
         worst = max(worst, (np.linalg.norm(defect, axis=1) / denom).max())
     report("stiffness-consistency", worst <= 1e-10, f"max scaled defect {worst:.2e}")
 
+    eta = None
     try:
-        report("coercivity-bounds", True, f"max eta {vf.mesh_eta(ops):.3f}")
+        eta = vf.mesh_eta(ops)
+        report("coercivity-bounds", True, f"max eta {eta:.3f}")
+        # a bounded S keeps eta independent of the element size: the mesh
+        # scaled by 1e-3 about its first vertex has the same eta
+        v0, els = mesh.vertices[0], mesh.elements
+        small = PolyMesh._from_corners(v0 + 1e-3 * (mesh.vertices - v0), els.corner_ptr,
+                                       els.corners.copy())
+        scaled = [hl.local_operators(small, ids, k) for ids in small.stacks(k)]
+        gap = abs(vf.mesh_eta(scaled) / eta - 1.0)
+        report("scale-invariance", gap <= 1e-10, f"relative eta gap {gap:.2e} at scale 1e-3")
     except hl.CoercivityViolationError as exc:
-        report("coercivity-bounds", False, str(exc))
+        report("coercivity-bounds" if eta is None else "scale-invariance", False, str(exc))
 
     case = vf.CASES[config.case]
     fluxes = cl.gradient_fluxes(mesh, case.grad)

@@ -27,12 +27,12 @@ Cell unknowns are absent for k = 0; where a cell value is needed it is
 recovered on the fly as the distance-weighted face average.  A local
 vector is flat: the cell block, then one block per face in loop order.
 ``local_operators``, ``interpolate`` and ``eta_bounds`` work on a stack of
-elements with equal corner and face counts at once (a batch of
-``mesh.batches``, at most ``mesh.STACK_FACES`` faces), and keep the leading
-batch axis in what they return: one ``LocalOperators`` and one
-(B, n_local) array per stack; one element is the stack ``[e]``.  The bytes
-of an element's operators do not depend on where its group is cut.  A
-stack that is not a 1-D array of element ids raises ``MeshError``.  A
+elements with equal corner and face counts at once (a stack of
+``mesh.stacks(k)``, at most ``mesh.STACK_FACE_DOFS`` face unknowns), and
+keep the leading batch axis in what they return: one ``LocalOperators``
+and one (B, n_local) array per stack; one element is the stack ``[e]``.
+The bytes of an element's operators do not depend on where its group is
+cut.  A stack that is not a 1-D array of element ids raises ``MeshError``.  A
 failing stack raises the typed error of its first failing check,
 in code order, naming the first element of the stack that fails it; that
 element fails alone with the same text.

@@ -31,17 +31,17 @@ A mesh is stored as read-only arrays.  ``mesh.faces`` (a ``FaceTable``)
 has one row per face id; ``mesh.elements`` (an ``ElementTable``) has one
 row per element, with the corner loops and the face loops in CSR form.
 Indexing or iterating the element table gives read-only ``Element``
-views of single rows.  ``mesh.batches`` lists the element ids in the
-stacks that every element kernel runs on: equal corner and face counts,
-at most ``STACK_FACES`` faces each.  Construction costs time linear in
-the mesh size.  A side that another element repeats in reverse (its
-twin) is a face as it stands.  The other sides, on the boundary and next
-to hanging vertices, look for hanging vertices among their own ends, in
-a uniform bucket grid where only the vertices inside the side's slightly
-widened bounding box get the exact on-segment test.  One pass checks,
-orients and measures the loops of each group with one corner count.
-Each stack's corner rows, face rows and centroid fan are kept, read-only,
-at construction (``mesh.corner_rows``, ``mesh.face_rows``, ``_fan``).
+views of single rows.  ``mesh.stacks(k)`` lists the element ids in the
+stacks that every element kernel runs on at degree k: equal corner and
+face counts, at most ``STACK_FACE_DOFS`` face unknowns each.  Construction
+costs time linear in the mesh size.  A side that another element repeats
+in reverse (its twin) is a face as it stands.  The other sides, on the
+boundary and next to hanging vertices, look for hanging vertices among
+their own ends, in a uniform bucket grid where only the vertices inside
+the side's slightly widened bounding box get the exact on-segment test.
+One pass checks, orients and measures the loops of each group with one
+corner count.  Each shape group's corner rows, face rows and centroid fan
+are kept, read-only, at construction; a degree's stacks are views of them.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ import numpy as np
 # geometric consistency checks run on every constructed mesh.
 GEOM_RTOL = 1e-12
 
-# Face slots per stack of the stacked element kernels: a group of elements
-# with nf faces is cut into stacks of STACK_FACES // nf elements.  Every
-# large stacked temporary (monomial and jump tables, face fluxes, the local
-# operators) grows with the stack's face count, and the stacks are made
-# before the degree is known.  Against stacks of 32 elements, 1024 slots
-# raised the peak RSS of a k = 3 build on 8192 triangles by 6 %, 2048 by 12 %.
-STACK_FACES = 1024
+# Face unknowns per stack of the element kernels: at degree k a group of
+# elements with nf faces is cut into stacks of STACK_FACE_DOFS // ((k + 1) nf)
+# elements, as every large stacked temporary (monomial and jump tables, face
+# fluxes, the local operators) grows with them.  Against stacks of 32
+# elements, 1024 faces (k = 3) raised the peak RSS of a k = 3 build on 8192
+# triangles by 6 %, 2048 faces by 12 %.
+STACK_FACE_DOFS = 4 * 1024
 
 
 class MeshError(Exception):
@@ -153,18 +153,14 @@ class ElementTable:
         )
 
 
-def _batches(els):
-    """Read-only element id arrays grouped by (corner count, face count), the
-    groups in order of first appearance, each cut into stacks of at most
-    STACK_FACES faces (at least one element)."""
-    shape = np.column_stack([np.diff(els.corner_ptr), np.diff(els.face_ptr)])
-    _, first, group = np.unique(shape, axis=0, return_index=True, return_inverse=True)
-    stacks = []
-    for g in np.argsort(first):
-        ids = np.flatnonzero(group == g)
-        size = max(1, STACK_FACES // int(shape[first[g], 1]))
-        stacks += [_frozen(ids[i:i + size]) for i in range(0, len(ids), size)]
-    return tuple(stacks)
+def _cut(groups, k):
+    """(stacks, rows) of degree k: each group row ``(ids, corner rows, face rows,
+    *fan)`` cut into stacks of at most STACK_FACE_DOFS face unknowns, as views."""
+    rows = []
+    for row in groups:
+        size = max(1, STACK_FACE_DOFS // ((k + 1) * row[2].shape[1]))
+        rows += [tuple(t[i:i + size] for t in row) for i in range(0, len(row[0]), size)]
+    return tuple(row[0] for row in rows), tuple(rows)
 
 
 def _stored(tables, ids, col, checked, *args):
@@ -272,11 +268,16 @@ class PolyMesh:
         boundary = self.faces.elems[:, 1] < 0
         self._interior = _frozen(np.flatnonzero(~boundary))
         self._boundary = _frozen(np.flatnonzero(boundary))
-        self.batches = _batches(self.elements)
-        # (stack, corner rows, face rows, fan) of every stack, read-only
-        self._stacks = tuple((s, _frozen(_rows(self.elements.corner_ptr, s)),
-                              _frozen(_rows(self.elements.face_ptr, s))) for s in self.batches)
-        self._stacks = tuple(row + (_fan(self, row[0]),) for row in self._stacks)
+        els = self.elements
+        shape = np.column_stack([np.diff(els.corner_ptr), np.diff(els.face_ptr)])
+        _, first, group = np.unique(shape, axis=0, return_index=True, return_inverse=True)
+        ids = [_frozen(np.flatnonzero(group == g)) for g in np.argsort(first)]
+        # (ids, corner rows, face rows, *fan) of each shape group, in order of first
+        # appearance, read-only; the (stacks, rows) of each degree, made on first use
+        self._stacks = {}
+        self._groups = tuple((s, _frozen(_rows(els.corner_ptr, s)),
+                              _frozen(_rows(els.face_ptr, s))) for s in ids)
+        self._groups = tuple(row + _fan(self, row[0]) for row in self._groups)
 
     # -- basic queries ----------------------------------------------------
 
@@ -288,15 +289,28 @@ class PolyMesh:
     def n_faces(self):
         return len(self.faces)
 
+    def stacks(self, k):
+        """Read-only element id stacks of degree ``k``: each shape group cut to
+        at most ``STACK_FACE_DOFS`` face unknowns; made once, then shared."""
+        k = _index(k, "polynomial degree")
+        if k < 0:
+            raise MeshError(f"polynomial degree must be >= 0, got {k}")
+        return (self._stacks.get(k) or self._stacks.setdefault(k, _cut(self._groups, k)))[0]
+
+    def _stored(self, ids, col, checked, *args):
+        """``_stored`` over the groups and the stacks of every degree made so far."""
+        made = [rows for _, rows in tuple(self._stacks.values())]  # a thread may add one
+        return _stored(itertools.chain(self._groups, *made), ids, col, checked, *args)
+
     def corner_rows(self, ids):
         """Positions (B, p) in ``elements.corners`` of the corners of ``ids``,
-        which share a count p; stored for each stack of ``batches``."""
-        return _stored(self._stacks, ids, 1, _rows, self.elements.corner_ptr)
+        which share a count p; stored for each stack of ``stacks(k)``."""
+        return self._stored(ids, 1, _rows, self.elements.corner_ptr)
 
     def face_rows(self, ids):
         """Positions (B, nf) in the ``elements.face_*`` columns of the faces of
-        ``ids``, which share a count nf; stored for each stack of ``batches``."""
-        return _stored(self._stacks, ids, 2, _rows, self.elements.face_ptr)
+        ``ids``, which share a count nf; stored for each stack of ``stacks(k)``."""
+        return self._stored(ids, 2, _rows, self.elements.face_ptr)
 
     def interior_face_ids(self):
         return self._interior

@@ -23,8 +23,9 @@ one coordinate plane at a time.
 
 The builders (``cell_quadratures``, ``face_quadratures``, ``cell_bases``)
 and the L2 projections work on a stack of elements or faces at once, with
-leading batch axes; one element is a stack of one, ``[e]``.  A singular
-mass matrix names the first element of the stack whose matrix fails.
+leading batch axes; one element is a stack of one, ``[e]``.  A stack of
+``mesh.stacks(k)`` reads the centroid fan that the mesh keeps for its
+group.  A singular mass matrix names the first element of its stack.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from hho2d.mesh import _fan, _ids, _index, _stacked_lapack, _stored
+from hho2d.mesh import _fan, _ids, _index, _stacked_lapack
 
 # degree at which cell bases switch to the orthonormalized form
 ORTHONORMALIZE_FROM = 4
@@ -92,11 +93,11 @@ def cell_quadratures(mesh, elem_ids, order):
 
     Returns points (B, p*m, 2) and weights (B, p*m): the reference rule of
     ``order`` mapped onto each of the p centroid triangles, in corner order,
-    with signed weights.  A stack of ``mesh.batches`` maps the fan the mesh
-    keeps; any other stack takes the checked path (``mesh._fan``).
+    with signed weights.  A stack of ``mesh.stacks(k)`` maps the fan the
+    mesh keeps; any other stack takes the checked path (``mesh._fan``).
     """
     order = _nonnegative(order, "quadrature order")
-    c, a, b, det = _stored(mesh._stacks, elem_ids, 3, _fan, mesh)
+    c, a, b, det = mesh._stored(elem_ids, slice(3, None), _fan, mesh)
     ref_pts, ref_w = _triangle_rule(order)
     # one pass per coordinate over (B, p, m) planes
     points = np.empty(det.shape + ref_w.shape + (2,))

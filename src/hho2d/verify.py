@@ -7,9 +7,9 @@ through the factored energy Gram, the stabilization energy |R x|^2 of the
 exact interpolate (S = R^T R), spectral constants (the coercivity constant
 per mesh and the discrete Poincare constant), and fitted convergence orders.
 
-Element data comes in the stacks of ``mesh.batches``: ``ops`` holds one
+Element data comes in the stacks of ``mesh.stacks(k)``: ``ops`` holds one
 ``LocalOperators`` stack and an interpolate one (B, n_local) array per
-batch, and every measure reads them stack by stack.
+stack of the degree k, and every measure reads them stack by stack.
 """
 
 from __future__ import annotations
@@ -136,14 +136,14 @@ def rectangle_mesh(n):
 
 
 def local_interpolates(mesh, k, u):
-    """Flat local interpolates of ``u``, one (B, n_local) array per batch."""
-    return [hl.interpolate(mesh, ids, k, u) for ids in mesh.batches]
+    """Flat local interpolates of ``u``, one (B, n_local) array per stack."""
+    return [hl.interpolate(mesh, ids, k, u) for ids in mesh.stacks(hl._degree(k))]
 
 
 def interpolate_global(system, interp):
     """Dof vector of the global interpolate (boundary faces read zero)."""
     data = np.zeros(system.dofmap.total)
-    for ids, iu in zip(system.mesh.batches, interp):
+    for ids, iu in zip(system.mesh.stacks(system.k), interp):
         idx = system.dofmap.indices(ids)
         keep = idx >= 0
         data[idx[keep]] = iu[keep]

@@ -1,3 +1,4 @@
+import operator
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ from hho2d import assembly as asm
 from hho2d import classics as cl
 from hho2d import cli
 from hho2d import hho_local as hl
+from hho2d import mesh as hm
 from hho2d import polybasis as pb
 from hho2d.mesh import MeshError, generate, refine_nonconforming
 from hho2d.verify import CASES, build_family, energy_norm, nonconforming_mesh
@@ -31,30 +33,40 @@ TABLE_MESHES = {
 
 @pytest.mark.parametrize("name", list(TABLE_MESHES))
 def test_stack_tables_equal_the_checked_path(name):
-    # a stack of mesh.batches itself reads its stored table; a copy of it,
+    # a stack of mesh.stacks(k) itself reads its stored table; a copy of it,
     # equal by value, runs the checked path and gets the same rows
     mesh = TABLE_MESHES[name]()
-    dofmaps = [asm.build_dof_map(mesh, k) for k in range(4)]
-    lookups = [mesh.corner_rows, mesh.face_rows] + [dm.indices for dm in dofmaps]
-    for ids in mesh.batches:
-        for lookup in lookups:
-            table = lookup(ids)
-            assert lookup(ids) is table
-            copy = ids.copy()
-            same = lookup(copy)
-            assert same is not table
-            assert same.dtype == table.dtype and same.tobytes() == table.tobytes()
-            assert not table.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0
-            copy[-1] = mesh.n_elements
-            with pytest.raises(MeshError, match=f"^element {mesh.n_elements} out of range$"):
-                lookup(copy)
-    # a pickled mesh keeps each stack paired with its stored rows
+    for k in range(4):
+        dofmap = asm.build_dof_map(mesh, k)
+        assert [ids for ids, _ in dofmap.stacks] == list(mesh.stacks(k))
+        for ids in mesh.stacks(k):
+            for lookup in (mesh.corner_rows, mesh.face_rows, dofmap.indices):
+                table = lookup(ids)
+                assert lookup(ids) is table
+                copy = ids.copy()
+                same = lookup(copy)
+                assert same is not table
+                assert same.dtype == table.dtype and same.tobytes() == table.tobytes()
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0
+                copy[-1] = mesh.n_elements
+                with pytest.raises(MeshError, match=f"^element {mesh.n_elements} out of range$"):
+                    lookup(copy)
+    # a pickled mesh keeps each stack of every degree paired with its
+    # stored rows and fan
     again = pickle.loads(pickle.dumps(mesh))
-    for ids in again.batches:
-        assert again.corner_rows(ids) is again.corner_rows(ids)
-        assert again.face_rows(ids) is again.face_rows(ids)
+    for k in range(4):
+        assert len(again.stacks(k)) == len(mesh.stacks(k))
+        for ids, old in zip(again.stacks(k), mesh.stacks(k)):
+            assert again.corner_rows(ids) is again.corner_rows(ids)
+            assert again.face_rows(ids) is again.face_rows(ids)
+            fan = again._stored(ids, slice(3, None), hm._fan, again)
+            assert all(map(operator.is_, again._stored(ids, slice(3, None), hm._fan, again), fan))
+            for got, want in zip((ids, again.corner_rows(ids), again.face_rows(ids), *fan),
+                                 (old, mesh.corner_rows(old), mesh.face_rows(old),
+                                  *mesh._stored(old, slice(3, None), hm._fan, mesh))):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_dof_map_counts():

@@ -222,7 +222,7 @@ def test_check_builds_and_assembles_once_at_k0(capsys, monkeypatch):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_check_on_several_stacks(capsys, k):
     # the face-count stacks of nonconf:4 do not follow element-id order
-    assert len(cli.resolve_mesh("nonconf:4").batches) > 1
+    assert len(cli.resolve_mesh("nonconf:4").stacks(k)) > 1
     code = cli.main(["check", "--mesh", "nonconf:4", "--k", str(k)])
     out = capsys.readouterr().out
     assert code == 0
@@ -280,27 +280,48 @@ def test_check_sees_a_stabilization_outside_the_kernel(monkeypatch, capsys, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize("spec", ["cartesian:4", "nonconf:8"])
+@pytest.mark.parametrize("spec", ["cartesian:4", "nonconf:8", "triangular:4"])
 def test_check_sees_an_inconsistent_stiffness(monkeypatch, capsys, spec, k):
+    assert cli.main(["check", "--mesh", spec, "--k", str(k)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS stiffness-consistency" in out and "PASS scale-invariance" in out
+    build = cli.hl.local_operators
+
     # negative control: A = P^T G P + N, the energy-norm Gram in place of
     # S = R^T R; the stabilization-consistency line reads R, which is intact
-    assert cli.main(["check", "--mesh", spec, "--k", str(k)]) == 0
-    assert "PASS stiffness-consistency" in capsys.readouterr().out
-    build = cli.asm.build_local_operators
+    def mutant(mesh, ids, k):
+        s = build(mesh, ids, k)
+        R = s.stab_factor
+        s.stiff = cli.hl._sym(s.stiff - cli.hl._mT(R) @ R + s.norm_gram)
+        return s
 
-    def mutant(mesh, k):
-        ops = build(mesh, k)
-        for s in ops:
-            R = s.stab_factor
-            s.stiff = cli.hl._sym(s.stiff - cli.hl._mT(R) @ R + s.norm_gram)
-        return ops
-
-    monkeypatch.setattr(cli.asm, "build_local_operators", mutant)
+    monkeypatch.setattr(cli.hl, "local_operators", mutant)
     code = cli.main(["check", "--mesh", spec, "--k", str(k)])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL stiffness-consistency" in out
     assert "PASS stabilization-consistency" in out and "PASS polynomial-consistency" in out
+
+    # negative control: R h_T^-1, an S = R^T R scaled by h_T^-2, still
+    # consistent but not bounded: eta grows by about 1e6 at scale 1e-3
+    def unbounded(mesh, ids, k):
+        s = build(mesh, ids, k)
+        R = s.stab_factor
+        s.stab_factor = R / mesh.elements.diameter[s.elem_id, None, None]
+        S = cli.hl._mT(s.stab_factor) @ s.stab_factor
+        s.stiff = cli.hl._sym(s.stiff - cli.hl._mT(R) @ R + S)
+        return s
+
+    monkeypatch.setattr(cli.hl, "local_operators", unbounded)
+    code = cli.main(["check", "--mesh", spec, "--k", str(k)])
+    out = capsys.readouterr().out
+    assert "PASS stiffness-consistency" in out and "PASS stabilization-consistency" in out
+    if spec == "triangular:4" and k == 0:
+        # no stabilization to scale: HHO is Crouzeix-Raviart there
+        assert code == 0 and "PASS scale-invariance" in out
+    else:
+        assert code == 1
+        assert "FAIL scale-invariance" in out
 
 
 def test_study_command_writes_outputs(tmp_path, capsys):

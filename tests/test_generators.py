@@ -77,7 +77,8 @@ def reference_agglomerate(fine, target):
 def arrays(mesh):
     """Dtype, shape and bytes of every array of the mesh."""
     tables = [mesh.vertices, *vars(mesh.faces).values(), *vars(mesh.elements).values()]
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in tables + list(mesh.batches)]
+    stacks = [ids for k in range(4) for ids in mesh.stacks(k)]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in tables + stacks]
 
 
 # ---------------------------------------------------------------------------

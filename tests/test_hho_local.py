@@ -117,11 +117,12 @@ def test_a_stack_of_star_polygons_builds_each_copy_alone(polygon):
         alone = [PolyMesh(v, [list(range(n))]) for v in copies]
     except MeshError:
         assume(False)
-    assert [len(ids) for ids in mesh.batches] == [3] and mesh.n_faces == 3 * n
-    ids = mesh.batches[0]
+    assert all([len(ids) for ids in mesh.stacks(k)] == [3] for k in range(4))
+    assert mesh.n_faces == 3 * n
     v = lambda p: np.sin(p[:, 0]) * np.cos(2.0 * p[:, 1])
     fields = ("recon", "stab_factor", "stiff", "norm_gram", "avg_weights")
     for k in range(4):
+        (ids,) = mesh.stacks(k)
         stack, rows = hl.local_operators(mesh, ids, k), hl.interpolate(mesh, ids, k, v)
         for b, one in enumerate(alone):
             ops = hl.local_operators(one, [0], k)
@@ -492,10 +493,11 @@ def test_eta_bounds_reports_broken_pencils(unit_square):
 # Per-element loops that the element-stack code replaced, kept as references.
 
 
-def per_element(mesh, stacks):
-    """Members of per-batch stacks (operators or arrays), in element-id order."""
+def per_element(mesh, k, stacks):
+    """Members of the stacks (operators or arrays) of ``mesh.stacks(k)``, in
+    element-id order."""
     out = [None] * mesh.n_elements
-    for ids, stack in zip(mesh.batches, stacks):
+    for ids, stack in zip(mesh.stacks(k), stacks):
         for b, e in enumerate(ids):
             out[e] = stack[b]
     return out
@@ -674,10 +676,10 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
     # mixed (corners, faces) groups, and a 36-quad group cut into 9 stacks
-    monkeypatch.setattr(hm, "STACK_FACES", 16)
+    monkeypatch.setattr(hm, "STACK_FACE_DOFS", 16 * (k + 1))
     meshes = [nonconforming_mesh(4), agglomerated_mesh(8), rectangle_mesh(4),
               generate("cartesian", 6)]
-    assert len(meshes[-1].batches) == 9
+    assert len(meshes[-1].stacks(k)) == 9
     fields = ("recon", "stab", "stab_factor", "stiff", "norm_gram", "avg_weights")
     fields += ("cell_mass",) if k else ()
     get = lambda op, name: stab_gram(op) if name == "stab" else getattr(op, name)
@@ -691,17 +693,17 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
     shared = False
     for mesh in meshes:
         batched = asm.build_local_operators(mesh, k)
-        assert [op.elem_id.tolist() for op in batched] == [b.tolist() for b in mesh.batches]
+        assert [op.elem_id.tolist() for op in batched] == [b.tolist() for b in mesh.stacks(k)]
         # eta runs once per class on these stacks
         shared |= any(op.classes is not None for op in batched)
-        views = per_element(mesh, batched)
+        views = per_element(mesh, k, batched)
         for e, op in enumerate(views):
             ref = hl.local_operators(mesh, [e], k)
             assert op.elem_id.tolist() == [e]
             for name in fields:
                 assert same_bytes(get(op, name), get(ref, name)), (e, name)
         els = mesh.elements
-        for ids, stack in zip(mesh.batches, batched):
+        for ids, stack in zip(mesh.stacks(k), batched):
             # the cell integrals against the fan quadrature
             ref = ref_build(mesh, ids, k)
             for name, want in ref.items():
@@ -733,11 +735,11 @@ def test_batched_build_matches_one_element_at_a_time(k, monkeypatch):
             assert np.array_equal(matrix.toarray(), kept.toarray()), name
         rhs = asm.GlobalHhoVector.zeros(dm)
         loads = [asm._local_loads(mesh, k, f, op) for op in batched]
-        for e, load in enumerate(per_element(mesh, loads)):
+        for e, load in enumerate(per_element(mesh, k, loads)):
             rhs.scatter_add([e], load[None])
         assert same_bytes(system.rhs, rhs.data)
         interp = vf.local_interpolates(mesh, k, u)
-        rows = per_element(mesh, interp)
+        rows = per_element(mesh, k, interp)
         assert same_bytes(
             vf.interpolate_global(system, interp).data,
             ref_interpolate_global(system, table, rows))
@@ -791,7 +793,7 @@ def test_distinct_elements_take_the_stack_path(monkeypatch):
     stacks = asm.build_local_operators(mesh, 2)
     # every element is its own class: _build sees the stacks, and its
     # arrays are returned as they are, with no gather
-    assert [ids.tolist() for ids, _ in calls] == [ids.tolist() for ids in mesh.batches]
+    assert [ids.tolist() for ids, _ in calls] == [ids.tolist() for ids in mesh.stacks(2)]
     for op, (ids, out) in zip(stacks, calls):
         assert op.classes is None
         assert all(getattr(op, name) is getattr(out, name)

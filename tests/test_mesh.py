@@ -300,7 +300,34 @@ def _shape(mesh, e):
     return len(mesh.elements[e].vertex_loop), mesh.elements[e].n_faces
 
 
-@pytest.mark.parametrize("budget", [3, 16, hm.STACK_FACES])
+def assert_partition(mesh, k, budget):
+    """``mesh.stacks(k)`` cuts the shape groups within ``budget`` face unknowns."""
+    stacks = [b.tolist() for b in mesh.stacks(k)]
+    # every element exactly once
+    assert sorted(sum(stacks, [])) == list(range(mesh.n_elements))
+    shapes = []
+    for ids in stacks:
+        shape = {_shape(mesh, e) for e in ids}
+        assert len(shape) == 1  # one (corners, faces) shape per stack
+        (shape,) = shape
+        assert len(ids) == 1 or len(ids) * (k + 1) * shape[1] <= budget
+        assert ids == sorted(ids)
+        shapes.append(shape)
+    # groups are contiguous runs of stacks, in order of first appearance,
+    # and every stack but the last of its group is full
+    first = list(dict.fromkeys(_shape(mesh, e) for e in range(mesh.n_elements)))
+    assert list(dict.fromkeys(shapes)) == first
+    for i, shape in enumerate(shapes[:-1]):
+        if shapes[i + 1] == shape:
+            assert len(stacks[i]) == max(1, budget // ((k + 1) * shape[1]))
+            assert stacks[i][-1] < stacks[i + 1][0]
+        else:
+            assert shape not in shapes[i + 1:]
+
+
+# budgets in face unknowns; 1024 holds every group of these meshes whole
+# at k = 3, as the default budget does
+@pytest.mark.parametrize("budget", [3, 16, 1024])
 @pytest.mark.parametrize(
     "build",
     [
@@ -316,35 +343,51 @@ def _shape(mesh, e):
     ids=["cart6", "tri5", "refined", "agglo"],
 )
 def test_batches_partition_by_shape_within_the_face_budget(build, budget, monkeypatch):
-    monkeypatch.setattr(hm, "STACK_FACES", budget)
+    monkeypatch.setattr(hm, "STACK_FACE_DOFS", budget)
     mesh = build()
-    stacks = [b.tolist() for b in mesh.batches]
-    # every element exactly once
-    assert sorted(sum(stacks, [])) == list(range(mesh.n_elements))
-    shapes = []
-    for ids in stacks:
-        shape = {_shape(mesh, e) for e in ids}
-        assert len(shape) == 1  # one (corners, faces) shape per stack
-        (shape,) = shape
-        assert len(ids) == 1 or len(ids) * shape[1] <= budget
-        assert ids == sorted(ids)
-        shapes.append(shape)
-    # groups are contiguous runs of stacks, in order of first appearance,
-    # and every stack but the last of its group is full
-    first = list(dict.fromkeys(_shape(mesh, e) for e in range(mesh.n_elements)))
-    assert list(dict.fromkeys(shapes)) == first
-    for i, shape in enumerate(shapes[:-1]):
-        if shapes[i + 1] == shape:
-            assert len(stacks[i]) == max(1, budget // shape[1])
-            assert stacks[i][-1] < stacks[i + 1][0]
-        else:
-            assert shape not in shapes[i + 1:]
+    for k in range(4):
+        assert_partition(mesh, k, budget)
+
+
+@pytest.mark.parametrize("build", [lambda: generate("cartesian", 40),
+                                   lambda: generate("triangular", 24),
+                                   lambda: build_family("nonconforming", [16]).meshes[0]],
+                         ids=["cart40", "tri24", "nonconf16"])
+def test_default_stacks_are_shared_and_read_only(build):
+    mesh = build()
+    for k in range(4):
+        assert_partition(mesh, k, hm.STACK_FACE_DOFS)
+        stacks = mesh.stacks(k)
+        assert mesh.stacks(k) is stacks and mesh.stacks(np.int64(k)) is stacks
+        for ids in stacks:
+            assert ids.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                ids[0] = 0
+    # at k = 3 the stacks are the cut of each group into 1024 // nf elements
+    shape = np.column_stack([np.diff(mesh.elements.corner_ptr), np.diff(mesh.elements.face_ptr)])
+    old = []
+    for s in dict.fromkeys(map(tuple, shape.tolist())):
+        ids = np.flatnonzero((shape == s).all(axis=1))
+        old += [ids[i:i + 1024 // s[1]].tolist() for i in range(0, len(ids), 1024 // s[1])]
+    assert [ids.tolist() for ids in mesh.stacks(3)] == old
+
+
+@pytest.mark.parametrize("k, text", [
+    (-1, "polynomial degree must be >= 0, got -1"),
+    (1.5, "polynomial degree must be an integer, got 1.5"),
+    ("1", "polynomial degree must be an integer, got '1'"),
+])
+def test_stacks_refuse_a_bad_degree(k, text):
+    with pytest.raises(MeshError, match=f"^{re.escape(text)}$"):
+        generate("cartesian", 2).stacks(k)
 
 
 def test_uniform_mesh_needs_few_stacks():
-    # 1024 quads under the default budget
-    assert len(generate("cartesian", 32).batches) <= 4
-    assert all(b.flags.writeable is False for b in generate("cartesian", 4).batches)
+    # 1024 quads: 4096 face unknowns hold them all at k = 0, a quarter at k = 3
+    mesh = generate("cartesian", 32)
+    assert [len(mesh.stacks(k)) for k in range(4)] == [1, 2, 4, 4]
+    small = generate("cartesian", 4)
+    assert all(b.flags.writeable is False for k in range(4) for b in small.stacks(k))
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +840,8 @@ def _outcome(build):
     except Exception as exc:  # the two readers must fail alike
         return type(exc).__name__, str(exc)
     tables = [mesh.vertices, *vars(mesh.faces).values(), *vars(mesh.elements).values()]
-    return "mesh", [(a.dtype.str, a.shape, a.tobytes()) for a in tables + list(mesh.batches)]
+    stacks = [ids for k in range(4) for ids in mesh.stacks(k)]
+    return "mesh", [(a.dtype.str, a.shape, a.tobytes()) for a in tables + stacks]
 
 
 def reference_load(text):

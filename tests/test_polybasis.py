@@ -90,10 +90,11 @@ def abs_fan_weights(mesh, ids, order):
 @pytest.mark.parametrize("tag", ["cartesian", "triangular", "nonconforming", "agglomerated",
                                  "rectangles"])
 def test_stored_fans_give_the_checked_rules(tag):
-    # a stack of mesh.batches maps the fan the mesh keeps; a copy, a slice
-    # or a list of it builds the fan on the checked path, to the same bytes
+    # a stack of mesh.stacks(k), at every degree, maps the fan the mesh keeps;
+    # a copy, a slice or a list of it builds the fan on the checked path, to
+    # the same bytes
     mesh = build_family(tag, [8]).meshes[0]
-    for ids in mesh.batches:
+    for ids in (ids for k in range(4) for ids in mesh.stacks(k)):
         area = mesh.elements.area[ids]
         for order in (0, 4, 6, 8, 10, 12):
             points, weights = pb.cell_quadratures(mesh, ids, order)
@@ -174,9 +175,9 @@ def fan_moments(mesh, ids, degree):
 
 def assert_moments_match_fan(mesh):
     # |z| <= 1 on T, so the area bounds every moment
-    for ids in mesh.batches:
-        area = mesh.elements.area[ids][:, None]
-        for k in range(4):
+    for k in range(4):
+        for ids in mesh.stacks(k):
+            area = mesh.elements.area[ids][:, None]
             mu, _ = pb._cell_moments(mesh, ids, 2 * k + 2)
             assert np.all(np.abs(mu - fan_moments(mesh, ids, 2 * k + 2)) <= 1e-13 * area)
 
@@ -217,7 +218,7 @@ def test_moments_match_the_fan_quadrature_on_star_polygons(mesh):
 
 def test_moment_grams_match_the_fan_quadrature():
     mesh = refine_nonconforming(generate("cartesian", 3), [0, 4])
-    for ids in mesh.batches:
+    for ids in mesh.stacks(3):
         mu, _ = pb._cell_moments(mesh, ids, 10)
         points, weights = pb.cell_quadratures(mesh, ids, 10)
         # plain and orthonormalized bases, on either side
@@ -357,7 +358,7 @@ def test_orthonormalizing_transform_matches_triangular_solve():
 
     mesh = refine_nonconforming(generate("cartesian", 4), [0, 5, 10])
     worst = 0.0
-    for ids in mesh.batches:
+    for ids in mesh.stacks(3):
         for degree in (4, 5):
             basis = pb.cell_bases(mesh, ids, degree)
             points, weights = pb.cell_quadratures(mesh, ids, 2 * degree)
@@ -381,8 +382,8 @@ def test_quadrature_errors():
 U = lambda p: p[:, 0] + 2.0 * p[:, 1]
 
 BAD_ORDERS = {
-    "interpolate k=0": lambda m, order: hl.interpolate(m, m.batches[0], 0, U, order=order),
-    "interpolate k=1": lambda m, order: hl.interpolate(m, m.batches[0], 1, U, order=order),
+    "interpolate k=0": lambda m, order: hl.interpolate(m, m.stacks(0)[0], 0, U, order=order),
+    "interpolate k=1": lambda m, order: hl.interpolate(m, m.stacks(1)[0], 1, U, order=order),
     "face_rule": lambda m, order: pb.face_rule(order),
     "face_quadratures": lambda m, order: pb.face_quadratures(m, [0], order),
     "cell_quadratures": lambda m, order: pb.cell_quadratures(m, [0], order),
@@ -399,8 +400,8 @@ def test_a_bad_quadrature_order_is_refused(call, order, text):
 
 
 BAD_DEGREES = {
-    "cell_bases": (lambda m, d: pb.cell_bases(m, m.batches[0], d), "cell basis degree"),
-    "l2_project_cell": (lambda m, d: pb.l2_project_cell(m, m.batches[0], d, U), "cell basis degree"),
+    "cell_bases": (lambda m, d: pb.cell_bases(m, m.stacks(0)[0], d), "cell basis degree"),
+    "l2_project_cell": (lambda m, d: pb.l2_project_cell(m, m.stacks(0)[0], d, U), "cell basis degree"),
     "l2_project_face": (lambda m, d: pb.l2_project_face(m, [0], d, U), "face basis degree"),
 }
 

@@ -240,8 +240,8 @@ def test_study_interpolates_once_per_element_per_row(monkeypatch):
     # each element exactly once per row ...
     interpolated = sorted((m, e) for m, ids in calls for e in ids)
     assert interpolated == sorted((id(mesh), el.id) for mesh in fam for el in mesh.elements)
-    # ... in one stacked call per element batch
-    batches = [(id(mesh), ids.tolist()) for mesh in fam for ids in mesh.batches]
+    # ... in one stacked call per element stack
+    batches = [(id(mesh), ids.tolist()) for mesh in fam for ids in mesh.stacks(1)]
     assert len(batches) < sum(mesh.n_elements for mesh in fam)
     assert sorted(calls) == sorted(batches)
 
@@ -332,17 +332,18 @@ def test_stab_consistency_polynomial_st2():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_study_totals_do_not_depend_on_the_stack_cut(k, monkeypatch):
-    # 16 face slots cut every group into stacks of 1 to 5 elements; the
-    # lone elements are the same as under the default budget, since a
-    # one-element stack takes BLAS's one-row path in the moment Grams
-    default = hm.STACK_FACES
+    # 16 face slots, 16 (k + 1) face unknowns, cut every group into stacks
+    # of 1 to 5 elements; the lone elements are the same as under the
+    # default budget, since a one-element stack takes BLAS's one-row path
+    # in the moment Grams
+    default = hm.STACK_FACE_DOFS
 
     def totals(budget):
-        monkeypatch.setattr(hm, "STACK_FACES", budget)
+        monkeypatch.setattr(hm, "STACK_FACE_DOFS", budget)
         out = []
         for tag in ("nonconforming", "triangular", "agglomerated"):
             family = vf.build_family(tag, (4, 8))
-            assert budget == default or len(family.meshes[-1].batches) > 8
+            assert budget == default or len(family.meshes[-1].stacks(k)) > 8
             for row in vf.study(family, k, "sine").rows:
                 out.append({n: repr(v) for n, v in dataclasses.asdict(row).items()
                             if n != "seconds"})
@@ -351,7 +352,7 @@ def test_study_totals_do_not_depend_on_the_stack_cut(k, monkeypatch):
                                                      "egrad_errors")})
         return out
 
-    assert totals(16) == totals(default)
+    assert totals(16 * (k + 1)) == totals(default)
 
 
 def test_a_study_row_gathers_each_stack_once(monkeypatch):
@@ -375,6 +376,6 @@ def test_a_study_row_gathers_each_stack_once(monkeypatch):
     monkeypatch.setattr(pb, "cell_quadratures", counted_rules)
     mesh = hm.load_mesh(text)
     vf.study(hm.MeshFamily(tag="nonconforming", meshes=[mesh]), 1, "sine")
-    n_stacks = len(mesh.batches)
+    n_stacks = len(mesh.stacks(1))
     assert len(rows) == 3 and max(rows.values()) <= n_stacks, rows
     assert len(rules) <= 3 * n_stacks and sorted(set(rules)) == [6, 8]
