@@ -125,7 +125,7 @@ class RtnField:
         """Per-element arrays of the constant flux through each face."""
         els = self.mesh.elements
         elem = np.repeat(np.arange(len(els)), np.diff(els.face_ptr))
-        rel = els.face_midpoints - self.anchor[elem]
+        rel = self.mesh.faces.midpoint[els.face_ids] - self.anchor[elem]
         normals = els.face_normals
         flux = (np.einsum("fd,fd->f", normals, self.a[elem])
                 + self.q[elem] * np.einsum("fd,fd->f", rel, normals))
@@ -137,7 +137,7 @@ def rtn_interpolate(mesh, tau):
     fids = _triangle_faces(mesh)
     els = mesh.elements
     normals = els.face_normals.reshape(-1, 3, 2)
-    lengths = els.face_lengths.reshape(-1, 3, 1)
+    lengths = mesh.faces.length[fids, None]
     points, weights = pb.face_quadratures(mesh, fids, 8)
     values = tau(points.reshape(-1, 2)).reshape(points.shape)
     b = np.einsum("eiq,eiqd,eid->ei", weights, values, normals)
@@ -175,8 +175,8 @@ def magic_scale(mesh, normal_fluxes, face_values):
 
 def _face_sum(mesh, flux, face_values):
     """Sum of |F| * flux * face value over the flat face rows."""
-    els = mesh.elements
-    return float(np.sum(els.face_lengths * flux * face_values[els.face_ids]))
+    fids = mesh.elements.face_ids
+    return float(np.sum(mesh.faces.length[fids] * flux * face_values[fids]))
 
 
 def gradient_fluxes(mesh, grad):
@@ -184,5 +184,5 @@ def gradient_fluxes(mesh, grad):
     els = mesh.elements
     points, weights = pb.face_quadratures(mesh, els.face_ids, 10)
     values = grad(points.reshape(-1, 2)).reshape(points.shape)
-    flux = np.einsum("fq,fqd,fd->f", weights, values, els.face_normals) / els.face_lengths
-    return np.split(flux, els.face_ptr[1:-1])
+    flux = np.einsum("fq,fqd,fd->f", weights, values, els.face_normals)
+    return np.split(flux / mesh.faces.length[els.face_ids], els.face_ptr[1:-1])

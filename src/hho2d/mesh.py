@@ -30,8 +30,9 @@ across threads.
 A mesh is stored as read-only arrays.  ``mesh.faces`` (a ``FaceTable``)
 has one row per face id; ``mesh.elements`` (an ``ElementTable``) has one
 row per element, with the corner loops and the face loops in CSR form.
-Indexing or iterating the element table gives read-only ``Element``
-views of single rows.  ``mesh.stacks(k)`` lists the element ids in the
+Element data is read as these arrays only: there is no per-element
+object.  A pickled mesh is its corner table, and loading it rebuilds
+every table.  ``mesh.stacks(k)`` lists the element ids in the
 stacks that every element kernel runs on at degree k: equal corner and
 face counts, at most ``STACK_FACE_DOFS`` face unknowns each.  Construction
 costs time linear in the mesh size.  A side that another element repeats
@@ -50,6 +51,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,27 +72,6 @@ class MeshError(Exception):
     """Invalid mesh topology or geometry."""
 
 
-@dataclass(frozen=True)
-class Element:
-    """Read-only view of one row of an ``ElementTable``."""
-
-    id: int
-    vertex_loop: np.ndarray   # (p,) corner vertex ids, CCW
-    face_ids: np.ndarray      # (nf,) face ids in CCW boundary order
-    face_signs: np.ndarray    # (nf,) +1 if traversal matches face v0->v1
-    area: float
-    diameter: float
-    centroid: np.ndarray
-    face_normals: np.ndarray    # (nf, 2) outward unit normals
-    face_dists: np.ndarray      # (nf,) distance centroid -> face line
-    face_lengths: np.ndarray    # (nf,)
-    face_midpoints: np.ndarray  # (nf, 2)
-
-    @property
-    def n_faces(self):
-        return len(self.face_ids)
-
-
 @dataclass(frozen=True, eq=False)
 class FaceTable:
     """The faces as read-only arrays, one row per face id."""
@@ -108,11 +89,12 @@ class FaceTable:
 
 @dataclass(frozen=True, eq=False)
 class ElementTable:
-    """The elements as read-only arrays; ``table[e]`` is an ``Element`` view.
+    """The elements as read-only arrays, one row per element id.
 
     Corner loops and face loops are CSR: element e has the corners
     ``corners[corner_ptr[e]:corner_ptr[e + 1]]`` and the face rows
-    ``face_ptr[e]:face_ptr[e + 1]`` of every ``face_*`` column.
+    ``face_ptr[e]:face_ptr[e + 1]`` of every ``face_*`` column.  A face's
+    length and midpoint are read from the ``FaceTable`` at ``face_ids``.
     """
 
     corner_ptr: np.ndarray      # (n + 1,)
@@ -122,8 +104,6 @@ class ElementTable:
     face_signs: np.ndarray      # +1 if traversal matches face v0->v1
     face_normals: np.ndarray    # (., 2) outward unit normals
     face_dists: np.ndarray      # distance centroid -> face line
-    face_lengths: np.ndarray
-    face_midpoints: np.ndarray  # (., 2)
     area: np.ndarray            # (n,)
     diameter: np.ndarray        # (n,)
     centroid: np.ndarray        # (n, 2)
@@ -132,25 +112,8 @@ class ElementTable:
         return len(self.area)
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, e):
-        e = range(len(self))[e]
-        c = slice(self.corner_ptr[e], self.corner_ptr[e + 1])
-        f = slice(self.face_ptr[e], self.face_ptr[e + 1])
-        return Element(
-            id=e,
-            vertex_loop=self.corners[c],
-            face_ids=self.face_ids[f],
-            face_signs=self.face_signs[f],
-            area=float(self.area[e]),
-            diameter=float(self.diameter[e]),
-            centroid=self.centroid[e],
-            face_normals=self.face_normals[f],
-            face_dists=self.face_dists[f],
-            face_lengths=self.face_lengths[f],
-            face_midpoints=self.face_midpoints[f],
-        )
+        # the face counts, for test_generated_texts_load of perfbench/test_perfbench.py
+        return (SimpleNamespace(n_faces=n) for n in np.diff(self.face_ptr).tolist())
 
 
 def _cut(groups, k):
@@ -250,6 +213,11 @@ class PolyMesh:
         mesh._setup(vertices, corner_ptr, corners)
         return mesh
 
+    def __reduce__(self):
+        # a pickle is the corner table: loading rebuilds every table read-only
+        els = self.elements
+        return PolyMesh._from_corners, (self.vertices, els.corner_ptr, els.corners.copy())
+
     def _setup(self, vertices, corner_ptr, corners):
         verts = np.array(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
@@ -324,7 +292,7 @@ class PolyMesh:
         els = self.elements
         start = els.face_ptr[:-1]
         n_faces = np.diff(els.face_ptr)
-        hT, area, lengths = els.diameter, els.area, els.face_lengths
+        hT, area, lengths = els.diameter, els.area, self.faces.length[els.face_ids]
         min_dist = np.minimum.reduceat(els.face_dists, start)
         closure = np.add.reduceat(els.face_normals * lengths[:, None], start)
         pyramid = 0.5 * np.add.reduceat(els.face_dists * lengths, start)
@@ -400,7 +368,6 @@ def _build(verts, corner_ptr, corners):
     pu, pv = verts[u], verts[v]
     d = pv - pu
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    mids = 0.5 * (pu + pv)
     local_mids = 0.5 * ((pu - first[elem]) + (pv - first[elem]))
     elements = ElementTable(
         corner_ptr=corner_ptr,
@@ -410,8 +377,6 @@ def _build(verts, corner_ptr, corners):
         face_signs=np.where(u < v, 1, -1),
         face_normals=normals,
         face_dists=_dot(local_mids - local_centroid[elem], normals),
-        face_lengths=lengths,
-        face_midpoints=mids,
         area=area,
         diameter=diameter,
         centroid=centroid,
@@ -719,9 +684,10 @@ def _number_faces(verts, u, v, elem):
 def _dot(a, b):
     """Row-wise dot products of (m, 2) arrays.
 
-    The stacked matmul computes each row like ``a[i] @ b[i]`` (and
-    ``np.linalg.norm``), so results match the one-row forms bit for bit; a
-    plain ``x*x + y*y`` differs from them in the last bit.
+    The stacked matmul rounds each row like ``a[i] @ b[i]``, which a plain
+    ``x*x + y*y`` does not in the last bit; every face length, normal and
+    distance of the tables, and every byte computed from them, depends on
+    that rounding.
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 

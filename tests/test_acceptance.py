@@ -254,16 +254,17 @@ def test_criterion_06_magic_formula():
     vals = np.zeros(mesh.n_faces)
     interior = mesh.interior_face_ids()
     vals[interior] = rng.standard_normal(len(interior))
-    el = next(
-        el for el in mesh.elements
-        if any(mesh.faces.elems[f, 1] >= 0 for f in el.face_ids)
+    loops = np.split(mesh.elements.face_ids, mesh.elements.face_ptr[1:-1])
+    e = next(
+        e for e, fids in enumerate(loops)
+        if any(mesh.faces.elems[f, 1] >= 0 for f in fids)
     )
-    iloc = next(i for i, f in enumerate(el.face_ids) if mesh.faces.elems[f, 1] >= 0)
-    fid = int(el.face_ids[iloc])
+    iloc = next(i for i, f in enumerate(loops[e]) if mesh.faces.elems[f, 1] >= 0)
+    fid = int(loops[e][iloc])
     bad = [f.copy() for f in fluxes]
-    bad[el.id][iloc] *= -1.0
+    bad[e][iloc] *= -1.0
     r_bad = cl.magic_residual(mesh, bad, vals)
-    expected = -2.0 * mesh.faces.length[fid] * fluxes[el.id][iloc] * vals[fid]
+    expected = -2.0 * mesh.faces.length[fid] * fluxes[e][iloc] * vals[fid]
     detected = abs(r_bad) > 1e-8 and np.isclose(r_bad, expected, rtol=1e-12)
     checks.append(("negative-control", detected, abs(r_bad)))
 

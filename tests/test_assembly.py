@@ -19,11 +19,6 @@ from hho2d.verify import CASES, build_family, energy_norm, nonconforming_mesh
 SINE = CASES["sine"]
 
 
-def element_views(mesh, stacks):
-    """(element, its operators) for every member of the operator stacks."""
-    return [(mesh.elements[e], s[b]) for s in stacks for b, e in enumerate(s.elem_id)]
-
-
 TABLE_MESHES = {
     **{tag: lambda tag=tag: build_family(tag, [8]).meshes[0]
        for tag in ("cartesian", "triangular", "nonconforming", "agglomerated", "rectangles")},
@@ -53,9 +48,15 @@ def test_stack_tables_equal_the_checked_path(name):
                 copy[-1] = mesh.n_elements
                 with pytest.raises(MeshError, match=f"^element {mesh.n_elements} out of range$"):
                     lookup(copy)
-    # a pickled mesh keeps each stack of every degree paired with its
-    # stored rows and fan
+    # a pickled mesh is its corner table: loading rebuilds every table
+    # read-only with the same bytes, and keeps each stack of every degree
+    # paired with its stored rows and fan
     again = pickle.loads(pickle.dumps(mesh))
+    tables = lambda m: [m.vertices, *vars(m.faces).values(), *vars(m.elements).values()]
+    raw = lambda a: (a.dtype, a.shape, a.tobytes())
+    for got, want in zip(tables(again), tables(mesh), strict=True):
+        assert not got.flags.writeable
+        assert raw(got) == raw(want)
     for k in range(4):
         assert len(again.stacks(k)) == len(mesh.stacks(k))
         for ids, old in zip(again.stacks(k), mesh.stacks(k)):
@@ -66,7 +67,8 @@ def test_stack_tables_equal_the_checked_path(name):
             for got, want in zip((ids, again.corner_rows(ids), again.face_rows(ids), *fan),
                                  (old, mesh.corner_rows(old), mesh.face_rows(old),
                                   *mesh._stored(old, slice(3, None), hm._fan, mesh))):
-                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                assert raw(got) == raw(want)
 
 
 def test_dof_map_counts():
@@ -93,8 +95,8 @@ def test_dof_map_offsets_disjoint():
     for k in (0, 1, 2):
         dm = asm.build_dof_map(mesh, k)
         seen = np.zeros(dm.total, dtype=int)
-        for el in mesh.elements:
-            (idx,) = dm.indices([el.id])
+        for e in range(mesh.n_elements):
+            (idx,) = dm.indices([e])
             seen[idx[idx >= 0]] += 1
         assert seen.min() >= 1  # every dof touched by some element
 
@@ -306,9 +308,9 @@ def test_rhs_matches_cell_value_functional():
         v = rng.standard_normal(system.dofmap.total)
         vec = asm.GlobalHhoVector(dofmap=system.dofmap, data=v)
         total = 0.0
-        for el, op in element_views(mesh, system.ops):
-            (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 2 * k + 4)
-            (loc,) = vec.local_flat([el.id])
+        for e, op in [(e, s[b]) for s in system.ops for b, e in enumerate(s.elem_id)]:
+            (points,), (weights,) = pb.cell_quadratures(mesh, [e], 2 * k + 4)
+            (loc,) = vec.local_flat([e])
             if k >= 1:
                 vals = op.cell_basis.eval(points[None])[0] @ loc[: hl.cell_block_dim(k)]
             else:
@@ -334,16 +336,16 @@ def test_gather_scatter_roundtrip():
     vec = asm.GlobalHhoVector(dofmap=dm, data=rng.standard_normal(dm.total))
     back = asm.GlobalHhoVector.zeros(dm)
     counts = np.zeros(dm.total)
-    for el in mesh.elements:
-        back.scatter_add([el.id], vec.local_flat([el.id]))
-        (idx,) = dm.indices([el.id])
+    for e in range(mesh.n_elements):
+        back.scatter_add([e], vec.local_flat([e]))
+        (idx,) = dm.indices([e])
         counts[idx[idx >= 0]] += 1.0
     assert back.data / counts == pytest.approx(vec.data, rel=1e-14)
     # boundary faces always read zero
     (local,) = vec.local_flat([0])
-    el = mesh.elements[0]
+    (rows,) = mesh.face_rows([0])
     nc = hl.cell_block_dim(2)
-    for i, fid in enumerate(el.face_ids):
+    for i, fid in enumerate(mesh.elements.face_ids[rows]):
         if mesh.faces.elems[fid, 1] < 0:
             assert np.all(local[nc + 3 * i:nc + 3 * (i + 1)] == 0.0)
 

@@ -46,10 +46,11 @@ def test_cr_rejects_bad_meshes():
 
 def test_cr_basis_is_dual_to_face_averages():
     mesh = generate("triangular", 2)
-    for el in mesh.elements:
-        (grads,) = cl.cr_basis_gradients(mesh, [el.id])
-        for i, fid in enumerate(el.face_ids):
-            for j, fjd in enumerate(el.face_ids):
+    els = mesh.elements
+    for e, fids in enumerate(np.split(els.face_ids, els.face_ptr[1:-1])):
+        (grads,) = cl.cr_basis_gradients(mesh, [e])
+        for i, fid in enumerate(fids):
+            for j, fjd in enumerate(fids):
                 points, weights = pb.face_quadratures(mesh, int(fjd), 4)
                 mid = mesh.faces.midpoint[fid]
                 phi = 1.0 + (points - mid) @ grads[i]
@@ -64,9 +65,10 @@ def test_cr_matrix_matches_hho_k0(n):
     idx = system.face_index
     m = system.matrix.shape[0]
     rows, cols, vals = [], [], []
-    for el in mesh.elements:
-        (A,) = hl.local_operators(mesh, [el.id], 0).stiff
-        gi = idx[el.face_ids]
+    els = mesh.elements
+    for e, fids in enumerate(np.split(els.face_ids, els.face_ptr[1:-1])):
+        (A,) = hl.local_operators(mesh, [e], 0).stiff
+        gi = idx[fids]
         for i in range(3):
             for j in range(3):
                 if gi[i] >= 0 and gi[j] >= 0:
@@ -135,8 +137,7 @@ def test_rtn_linear_field_hand_solved():
     # oracle: tau = x solves a = anchor, q = 1 in the 3x3 flux system
     mesh = generate("triangular", 1)
     field = cl.rtn_interpolate(mesh, lambda p: p)
-    centroids = np.array([el.centroid for el in mesh.elements])
-    assert field.a == pytest.approx(centroids, abs=1e-13)
+    assert field.a == pytest.approx(mesh.elements.centroid, abs=1e-13)
     assert field.q == pytest.approx(np.ones(2), abs=1e-13)
     assert field.divergence() == pytest.approx(np.full(2, 2.0), abs=1e-13)
 
@@ -159,17 +160,18 @@ def test_rtn_flux_continuity_and_commutation():
     div = lambda p: np.exp(p[:, 0]) + p[:, 0]
     field = cl.rtn_interpolate(mesh, tau)
     fluxes = field.normal_fluxes()
+    els = mesh.elements
     by_face = {}
-    for el in mesh.elements:
-        for i, fid in enumerate(el.face_ids):
-            by_face.setdefault(int(fid), []).append(fluxes[el.id][i])
+    for e, fids in enumerate(np.split(els.face_ids, els.face_ptr[1:-1])):
+        for i, fid in enumerate(fids):
+            by_face.setdefault(int(fid), []).append(fluxes[e][i])
     for fid, pair in by_face.items():
         if len(pair) == 2:
             assert pair[0] + pair[1] == pytest.approx(0.0, abs=1e-12)
-    for el in mesh.elements:
-        (points,), (weights,) = pb.cell_quadratures(mesh, [el.id], 8)
-        mean_div = weights @ div(points) / el.area
-        assert field.divergence()[el.id] == pytest.approx(mean_div, abs=1e-12)
+    for e in range(mesh.n_elements):
+        (points,), (weights,) = pb.cell_quadratures(mesh, [e], 8)
+        mean_div = weights @ div(points) / els.area[e]
+        assert field.divergence()[e] == pytest.approx(mean_div, abs=1e-12)
 
 
 def test_magic_formula_rtn_fluxes():
@@ -192,7 +194,8 @@ def test_magic_formula_globally_affine_gradient():
     # normal-trace-continuous) gradient
     mesh = generate("triangular", 2)
     slope = np.array([2.0, -1.0])
-    fluxes = [el.face_normals @ slope for el in mesh.elements]
+    els = mesh.elements
+    fluxes = [normals @ slope for normals in np.split(els.face_normals, els.face_ptr[1:-1])]
     rng = np.random.default_rng(1)
     vals = np.zeros(mesh.n_faces)
     interior = mesh.interior_face_ids()
@@ -206,12 +209,14 @@ def test_magic_formula_detects_nonconforming_hat_gradient():
     # it is *not* a valid flux field and the sum must see the jumps
     mesh = generate("triangular", 1)
     hat_values = np.array([1.0, 0.0, 0.0, 0.0])  # vertex 0 = (0, 0)
+    els = mesh.elements
     fluxes = []
-    for el in mesh.elements:
-        pts = mesh.vertices[el.vertex_loop]
+    for loop, normals in zip(np.split(els.corners, els.corner_ptr[1:-1]),
+                             np.split(els.face_normals, els.face_ptr[1:-1])):
+        pts = mesh.vertices[loop]
         A = np.column_stack([np.ones(3), pts])
-        coeff = np.linalg.solve(A, hat_values[el.vertex_loop])
-        fluxes.append(el.face_normals @ coeff[1:])
+        coeff = np.linalg.solve(A, hat_values[loop])
+        fluxes.append(normals @ coeff[1:])
     vals = np.zeros(mesh.n_faces)
     diag = mesh.interior_face_ids()[0]
     vals[diag] = 1.0
@@ -242,24 +247,25 @@ def test_magic_formula_negative_control():
     vals = np.zeros(mesh.n_faces)
     interior = mesh.interior_face_ids()
     vals[interior] = rng.standard_normal(len(interior))
-    el = next(
-        el for el in mesh.elements
-        if any(mesh.faces.elems[f, 1] >= 0 for f in el.face_ids)
+    loops = np.split(mesh.elements.face_ids, mesh.elements.face_ptr[1:-1])
+    e = next(
+        e for e, fids in enumerate(loops)
+        if any(mesh.faces.elems[f, 1] >= 0 for f in fids)
     )
-    iloc = next(i for i, f in enumerate(el.face_ids) if mesh.faces.elems[f, 1] >= 0)
-    fid = int(el.face_ids[iloc])
+    iloc = next(i for i, f in enumerate(loops[e]) if mesh.faces.elems[f, 1] >= 0)
+    fid = int(loops[e][iloc])
     bad = [f.copy() for f in fluxes]
-    bad[el.id][iloc] *= -1.0
+    bad[e][iloc] *= -1.0
     residual = cl.magic_residual(mesh, bad, vals)
     # direct-evaluation oracle: flipping one flux leaves twice its term
-    expected = -2.0 * mesh.faces.length[fid] * fluxes[el.id][iloc] * vals[fid]
+    expected = -2.0 * mesh.faces.length[fid] * fluxes[e][iloc] * vals[fid]
     assert residual == pytest.approx(expected, rel=1e-12)
     assert residual != 0.0
 
 
 def test_magic_residual_rejects_nonzero_boundary():
     mesh = generate("triangular", 1)
-    fluxes = [np.zeros(el.n_faces) for el in mesh.elements]
+    fluxes = [np.zeros(n) for n in np.diff(mesh.elements.face_ptr)]
     vals = np.ones(mesh.n_faces)
     with pytest.raises(ValueError, match="boundary"):
         cl.magic_residual(mesh, fluxes, vals)

@@ -39,9 +39,10 @@ def reference_refine(mesh, marked):
         return key2id[key]
 
     loops = []
-    for el in mesh.elements:
-        loop = list(el.vertex_loop)
-        if el.id not in marked:
+    els = mesh.elements
+    for e, loop in enumerate(np.split(els.corners, els.corner_ptr[1:-1])):
+        loop = list(loop)
+        if e not in marked:
             loops.append(loop)
             continue
         pts = mesh.vertices[loop]

@@ -173,7 +173,8 @@ def test_reconstruction_satisfies_its_variational_contract(k):
     # direct check of the defining identity and the mean closure for
     # arbitrary (non-interpolated) local vectors against quadrature oracles
     mesh = pentagon_mesh(0.43)
-    el = mesh.elements[0]
+    els = mesh.elements
+    (rows,) = mesh.face_rows([0])
     ops = hl.local_operators(mesh, [0], k)
     rec = ops.recon_basis
     points, (weights,) = pb.cell_quadratures(mesh, [0], 2 * (k + 1) + 2)
@@ -193,11 +194,11 @@ def test_reconstruction_satisfies_its_variational_contract(k):
             lap = ref_laplacian(rec, points)[0] @ ej
             vT = ops.cell_basis.eval(points)[0] @ vec[:nc]
             rhs -= weights @ (vT * lap)
-        for i, fid in enumerate(el.face_ids):
+        for i, fid in enumerate(els.face_ids[rows]):
             fp, fw = pb.face_quadratures(mesh, int(fid), 2 * k + 4)
             vF_coeffs = vec[nc + i * (k + 1):nc + (i + 1) * (k + 1)]
             vF = ref_face_basis(mesh, int(fid), k, fp) @ vF_coeffs
-            flux = rec.grad(fp[None])[0] @ el.face_normals[i] @ ej
+            flux = rec.grad(fp[None])[0] @ els.face_normals[rows[i]] @ ej
             rhs += fw @ (vF * flux)
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
 
@@ -206,7 +207,7 @@ def test_reconstruction_satisfies_its_variational_contract(k):
     if k >= 1:
         expected = weights @ (ops.cell_basis.eval(points)[0] @ vec[:nc])
     else:
-        expected = el.area * (ops.avg_weights[0] @ vec)
+        expected = els.area[0] * (ops.avg_weights[0] @ vec)
     assert mean_w == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
@@ -601,6 +602,7 @@ def ref_build(mesh, ids, k):
     on the fan quadrature instead of the boundary moments."""
     els = mesh.elements
     rows = mesh.face_rows(ids)
+    lengths = mesh.faces.length[els.face_ids[rows]]
     nb, nf = rows.shape
     nc, kf = hl.cell_block_dim(k), k + 1
     n_loc = nc + nf * kf
@@ -628,7 +630,7 @@ def ref_build(mesh, ids, k):
     B[:, :, nc:] = wgram(flux, fw, Vf).transpose(0, 2, 1, 3).reshape(nb, dr, nf * kf)
     r = np.zeros((nb, n_loc))
     if k == 0:
-        r[:, nc:] = 0.5 * els.face_dists[rows] * els.face_lengths[rows]
+        r[:, nc:] = 0.5 * els.face_dists[rows] * lengths
     else:
         cellb = ref_cell_basis(mesh, ids, k - 1)
         Vc = cellb.eval(pts)
@@ -640,7 +642,7 @@ def ref_build(mesh, ids, k):
     P = np.linalg.solve(K, np.concatenate([B, r[:, None]], axis=1))[:, :dr]
 
     # stabilization: face parts scaled by h^-1, the cell part by h^-2
-    M_f = pb.face_mass(els.face_lengths[rows], k)
+    M_f = pb.face_mass(lengths, k)
     Pi_f = np.linalg.solve(M_f, wgram(Vf, fw, rec.eval(fpts).reshape(nb, nf, nq, dr)))
     D = (-Pi_f @ P[:, None]).reshape(nb, nf * kf, n_loc)
     D[:, :, nc:] += np.eye(nf * kf)

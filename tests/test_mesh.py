@@ -56,9 +56,8 @@ def test_load_2x2_counts():
 
 def test_hanging_node_splits_coarse_side():
     mesh = hanging_node_mesh()
-    left = mesh.elements[0]
-    assert left.n_faces == 5
-    assert len(left.vertex_loop) == 4
+    assert mesh.face_rows([0]).shape == (1, 5)
+    assert mesh.corner_rows([0]).shape == (1, 4)
     assert mesh.n_faces == 10
 
 
@@ -76,7 +75,7 @@ def test_refine_marks_one_element():
     ref = refine_nonconforming(mesh, [0])
     assert ref.n_elements == 7
     # the two edge-neighbors of the refined cell get one side split
-    assert sorted(el.n_faces for el in ref.elements) == [4, 4, 4, 4, 4, 5, 5]
+    assert sorted(np.diff(ref.elements.face_ptr).tolist()) == [4, 4, 4, 4, 4, 5, 5]
 
 
 def test_refine_empty_mark_is_identity():
@@ -99,10 +98,11 @@ def test_refine_all_matches_uniform_refinement():
 def test_refine_preserves_similarity():
     mesh = generate("cartesian", 2)
     ref = refine_nonconforming(mesh, [3])
-    children = [el for el in ref.elements if el.diameter < 0.9 * mesh.h]
+    diameter = ref.elements.diameter
+    children = diameter[diameter < 0.9 * mesh.h]
     assert len(children) == 4
-    for el in children:
-        assert el.diameter == pytest.approx(mesh.h / 2, rel=0, abs=0)
+    for d in children:
+        assert d == pytest.approx(mesh.h / 2, rel=0, abs=0)
 
 
 def test_refine_shape_support():
@@ -129,9 +129,9 @@ def test_agglomerate_mixed_blocks():
     coarse = agglomerate(fine, blocks)
     assert coarse.n_elements == 13
     assert coarse.total_area == 1.0
-    big = max(coarse.elements, key=lambda el: el.area)
+    big = np.argmax(coarse.elements.area)
     # right and top sides face 1x1 neighbors and split at their corners
-    assert big.n_faces == 6
+    assert np.diff(coarse.elements.face_ptr)[big] == 6
 
 
 def test_agglomerate_rejects_bad_blocks():
@@ -160,13 +160,17 @@ def test_agglomerate_rejects_bad_blocks():
     ids=["cart3", "tri2", "hanging", "refined", "agglo"],
 )
 def test_geometric_identities(mesh):
-    for el in mesh.elements:
-        closure = el.face_normals.T @ el.face_lengths
-        assert np.linalg.norm(closure) <= 1e-12 * el.diameter * el.n_faces
-        pyramid = 0.5 * np.dot(el.face_dists, el.face_lengths)
-        assert abs(pyramid - el.area) <= 1e-12 * el.area * el.n_faces
-        assert np.all(el.face_dists > 0)
-        assert el.face_lengths.max() <= el.diameter * (1 + 1e-12)
+    els = mesh.elements
+    lengths = mesh.faces.length[els.face_ids]
+    for e, (hT, area) in enumerate(zip(els.diameter, els.area)):
+        f = slice(els.face_ptr[e], els.face_ptr[e + 1])
+        nf = f.stop - f.start
+        closure = els.face_normals[f].T @ lengths[f]
+        assert np.linalg.norm(closure) <= 1e-12 * hT * nf
+        pyramid = 0.5 * np.dot(els.face_dists[f], lengths[f])
+        assert abs(pyramid - area) <= 1e-12 * area * nf
+        assert np.all(els.face_dists[f] > 0)
+        assert lengths[f].max() <= hT * (1 + 1e-12)
 
 
 def test_serialization_roundtrip_bit_exact():
@@ -177,6 +181,17 @@ def test_serialization_roundtrip_bit_exact():
     assert again.n_faces == mesh.n_faces
     for name in ("v0", "v1", "elems"):
         assert getattr(again.faces, name).tolist() == getattr(mesh.faces, name).tolist()
+
+
+def test_element_table_iterates_face_counts_only():
+    # iterating the table gives each element's face count, for the face-count
+    # reader of perfbench/test_perfbench.py; there is no per-element view
+    els = refine_nonconforming(generate("cartesian", 3), [1, 3]).elements
+    counts = np.diff(els.face_ptr).tolist()
+    assert sorted(set(counts)) == [4, 5, 6]
+    assert [el.n_faces for el in els] == counts
+    with pytest.raises(TypeError):
+        els[0]
 
 
 def test_load_rejects_malformed_documents():
@@ -297,7 +312,8 @@ def test_vertices_are_read_only():
 
 
 def _shape(mesh, e):
-    return len(mesh.elements[e].vertex_loop), mesh.elements[e].n_faces
+    els = mesh.elements
+    return tuple(int(ptr[e + 1] - ptr[e]) for ptr in (els.corner_ptr, els.face_ptr))
 
 
 def assert_partition(mesh, k, budget):
@@ -524,15 +540,13 @@ def scan_faces(verts, loops):
 
 
 def assert_faces_match_scan(mesh):
-    keys, adj, elems = scan_faces(
-        mesh.vertices, [el.vertex_loop for el in mesh.elements]
-    )
+    els = mesh.elements
+    keys, adj, elems = scan_faces(mesh.vertices, np.split(els.corners, els.corner_ptr[1:-1]))
     faces = mesh.faces
     assert list(zip(faces.v0.tolist(), faces.v1.tolist())) == keys
     assert [tuple(e for e in row if e >= 0) for row in faces.elems.tolist()] == adj
-    assert [
-        (el.face_ids.tolist(), el.face_signs.tolist()) for el in mesh.elements
-    ] == elems
+    split = lambda col: [row.tolist() for row in np.split(col, els.face_ptr[1:-1])]
+    assert list(zip(split(els.face_ids), split(els.face_signs))) == elems
 
 
 SEARCH = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -616,7 +630,7 @@ def test_bucketed_search_matches_scan_on_a_long_diagonal(m, sx, sy):
             loops.append([vid.setdefault(p, len(vid)) for p in cell])
     verts = [(sx * x / m, sy * y / m) for x, y in vid]
     mesh = PolyMesh(verts, loops)
-    assert mesh.elements[0].n_faces == m + 2
+    assert mesh.face_rows([0]).shape[1] == m + 2
     assert_faces_match_scan(mesh)
 
 
@@ -631,7 +645,7 @@ def test_bucketed_search_matches_scan_near_the_tolerance(factor, side, angle, sc
                       (1 + off, 0.5)])
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     mesh = PolyMesh(scale * verts @ rot.T, [[0, 1, 2, 3], [1, 4, 5, 7], [7, 5, 6, 2]])
-    assert mesh.elements[0].n_faces == (5 if factor < 1 else 4)
+    assert mesh.face_rows([0]).shape[1] == (5 if factor < 1 else 4)
     assert_faces_match_scan(mesh)
 
 
@@ -695,7 +709,7 @@ def test_unused_vertex_splits_no_side():
     # lies in stays one face
     verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0.5)]
     mesh = PolyMesh(verts, [[0, 1, 2, 3], [1, 4, 5, 2]])
-    assert [el.n_faces for el in mesh.elements] == [4, 4]
+    assert np.diff(mesh.elements.face_ptr).tolist() == [4, 4]
     assert mesh.n_faces == 7
     assert len(load_mesh(dump_mesh(mesh)).vertices) == 7
     assert_faces_match_scan(mesh)

@@ -11,11 +11,6 @@ from hho2d import verify as vf
 from hho2d.mesh import MeshError, generate
 
 
-def element_views(mesh, stacks):
-    """(element, its operators) for every member of the operator stacks."""
-    return [(mesh.elements[e], s[b]) for s in stacks for b, e in enumerate(s.elem_id)]
-
-
 def test_cases_satisfy_their_pde():
     # forced pairs: -lap(u) = f, checked by finite differences
     rng = np.random.default_rng(0)
@@ -52,7 +47,7 @@ def test_family_builders():
     fam = vf.build_family("nonconforming", [4, 8])
     assert fam.tag == "nonconforming"
     assert fam.meshes[0].h == pytest.approx(np.sqrt(2) / 4)
-    assert any(el.n_faces > 4 for el in fam.meshes[0].elements)
+    assert np.diff(fam.meshes[0].elements.face_ptr).max() > 4
     rect = vf.rectangle_mesh(4)
     assert rect.n_elements == 8
     agg = vf.agglomerated_mesh(8, 2)
@@ -194,11 +189,12 @@ def test_cr_stability_bound_via_measured_poincare(n):
     mesh = generate("triangular", n)
     cr = cl.cr_assemble(mesh, case.f)
     vals = cr.solve()
+    els = mesh.elements
     energy = 0.0
-    for el in mesh.elements:
-        (grads,) = cl.cr_basis_gradients(mesh, [el.id])
-        gh = vals[el.face_ids] @ grads
-        energy += el.area * (gh @ gh)
+    for e, fids in enumerate(np.split(els.face_ids, els.face_ptr[1:-1])):
+        (grads,) = cl.cr_basis_gradients(mesh, [e])
+        gh = vals[fids] @ grads
+        energy += els.area[e] * (gh @ gh)
     energy = np.sqrt(energy)
     system = asm.assemble(mesh, 0, case.f)
     cp, _ = vf.poincare_constant(system)
@@ -239,7 +235,7 @@ def test_study_interpolates_once_per_element_per_row(monkeypatch):
     vf.study(fam, 1, "sine")
     # each element exactly once per row ...
     interpolated = sorted((m, e) for m, ids in calls for e in ids)
-    assert interpolated == sorted((id(mesh), el.id) for mesh in fam for el in mesh.elements)
+    assert interpolated == sorted((id(mesh), e) for mesh in fam for e in range(mesh.n_elements))
     # ... in one stacked call per element stack
     batches = [(id(mesh), ids.tolist()) for mesh in fam for ids in mesh.stacks(1)]
     assert len(batches) < sum(mesh.n_elements for mesh in fam)
@@ -266,9 +262,9 @@ def test_reconstructed_solution_converges_to_exact():
         system = asm.assemble(mesh, 1, case.f)
         solution, _ = asm.solve(system)
         err2 = 0.0
-        for el, op in element_views(mesh, system.ops):
-            coeff = op.recon[0] @ solution.local_flat([el.id])[0]
-            points, (weights,) = pb.cell_quadratures(mesh, [el.id], 8)
+        for e, op in [(e, s[b]) for s in system.ops for b, e in enumerate(s.elem_id)]:
+            coeff = op.recon[0] @ solution.local_flat([e])[0]
+            points, (weights,) = pb.cell_quadratures(mesh, [e], 8)
             gh = np.einsum("pid,i->pd", op.recon_basis.grad(points)[0], coeff)
             diff = case.grad(points[0]) - gh
             err2 += np.einsum("pd,p,pd->", diff, weights, diff)
